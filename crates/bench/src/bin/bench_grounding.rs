@@ -1,9 +1,8 @@
 //! Naive vs. semi-naive grounding comparison with a JSON summary.
 //!
-//! The vendored criterion stand-in prints timings but has no machine-readable
-//! output, so CI tracks the grounding perf trajectory through this binary
-//! instead: it times both saturation strategies on the scaled network
-//! workloads and writes a `BENCH_grounding.json` summary.
+//! CI tracks the grounding perf trajectory through this binary: it times both
+//! saturation strategies on the scaled network workloads and writes a
+//! `BENCH_grounding.json` summary.
 //!
 //! Usage: `bench_grounding [--full] [--out PATH]` (default: small scale,
 //! `BENCH_grounding.json` in the current directory).

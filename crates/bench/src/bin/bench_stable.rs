@@ -207,7 +207,7 @@ fn measure(
         name: name.to_owned(),
         outcomes: chase.outcomes.len(),
         events: events.len(),
-        fingerprint: fingerprint(&events, chase.outcomes.len()),
+        fingerprint: fingerprint(events, chase.outcomes.len()),
         naive_ms,
         scc_ms,
         par_ms,

@@ -11,7 +11,7 @@
 //!   random stratified programs),
 //! * [`experiments`] — the per-claim experiment runners (E1–E12) that print
 //!   the paper-vs-measured report recorded in `EXPERIMENTS.md`,
-//! * Criterion benches under `benches/` for the performance studies.
+//! * the `bench_*` perf trackers under `src/bin/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

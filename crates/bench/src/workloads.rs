@@ -471,9 +471,9 @@ pub struct ChaseWorkload {
     pub grounder: Box<dyn Grounder>,
 }
 
-/// The chase benchmark suite — **the** scale table for `bench_chase` and the
-/// chase criterion benches, at CI-smoke (`full = false`) or full measurement
-/// size. Scales live only here so the smoke and full runs cannot drift.
+/// The chase benchmark suite — **the** scale table for `bench_chase`, at
+/// CI-smoke (`full = false`) or full measurement size. Scales live only here
+/// so the smoke and full runs cannot drift.
 pub fn chase_workload_suite(full: bool) -> Vec<ChaseWorkload> {
     let (dimes, quarters) = if full { (9, 2) } else { (5, 1) };
     let coins = if full { 10 } else { 6 };

@@ -82,8 +82,8 @@ pub struct QueryResponse {
     /// factored path, which can dwarf anything the flat chase could ever
     /// materialize, hence the wide integer.
     pub outcomes: u128,
-    /// Chase-tree nodes visited (0 on the factored path, where each factor
-    /// runs its own chase). Deterministic across thread counts.
+    /// Chase-tree nodes visited, summed over the factors' chases.
+    /// Deterministic across thread counts.
     pub nodes_visited: usize,
     /// Distinct events (sets of stable models); combined count across
     /// factors on the factored path.

@@ -19,19 +19,20 @@
 //! would leak observable hit-rate differences into responses; the
 //! solve-entry cache strictly subsumes the warmth it would buy.)
 //!
-//! Strategy dispatch: [`SolveStrategy::Auto`] picks flat vs factored via the
-//! PR-8 *static* analysis alone — a positive `min_path_probability` or the
-//! [`certainly_single_trigger`] certificate proves the flat path; otherwise
-//! the factored path runs, whose own dynamic analysis still falls back to
-//! flat byte-for-byte when the program does not factor.
+//! One answering space: every strategy solves, through
+//! [`Pipeline::solve_with`], into a [`FactoredOutputSpace`] — a flat solve is
+//! the product of one factor — so answering never branches on how the
+//! program was solved. [`crate::api::SolveStrategy::Auto`] resolves
+//! statically: a positive `min_path_probability` or the
+//! [`crate::certainly_single_trigger`] certificate proves the flat path;
+//! otherwise the factored path runs, whose own dynamic analysis still falls
+//! back to the flat chase when the program does not factor.
 
-use crate::analyze::certainly_single_trigger;
-use crate::api::request::{McRequest, QueryRequest, SolveKey, SolveStrategy};
+use crate::api::request::{McRequest, QueryRequest, SolveKey};
 use crate::api::response::{EventReport, McReport, QueryReport, QueryResponse};
-use crate::chase::ChaseBudget;
 use crate::error::CoreError;
 use crate::exec::Executor;
-use crate::factor::FactoredSolve;
+use crate::factor::FactoredOutputSpace;
 use crate::model_cache::ModelCacheStats;
 use crate::pipeline::{McParams, Pipeline};
 use crate::program::Program;
@@ -49,8 +50,7 @@ struct SolveEntry {
     /// (sampling reuses its grounder and executor; walks are seed-split, so
     /// results are independent of the pipeline's history).
     pipeline: Pipeline,
-    solve: FactoredSolve,
-    nodes_visited: usize,
+    space: FactoredOutputSpace,
     analysis: &'static str,
     stats: ModelCacheStats,
 }
@@ -63,7 +63,7 @@ pub struct Solver {
     sigma: Arc<SigmaPi>,
     stratified: bool,
     executor: Arc<Executor>,
-    /// Solve-entry cache. A `Vec` scanned linearly: [`ChaseBudget`] carries
+    /// Solve-entry cache. A `Vec` scanned linearly: [`crate::ChaseBudget`] carries
     /// an `f64`, so [`SolveKey`] is `PartialEq`-only, and the distinct solve
     /// configurations per program are few. The lock is held across a solve
     /// on purpose — two sessions racing the same configuration must produce
@@ -174,30 +174,17 @@ impl Solver {
                 .stable_limits(key.limits)
                 .with_executor(Arc::clone(&self.executor))
                 .with_cancel(cancel.clone());
-        let (solve, nodes_visited, analysis) =
-            match resolve_strategy(key.strategy, &self.sigma, &key.budget) {
-                SolveStrategy::Factored => {
-                    let (solve, verdict) = pipeline.solve_factored_with_analysis()?;
-                    (solve, 0, verdict.label())
-                }
-                _ => {
-                    let chase = pipeline.chase()?;
-                    let nodes_visited = chase.nodes_visited;
-                    let space = pipeline.space_from_chase(chase)?;
-                    (FactoredSolve::Flat(space), nodes_visited, "flat")
-                }
-            };
+        let (space, analysis) = pipeline.solve_with(key.strategy)?;
         let entry = Arc::new(SolveEntry {
             stats: pipeline.stable_cache_stats(),
             pipeline,
-            solve,
-            nodes_visited,
-            analysis,
+            space,
+            analysis: analysis.map_or("flat", |a| a.label()),
         });
         // Interrupted solves are timing-dependent partial results; caching
         // one would serve a deadline-shaped answer to later queries with no
         // deadline at all (and break warm == cold byte-identity).
-        if !entry.solve.is_interrupted() {
+        if !entry.space.is_interrupted() {
             solves.push((key, Arc::clone(&entry)));
         }
         Ok(entry)
@@ -210,18 +197,18 @@ impl Solver {
         request: &QueryRequest,
         cancel: &CancelToken,
     ) -> Result<QueryResponse, CoreError> {
-        let solve = &entry.solve;
+        let space = &entry.space;
         let mut queries = Vec::with_capacity(request.queries.len());
         for atom in &request.queries {
-            let brave = solve.brave_probability(atom);
-            let cautious = solve.cautious_probability(atom);
+            let brave = space.brave_probability(atom);
+            let cautious = space.cautious_probability(atom);
             let (brave_given, cautious_given) = match &request.given {
                 Some(g) => {
                     let pair = [atom.clone(), g.clone()];
-                    let joint_brave = solve.probability_brave_all(&pair);
-                    let p_brave_g = solve.probability_brave_all(std::slice::from_ref(g));
-                    let joint_cautious = solve.probability_cautious_all(&pair);
-                    let p_cautious_g = solve.probability_cautious_all(std::slice::from_ref(g));
+                    let joint_brave = space.probability_brave_all(&pair);
+                    let p_brave_g = space.probability_brave_all(std::slice::from_ref(g));
+                    let joint_cautious = space.probability_cautious_all(&pair);
+                    let p_cautious_g = space.probability_cautious_all(std::slice::from_ref(g));
                     (
                         joint_brave.div(&p_brave_g),
                         joint_cautious.div(&p_cautious_g),
@@ -240,11 +227,11 @@ impl Solver {
 
         let mut marginals = Vec::new();
         for pred in &request.marginals {
-            for atom in solve.atoms_with_predicate(pred) {
+            for atom in space.atoms_with_predicate(pred) {
                 marginals.push(QueryReport {
                     atom: atom.to_string(),
-                    brave: solve.brave_probability(&atom),
-                    cautious: solve.cautious_probability(&atom),
+                    brave: space.brave_probability(&atom),
+                    cautious: space.cautious_probability(&atom),
                     brave_given: None,
                     cautious_given: None,
                 });
@@ -252,7 +239,7 @@ impl Solver {
         }
 
         let top_events = match request.top {
-            Some(k) => solve
+            Some(k) => space
                 .events_by_mass_top(k)
                 .into_iter()
                 .map(|(key, mass)| EventReport {
@@ -297,18 +284,18 @@ impl Solver {
             facts: self.facts,
             grounder: request.grounder.label(),
             threads: self.executor.threads(),
-            factors: solve.factor_count(),
+            factors: space.factor_count(),
             analysis: entry.analysis,
-            outcomes: solve.combined_outcomes(),
-            nodes_visited: entry.nodes_visited,
-            events: solve.combined_events(),
-            explored_mass: solve.explored_mass(),
-            residual_mass: solve.residual_mass(),
-            truncated: solve.is_truncated(),
-            interrupted: solve.is_interrupted(),
-            p_stable: solve.has_stable_model_probability(),
+            outcomes: space.combined_outcomes(),
+            nodes_visited: space.nodes_visited(),
+            events: space.combined_events(),
+            explored_mass: space.explored_mass(),
+            residual_mass: space.residual_mass(),
+            truncated: space.is_truncated(),
+            interrupted: space.is_interrupted(),
+            p_stable: space.has_stable_model_probability(),
             stable_cache: entry.stats,
-            fingerprint: solve.fingerprint(),
+            fingerprint: space.fingerprint(),
             queries,
             given: request.given.as_ref().map(|a| a.to_string()),
             marginals,
@@ -329,29 +316,6 @@ impl std::fmt::Debug for Solver {
     }
 }
 
-/// Resolve [`SolveStrategy::Auto`] to a concrete path via the static
-/// analysis alone (no saturation): flat when a `min_path_probability` cut is
-/// set (joint-mass cuts never factorize) or when
-/// [`certainly_single_trigger`] certifies at most one trigger; factored
-/// otherwise (the factored path's dynamic analysis still falls back to flat
-/// when the program turns out not to factor).
-fn resolve_strategy(
-    strategy: SolveStrategy,
-    sigma: &SigmaPi,
-    budget: &ChaseBudget,
-) -> SolveStrategy {
-    match strategy {
-        SolveStrategy::Auto => {
-            if budget.min_path_probability > 0.0 || certainly_single_trigger(sigma) {
-                SolveStrategy::Flat
-            } else {
-                SolveStrategy::Factored
-            }
-        }
-        concrete => concrete,
-    }
-}
-
 /// Convenience: lift the request's Monte-Carlo parameters into the
 /// pipeline's [`McParams`].
 impl From<McRequest> for McParams {
@@ -365,8 +329,9 @@ impl From<McRequest> for McParams {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::request::{McRequest, QueryRequest};
-    use crate::pipeline::GrounderChoice;
+    use crate::api::request::{McRequest, QueryRequest, SolveStrategy};
+    use crate::chase::ChaseBudget;
+    use crate::pipeline::{resolve_strategy, GrounderChoice};
     use crate::program::{coin_program, network_resilience_program};
     use gdlog_data::{Const, GroundAtom};
 

@@ -54,6 +54,7 @@ use gdlog_data::{match_atoms, Database, GroundAtom};
 use gdlog_engine::{connected_components, CancelToken, GroundProgram, GroundRule};
 use gdlog_prob::{DiscreteSpace, FactoredSpace, Prob};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
 
 /// Safety valve for the universe fixpoint: programs whose over-approximated
 /// atom universe exceeds this bound fall back to the flat path rather than
@@ -429,36 +430,65 @@ pub(crate) fn restrict_outcomes(
 
 /// One solved factor: the component's atoms and its output space.
 pub struct Factor {
-    /// The component's universe atoms (for routing query atoms to factors).
+    /// The component's universe atoms, for routing query atoms to factors.
+    /// A product of one factor routes every atom to it, so the flat path
+    /// leaves this empty.
     pub atoms: BTreeSet<GroundAtom>,
     /// The component's own output probability space.
     pub space: OutputSpace,
 }
 
-/// The product of per-component output spaces — never materialized into a
-/// flat cross product. All queries answer by per-factor lookup and exact
-/// [`Prob`] factor multiplication.
+/// The output space every solve answers from: the product of per-component
+/// output spaces, never materialized into a flat cross product. All queries
+/// answer by per-factor lookup and exact [`Prob`] factor multiplication.
+///
+/// A flat solve is the product of one factor, and such a product answers
+/// byte-for-byte as that factor's [`OutputSpace`]: the same fingerprint,
+/// the chase's own residual, the same event listing and masses.
 pub struct FactoredOutputSpace {
     factors: Vec<Factor>,
     /// Per factor: `P(sms ≠ ∅)` within the explored mass.
     nonempty: Vec<Prob>,
     /// Per factor: explored mass.
     explored: Vec<Prob>,
+    /// Per factor: does the "no stable model" event occur?
+    has_empty: Vec<bool>,
+    /// Input of the lazy top-k merge, built on first use: per factor, the
+    /// indices of its nonempty events in its
+    /// [`OutputSpace::events_by_mass`] listing.
+    nonempty_events: OnceLock<FactoredSpace<usize>>,
+    /// Computed on first use, then shared by every query.
+    fingerprint: OnceLock<String>,
 }
 
 impl FactoredOutputSpace {
-    /// Assemble the product space, caching the per-factor nonempty and
-    /// explored masses every query multiplies with.
+    /// Assemble the product space, computing once the per-factor values
+    /// every query reads.
     pub fn new(factors: Vec<Factor>) -> Self {
         let nonempty = factors
             .iter()
             .map(|f| f.space.has_stable_model_probability())
             .collect();
         let explored = factors.iter().map(|f| f.space.explored_mass()).collect();
+        let has_empty = factors
+            .iter()
+            .map(|f| f.space.events_by_mass().iter().any(|(k, _)| k.is_empty()))
+            .collect();
         FactoredOutputSpace {
             factors,
             nonempty,
             explored,
+            has_empty,
+            nonempty_events: OnceLock::new(),
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    /// The space of a product of one factor.
+    fn only(&self) -> Option<&OutputSpace> {
+        match self.factors.as_slice() {
+            [only] => Some(&only.space),
+            _ => None,
         }
     }
 
@@ -485,20 +515,22 @@ impl FactoredOutputSpace {
         self.factors.iter().map(|f| f.space.outcome_count()).sum()
     }
 
+    /// Chase-tree nodes visited, summed over the factors' chases.
+    pub fn nodes_visited(&self) -> usize {
+        self.factors.iter().map(|f| f.space.nodes_visited()).sum()
+    }
+
     /// Distinct joint events. Nonempty joint keys are in bijection with
     /// tuples of nonempty per-factor keys (projecting onto the disjoint atom
     /// sets recovers the tuple); every tuple with at least one empty key
     /// collapses into the single "no stable model" event.
     pub fn combined_events(&self) -> u128 {
         let mut nonempty_product = 1u128;
-        let mut any_empty = false;
-        for f in &self.factors {
-            let events = f.space.event_count();
-            let has_empty = f.space.events_by_mass().iter().any(|(k, _)| k.is_empty());
-            any_empty |= has_empty;
-            nonempty_product =
-                nonempty_product.saturating_mul((events - usize::from(has_empty)) as u128);
+        for (f, &has_empty) in self.factors.iter().zip(&self.has_empty) {
+            let events = f.space.event_count() - usize::from(has_empty);
+            nonempty_product = nonempty_product.saturating_mul(events as u128);
         }
+        let any_empty = self.has_empty.iter().any(|&e| e);
         nonempty_product.saturating_add(u128::from(any_empty))
     }
 
@@ -507,13 +539,12 @@ impl FactoredOutputSpace {
         Prob::product(self.explored.iter().copied())
     }
 
-    /// Joint residual: `1 − ∏ exploredᵢ`, clamped at zero against float dust.
+    /// Joint residual: the chase's own residual for one factor, otherwise
+    /// `1 − ∏ exploredᵢ`, clamped at zero against float dust.
     pub fn residual_mass(&self) -> Prob {
-        let r = Prob::ONE.sub(&self.explored_mass());
-        if r.to_f64() < 0.0 {
-            Prob::ZERO
-        } else {
-            r
+        match self.only() {
+            Some(space) => space.residual_mass(),
+            None => clamp_at_zero(Prob::ONE.sub(&self.explored_mass())),
         }
     }
 
@@ -535,8 +566,12 @@ impl FactoredOutputSpace {
         Prob::product(self.nonempty.iter().copied())
     }
 
-    /// The factor whose atom set contains `atom`, if any.
+    /// The factor whose atom set contains `atom`, if any; the only factor
+    /// of a one-factor product.
     fn factor_of(&self, atom: &GroundAtom) -> Option<usize> {
+        if self.factors.len() == 1 {
+            return Some(0);
+        }
         self.factors.iter().position(|f| f.atoms.contains(atom))
     }
 
@@ -588,17 +623,21 @@ impl FactoredOutputSpace {
         self.probability_cautious_all(std::slice::from_ref(atom))
     }
 
-    /// Probability mass of one joint event. The empty key is the union of
-    /// every tuple with at least one empty factor: `∏ exploredᵢ − ∏ nonemptyᵢ`.
-    /// A nonempty key is a product event iff the product of its per-factor
+    /// Probability mass of one joint event: a one-factor product reads it
+    /// off its factor. Otherwise the empty key is the union of every tuple
+    /// with at least one empty factor: `∏ exploredᵢ − ∏ nonemptyᵢ`. A
+    /// nonempty key is a product event iff the product of its per-factor
     /// projections reconstructs it, with mass the product of the projection
     /// masses; any other key has mass zero.
     pub fn event_probability(&self, key: &ModelSetKey) -> Prob {
+        if let Some(space) = self.only() {
+            return space.event_probability(key);
+        }
         if key.is_empty() {
-            let r = self
-                .explored_mass()
-                .sub(&self.has_stable_model_probability());
-            return if r.to_f64() < 0.0 { Prob::ZERO } else { r };
+            return clamp_at_zero(
+                self.explored_mass()
+                    .sub(&self.has_stable_model_probability()),
+            );
         }
         let mut mass = Prob::ONE;
         let mut projections: Vec<ModelSetKey> = Vec::with_capacity(self.factors.len());
@@ -615,36 +654,50 @@ impl FactoredOutputSpace {
     }
 
     /// The `k` heaviest joint events in the flat (mass-descending,
-    /// key-ascending) order, computed by the lazy k-way product merge of
-    /// [`FactoredSpace`] over the per-factor *nonempty* events — plus the
-    /// single collapsed "no stable model" event with its closed-form mass.
+    /// key-ascending) order: a one-factor product lists its factor's
+    /// events; otherwise the lazy k-way product merge of [`FactoredSpace`]
+    /// runs over the per-factor *nonempty* events, plus the single
+    /// collapsed "no stable model" event with its closed-form mass.
     ///
     /// Equal-mass ties are normalized by fetching `TOP_K_TIE_SLACK` extra
     /// candidates and re-sorting; the listing matches the flat
     /// `events_by_mass` prefix exactly whenever the tie class crossing the
     /// cut fits in the slack (always true when `k` covers all events).
     pub fn events_by_mass_top(&self, k: usize) -> Vec<(ModelSetKey, Prob)> {
+        if let Some(space) = self.only() {
+            return space.events_by_mass().iter().take(k).cloned().collect();
+        }
         if k == 0 {
             return Vec::new();
         }
-        let spaces: Vec<DiscreteSpace<ModelSetKey>> = self
-            .factors
-            .iter()
-            .map(|f| {
-                let mut s = DiscreteSpace::new();
-                for (key, mass) in f.space.events_by_mass() {
-                    if !key.is_empty() {
-                        s.push(key, mass);
-                    }
-                }
-                s
-            })
-            .collect();
-        let product = FactoredSpace::from_factors(spaces);
-        let mut out: Vec<(ModelSetKey, Prob)> = product
+        let nonempty_events = self.nonempty_events.get_or_init(|| {
+            FactoredSpace::from_factors(
+                self.factors
+                    .iter()
+                    .map(|f| {
+                        let mut s = DiscreteSpace::new();
+                        for (i, (key, mass)) in f.space.events_by_mass().iter().enumerate() {
+                            if !key.is_empty() {
+                                s.push(i, *mass);
+                            }
+                        }
+                        s
+                    })
+                    .collect(),
+            )
+        });
+        let mut out: Vec<(ModelSetKey, Prob)> = nonempty_events
             .top_k(k.saturating_add(TOP_K_TIE_SLACK))
             .into_iter()
-            .map(|(parts, mass)| (ModelSetKey::product(&parts), mass))
+            .map(|(indices, mass)| {
+                let parts: Vec<&ModelSetKey> = self
+                    .factors
+                    .iter()
+                    .zip(indices)
+                    .map(|(f, &i)| &f.space.events_by_mass()[i].0)
+                    .collect();
+                (ModelSetKey::product(&parts), mass)
+            })
             .collect();
         let empty_mass = self.event_probability(&ModelSetKey::empty());
         if empty_mass.is_positive() {
@@ -673,194 +726,31 @@ impl FactoredOutputSpace {
         atoms
     }
 
-    /// A deterministic fingerprint of the product space: FNV-1a over the
-    /// per-factor [`OutputSpace::fingerprint`]s plus the factor count.
+    /// A deterministic fingerprint of the product space, computed once: a
+    /// one-factor product has its factor's [`OutputSpace::fingerprint`];
+    /// otherwise FNV-1a over the per-factor fingerprints plus the factor
+    /// count.
     pub fn fingerprint(&self) -> String {
-        crate::fingerprint::fnv1a_fingerprint(
-            self.factors
-                .iter()
-                .map(|f| format!("factor={};", f.space.fingerprint()))
-                .chain(std::iter::once(format!("factors={};", self.factors.len()))),
-        )
+        self.fingerprint
+            .get_or_init(|| match self.only() {
+                Some(space) => space.fingerprint(),
+                None => crate::fingerprint::fnv1a_fingerprint(
+                    self.factors
+                        .iter()
+                        .map(|f| format!("factor={};", f.space.fingerprint()))
+                        .chain(std::iter::once(format!("factors={};", self.factors.len()))),
+                ),
+            })
+            .clone()
     }
 }
 
-/// The result of [`crate::Pipeline::solve_factored`]: the flat space when
-/// the program has at most one trigger-bearing component (byte-for-byte
-/// today's path), the factored product otherwise. Queries delegate so
-/// callers need not branch.
-pub enum FactoredSolve {
-    /// The program did not factor; this is exactly [`crate::Pipeline::solve`]'s
-    /// output.
-    Flat(OutputSpace),
-    /// The product of per-component output spaces.
-    Product(FactoredOutputSpace),
-}
-
-impl FactoredSolve {
-    /// Number of factors (one on the flat path).
-    pub fn factor_count(&self) -> usize {
-        match self {
-            FactoredSolve::Flat(_) => 1,
-            FactoredSolve::Product(p) => p.factor_count(),
-        }
-    }
-
-    /// Did the factored path run?
-    pub fn is_factored(&self) -> bool {
-        matches!(self, FactoredSolve::Product(_))
-    }
-
-    /// The flat space, when the program did not factor.
-    pub fn as_flat(&self) -> Option<&OutputSpace> {
-        match self {
-            FactoredSolve::Flat(s) => Some(s),
-            FactoredSolve::Product(_) => None,
-        }
-    }
-
-    /// The product space, when the program factored.
-    pub fn as_product(&self) -> Option<&FactoredOutputSpace> {
-        match self {
-            FactoredSolve::Flat(_) => None,
-            FactoredSolve::Product(p) => Some(p),
-        }
-    }
-
-    /// Joint outcomes described (flat: enumerated; factored: the product of
-    /// per-factor counts, saturating at `u128::MAX`).
-    pub fn combined_outcomes(&self) -> u128 {
-        match self {
-            FactoredSolve::Flat(s) => s.outcome_count() as u128,
-            FactoredSolve::Product(p) => p.combined_outcomes(),
-        }
-    }
-
-    /// Distinct joint events described.
-    pub fn combined_events(&self) -> u128 {
-        match self {
-            FactoredSolve::Flat(s) => s.event_count() as u128,
-            FactoredSolve::Product(p) => p.combined_events(),
-        }
-    }
-
-    /// `P(sms ≠ ∅)` of the joint program.
-    pub fn has_stable_model_probability(&self) -> Prob {
-        match self {
-            FactoredSolve::Flat(s) => s.has_stable_model_probability(),
-            FactoredSolve::Product(p) => p.has_stable_model_probability(),
-        }
-    }
-
-    /// Explored joint mass.
-    pub fn explored_mass(&self) -> Prob {
-        match self {
-            FactoredSolve::Flat(s) => s.explored_mass(),
-            FactoredSolve::Product(p) => p.explored_mass(),
-        }
-    }
-
-    /// Unexplored joint mass.
-    pub fn residual_mass(&self) -> Prob {
-        match self {
-            FactoredSolve::Flat(s) => s.residual_mass(),
-            FactoredSolve::Product(p) => p.residual_mass(),
-        }
-    }
-
-    /// Did any chase hit its budget?
-    pub fn is_truncated(&self) -> bool {
-        match self {
-            FactoredSolve::Flat(s) => s.is_truncated(),
-            FactoredSolve::Product(p) => p.is_truncated(),
-        }
-    }
-
-    /// Was any chase cut short by cancellation (a deadline) rather than by
-    /// its budget?
-    pub fn is_interrupted(&self) -> bool {
-        match self {
-            FactoredSolve::Flat(s) => s.is_interrupted(),
-            FactoredSolve::Product(p) => p.is_interrupted(),
-        }
-    }
-
-    /// `P(atom ∈ some joint stable model)`.
-    pub fn brave_probability(&self, atom: &GroundAtom) -> Prob {
-        match self {
-            FactoredSolve::Flat(s) => s.brave_probability(atom),
-            FactoredSolve::Product(p) => p.brave_probability(atom),
-        }
-    }
-
-    /// `P(atom ∈ every joint stable model, and one exists)`.
-    pub fn cautious_probability(&self, atom: &GroundAtom) -> Prob {
-        match self {
-            FactoredSolve::Flat(s) => s.cautious_probability(atom),
-            FactoredSolve::Product(p) => p.cautious_probability(atom),
-        }
-    }
-
-    /// `P(every listed atom is brave)`.
-    pub fn probability_brave_all(&self, atoms: &[GroundAtom]) -> Prob {
-        match self {
-            FactoredSolve::Flat(s) => s.probability_where(|k| atoms.iter().all(|a| k.brave(a))),
-            FactoredSolve::Product(p) => p.probability_brave_all(atoms),
-        }
-    }
-
-    /// `P(every listed atom is cautious)`.
-    pub fn probability_cautious_all(&self, atoms: &[GroundAtom]) -> Prob {
-        match self {
-            FactoredSolve::Flat(s) => s.probability_where(|k| atoms.iter().all(|a| k.cautious(a))),
-            FactoredSolve::Product(p) => p.probability_cautious_all(atoms),
-        }
-    }
-
-    /// Probability mass of one joint event.
-    pub fn event_probability(&self, key: &ModelSetKey) -> Prob {
-        match self {
-            FactoredSolve::Flat(s) => s.event_probability(key),
-            FactoredSolve::Product(p) => p.event_probability(key),
-        }
-    }
-
-    /// The `k` heaviest joint events in (mass-descending, key-ascending)
-    /// order.
-    pub fn events_by_mass_top(&self, k: usize) -> Vec<(ModelSetKey, Prob)> {
-        match self {
-            FactoredSolve::Flat(s) => s.events_by_mass().into_iter().take(k).collect(),
-            FactoredSolve::Product(p) => p.events_by_mass_top(k),
-        }
-    }
-
-    /// Every atom with the given predicate name occurring in any stable
-    /// model.
-    pub fn atoms_with_predicate(&self, name: &str) -> BTreeSet<GroundAtom> {
-        match self {
-            FactoredSolve::Flat(s) => {
-                let mut atoms = BTreeSet::new();
-                for (key, _) in s.events_by_mass() {
-                    for model in key.models() {
-                        for atom in model {
-                            if atom.predicate.name() == name {
-                                atoms.insert(atom.clone());
-                            }
-                        }
-                    }
-                }
-                atoms
-            }
-            FactoredSolve::Product(p) => p.atoms_with_predicate(name),
-        }
-    }
-
-    /// A deterministic fingerprint (flat: the flat scheme, unchanged).
-    pub fn fingerprint(&self) -> String {
-        match self {
-            FactoredSolve::Flat(s) => s.fingerprint(),
-            FactoredSolve::Product(p) => p.fingerprint(),
-        }
+/// Zero for negative float dust, the value otherwise.
+fn clamp_at_zero(p: Prob) -> Prob {
+    if p.to_f64() < 0.0 {
+        Prob::ZERO
+    } else {
+        p
     }
 }
 
@@ -1023,7 +913,6 @@ mod tests {
         let pipeline = Pipeline::new(&program, &db).unwrap();
         let flat = pipeline.solve().unwrap();
         let factored = pipeline.solve_factored().unwrap();
-        assert!(factored.is_factored());
         assert_eq!(factored.factor_count(), 4);
         assert_eq!(factored.combined_outcomes(), 16);
         assert_eq!(
@@ -1065,7 +954,7 @@ mod tests {
         let factored_events = factored.events_by_mass_top(flat_events.len() + 8);
         assert_eq!(factored_events, flat_events);
         // Per-event masses agree through the product projection.
-        for (key, mass) in &flat_events {
+        for (key, mass) in flat_events {
             assert_eq!(factored.event_probability(key), *mass, "mass of {key}");
         }
         // An unrelated key has zero joint mass.
@@ -1080,12 +969,116 @@ mod tests {
         let pipeline = Pipeline::new(&coin_program(), &Database::new()).unwrap();
         let flat = pipeline.solve().unwrap();
         let solved = pipeline.solve_factored().unwrap();
-        assert!(!solved.is_factored());
         assert_eq!(solved.factor_count(), 1);
-        let space = solved.as_flat().expect("flat fallback");
+        let space = &solved.factors()[0].space;
         assert_eq!(space.events_by_mass(), flat.events_by_mass());
         assert_eq!(space.fingerprint(), flat.fingerprint());
         assert_eq!(solved.fingerprint(), flat.fingerprint());
+        assert_eq!(solved.events_by_mass_top(usize::MAX), flat.events_by_mass());
+        assert_eq!(
+            solved.nodes_visited(),
+            pipeline.chase().unwrap().nodes_visited
+        );
+    }
+
+    /// `→ Steps(Geometric⟨1/2⟩)` cut at four branches, a fair coin per step
+    /// count, a constraint killing `Toss(1, 1)` and an even loop on
+    /// `Steps(0)`: a truncated space with a residual, an empty event,
+    /// multi-model keys and equal-mass ties.
+    fn truncated_walk() -> OutputSpace {
+        let half = || Term::Const(Const::real(0.5).expect("finite"));
+        let program = ProgramBuilder::new()
+            .rule(|r| r.head_with_delta("Steps", vec![], "Geometric", vec![half()], vec![]))
+            .rule(|r| {
+                r.body("Steps", vec![Term::var("x")]).head_with_delta(
+                    "Toss",
+                    vec![Term::var("x")],
+                    "Flip",
+                    vec![half()],
+                    vec![Term::var("x")],
+                )
+            })
+            .constraint(|c| c.body("Toss", vec![Term::int(1), Term::int(1)]))
+            .rule(|r| {
+                r.body("Steps", vec![Term::int(0)])
+                    .not_body("B", vec![])
+                    .head("A", vec![])
+            })
+            .rule(|r| {
+                r.body("Steps", vec![Term::int(0)])
+                    .not_body("A", vec![])
+                    .head("B", vec![])
+            })
+            .build()
+            .expect("valid program");
+        let budget = ChaseBudget {
+            max_branching: 4,
+            ..ChaseBudget::default()
+        };
+        Pipeline::new(&program, &Database::new())
+            .unwrap()
+            .budget(budget)
+            .solve()
+            .unwrap()
+    }
+
+    #[test]
+    fn one_factor_product_answers_exactly_as_its_space() {
+        let space = truncated_walk();
+        assert!(space.is_truncated());
+        assert!(space.residual_mass().is_positive());
+        let empty = ModelSetKey::empty();
+        assert!(space.event_probability(&empty).is_positive());
+
+        let product = FactoredOutputSpace::new(vec![Factor {
+            atoms: BTreeSet::new(),
+            space: space.clone(),
+        }]);
+        assert_eq!(product.factor_count(), 1);
+        assert_eq!(product.residual_mass(), space.residual_mass());
+        assert_eq!(product.explored_mass(), space.explored_mass());
+        assert_eq!(product.fingerprint(), space.fingerprint());
+        assert_eq!(product.combined_events(), space.event_count() as u128);
+        assert_eq!(product.combined_outcomes(), space.outcome_count() as u128);
+        assert_eq!(product.nodes_visited(), space.nodes_visited());
+        assert_eq!(
+            product.has_stable_model_probability(),
+            space.has_stable_model_probability()
+        );
+        assert_eq!(
+            product.event_probability(&empty),
+            space.event_probability(&empty)
+        );
+
+        let events = space.events_by_mass();
+        for k in 0..=events.len() {
+            assert_eq!(product.events_by_mass_top(k), events[..k], "top {k}");
+        }
+        let mut atoms = BTreeSet::new();
+        for (key, mass) in events {
+            assert_eq!(product.event_probability(key), *mass, "mass of {key}");
+            atoms.extend(key.models().flatten().cloned());
+        }
+        // Every atom routes to the only factor, alone and in conjunctions.
+        let atoms: Vec<GroundAtom> = atoms.into_iter().collect();
+        for atom in &atoms {
+            assert_eq!(
+                product.probability_brave_all(std::slice::from_ref(atom)),
+                space.brave_probability(atom),
+                "brave({atom})"
+            );
+            assert_eq!(
+                product.cautious_probability(atom),
+                space.cautious_probability(atom),
+                "cautious({atom})"
+            );
+        }
+        for pair in atoms.windows(2) {
+            assert_eq!(
+                product.probability_brave_all(pair),
+                space.probability_where(|k| pair.iter().all(|a| k.brave(a)))
+            );
+        }
     }
 
     #[test]
@@ -1103,15 +1096,13 @@ mod tests {
         assert!(flat.residual_mass().is_positive());
 
         let factored = pipeline.solve_factored().unwrap();
-        assert!(factored.is_factored());
         assert_eq!(factored.factor_count(), 20);
         assert_eq!(factored.combined_outcomes(), 1u128 << 20);
         assert!(!factored.is_truncated(), "factored is exact");
         assert_eq!(factored.explored_mass(), Prob::ONE);
         assert_eq!(factored.residual_mass(), Prob::ZERO);
         assert_eq!(factored.has_stable_model_probability(), Prob::ONE);
-        let p = factored.as_product().expect("factored");
-        assert_eq!(p.stored_outcomes(), 40);
+        assert_eq!(factored.stored_outcomes(), 40);
         // Exact per-coin marginals at full depth.
         assert_eq!(
             factored.brave_probability(&atom("Tails", &[20])),

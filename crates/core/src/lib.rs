@@ -53,7 +53,6 @@ pub mod outcome;
 pub mod perfect_grounder;
 pub mod pipeline;
 pub mod program;
-pub mod query;
 pub mod rule;
 pub mod semantics;
 pub mod simple_grounder;
@@ -78,9 +77,7 @@ pub use delta::DeltaTerm;
 pub use depgraph::{dependency_graph, stratification, DependencyGraph, Stratification};
 pub use error::CoreError;
 pub use exec::{Executor, THREADS_ENV};
-pub use factor::{
-    ChaseComponent, ComponentGrounder, Factor, FactorAnalysis, FactoredOutputSpace, FactoredSolve,
-};
+pub use factor::{ChaseComponent, ComponentGrounder, Factor, FactorAnalysis, FactoredOutputSpace};
 pub use fingerprint::fnv1a_fingerprint;
 pub use gdlog_engine::{CancelToken, DeadlineGuard};
 pub use grounding::{AtrRule, AtrSet, GroundRuleSet, Grounder, Grounding};
@@ -93,10 +90,6 @@ pub use pipeline::{GrounderChoice, McParams, Pipeline};
 pub use program::{
     coin_program, dime_quarter_program, network_resilience_program, Program, AUX_PREDICATE,
     FAIL_PREDICATE,
-};
-pub use query::{
-    brave_fact_probability, brave_probability, cautious_fact_probability, cautious_probability,
-    has_stable_model_probability,
 };
 pub use rule::{Head, HeadTerm, Rule};
 pub use semantics::OutputSpace;

@@ -8,9 +8,8 @@
 //! * **test oracle** — property tests assert that the semi-naive grounders
 //!   produce exactly the same [`GroundRuleSet`] on random programs and AtR
 //!   sets (see `tests/properties.rs` and the tests below), and
-//! * **baseline** — the `grounding_seminaive` criterion target and the
-//!   `bench_grounding` binary measure the speedup of the delta-driven loop
-//!   against it.
+//! * **baseline** — the `bench_grounding` binary measures the speedup of the
+//!   delta-driven loop against it.
 //!
 //! [`NaiveSimpleGrounder`] and [`NaivePerfectGrounder`] wrap the existing
 //! grounders but route `ground` through the naive loop, so the whole chase /

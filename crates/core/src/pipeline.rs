@@ -11,12 +11,13 @@
 //! ([`Grounder::ground_from`]). See `ARCHITECTURE.md` at the repository root
 //! for the invariants.
 
+use crate::analyze::certainly_single_trigger;
+use crate::api::SolveStrategy;
 use crate::chase::{enumerate_outcomes_cancellable, ChaseBudget, ChaseResult, TriggerOrder};
 use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::factor::{
     self, ChaseComponent, ComponentGrounder, Factor, FactorAnalysis, FactoredOutputSpace,
-    FactoredSolve,
 };
 use crate::grounding::Grounder;
 use crate::mc::MonteCarlo;
@@ -28,6 +29,7 @@ use crate::simple_grounder::SimpleGrounder;
 use crate::translate::SigmaPi;
 use gdlog_data::Database;
 use gdlog_engine::{CancelToken, StableModelLimits};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Which grounder the pipeline should use.
@@ -252,15 +254,10 @@ impl Pipeline {
     /// the same ground program, solve once). Results are bit-identical at
     /// every thread count and with a warm or cold cache.
     pub fn solve(&self) -> Result<OutputSpace, CoreError> {
-        let chase = self.chase()?;
-        self.space_from_chase(chase)
+        self.space_from_chase(self.chase()?)
     }
 
-    /// Turn an already-enumerated chase into the output space (the second
-    /// half of [`Pipeline::solve`], split out so callers that need the
-    /// chase's own statistics — `nodes_visited` — can run the halves
-    /// separately without re-chasing).
-    pub fn space_from_chase(&self, chase: ChaseResult) -> Result<OutputSpace, CoreError> {
+    fn space_from_chase(&self, chase: ChaseResult) -> Result<OutputSpace, CoreError> {
         OutputSpace::from_chase_cancellable(
             chase,
             &self.limits,
@@ -309,8 +306,21 @@ impl Pipeline {
     /// ground program splits into chase-independent components, chase and
     /// solve each component separately and answer queries from the *product*
     /// of the per-component output spaces — exact inference past the `2^n`
-    /// wall of the flat enumeration. Programs with a single component fall
-    /// back to [`Pipeline::solve`] byte-for-byte.
+    /// wall of the flat enumeration. Programs with a single component take
+    /// the flat chase, whose [`Pipeline::solve`] space becomes the one
+    /// factor.
+    pub fn solve_factored(&self) -> Result<FactoredOutputSpace, CoreError> {
+        self.solve_with(SolveStrategy::Factored)
+            .map(|(space, _)| space)
+    }
+
+    /// Solve under `strategy` into the product space every query answers
+    /// from, plus the [`FactorAnalysis`] verdict when the factor analysis
+    /// ran (`None` on the flat strategy). [`SolveStrategy::Auto`] resolves
+    /// via the static analysis alone: flat when a `min_path_probability`
+    /// cut is set (joint-mass cuts never factorize) or when
+    /// [`certainly_single_trigger`] certifies at most one trigger, factored
+    /// otherwise.
     ///
     /// Component chases always run on a fresh simple grounder regardless of
     /// the pipeline's configured grounder: the perfect grounder's
@@ -318,20 +328,23 @@ impl Pipeline {
     /// undefined trigger, and in a component chase every *other* component's
     /// `Active` atoms stay undefined forever by design. Stable-model solving
     /// per factor reuses the pipeline's executor, limits and memo table.
-    pub fn solve_factored(&self) -> Result<FactoredSolve, CoreError> {
-        self.solve_factored_with_analysis().map(|(solve, _)| solve)
-    }
-
-    /// [`Pipeline::solve_factored`] plus the [`FactorAnalysis`] verdict
-    /// (reported by the CLI as `analysis: static|dynamic`). The solve result
-    /// is identical either way; the verdict only records whether universe
-    /// saturation could be skipped.
-    pub fn solve_factored_with_analysis(
+    pub fn solve_with(
         &self,
-    ) -> Result<(FactoredSolve, FactorAnalysis), CoreError> {
-        let (components, analysis) = self.factor_analysis()?;
+        strategy: SolveStrategy,
+    ) -> Result<(FactoredOutputSpace, Option<FactorAnalysis>), CoreError> {
+        let (components, analysis) = match resolve_strategy(strategy, &self.sigma, &self.budget) {
+            SolveStrategy::Factored => {
+                let (components, analysis) = self.factor_analysis()?;
+                (components, Some(analysis))
+            }
+            _ => (None, None),
+        };
         let Some(components) = components else {
-            return Ok((FactoredSolve::Flat(self.solve()?), analysis));
+            let factor = Factor {
+                atoms: BTreeSet::new(),
+                space: self.solve()?,
+            };
+            return Ok((FactoredOutputSpace::new(vec![factor]), analysis));
         };
         let mut simple = SimpleGrounder::new(self.sigma.clone());
         simple.set_cancel(self.cancel.clone());
@@ -345,23 +358,14 @@ impl Pipeline {
                 &self.executor,
                 &self.cancel,
             )?;
-            let chase = factor::restrict_outcomes(chase, &component.atoms);
-            let space = OutputSpace::from_chase_cancellable(
-                chase,
-                &self.limits,
-                &self.executor,
-                Some(&self.stable_cache),
-                &self.cancel,
-            )?;
+            let space =
+                self.space_from_chase(factor::restrict_outcomes(chase, &component.atoms))?;
             factors.push(Factor {
                 atoms: component.atoms,
                 space,
             });
         }
-        Ok((
-            FactoredSolve::Product(FactoredOutputSpace::new(factors)),
-            analysis,
-        ))
+        Ok((FactoredOutputSpace::new(factors), analysis))
     }
 
     /// A Monte-Carlo estimator over the same grounder (sharing the
@@ -375,6 +379,28 @@ impl Pipeline {
         MonteCarlo::new(self.grounder.as_ref(), params.max_triggers, params.seed)
             .with_executor(&self.executor)
             .with_cancel(self.cancel.clone())
+    }
+}
+
+/// Resolve [`SolveStrategy::Auto`] to a concrete strategy via the static
+/// analysis alone (no saturation): flat when a `min_path_probability` cut is
+/// set or when [`certainly_single_trigger`] certifies at most one trigger,
+/// factored otherwise (the factored path's dynamic analysis still falls back
+/// to the flat chase when the program turns out not to factor).
+pub(crate) fn resolve_strategy(
+    strategy: SolveStrategy,
+    sigma: &SigmaPi,
+    budget: &ChaseBudget,
+) -> SolveStrategy {
+    match strategy {
+        SolveStrategy::Auto => {
+            if budget.min_path_probability > 0.0 || certainly_single_trigger(sigma) {
+                SolveStrategy::Flat
+            } else {
+                SolveStrategy::Factored
+            }
+        }
+        concrete => concrete,
     }
 }
 

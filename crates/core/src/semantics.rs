@@ -15,7 +15,7 @@ use crate::model_cache::{ModelSetCache, ProgramFingerprint};
 use crate::outcome::{ModelSetKey, PossibleOutcome};
 use gdlog_data::GroundAtom;
 use gdlog_engine::{CancelToken, StableModelLimits};
-use gdlog_prob::{EventPartition, Prob};
+use gdlog_prob::Prob;
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
@@ -25,10 +25,15 @@ use std::sync::OnceLock;
 #[derive(Clone, Debug)]
 pub struct OutputSpace {
     outcomes: Vec<(PossibleOutcome, ModelSetKey)>,
-    partition: EventPartition<ModelSetKey>,
+    /// The cells of the event partition with their masses, in
+    /// [`OutputSpace::events_by_mass`] order (sorted once, at construction).
+    events: Vec<(ModelSetKey, Prob)>,
+    /// The chase's own residual — authoritative over `1 − explored mass`,
+    /// with which it agrees up to floating-point noise.
     residual: Prob,
     truncated: bool,
     interrupted: bool,
+    nodes_visited: usize,
 }
 
 impl OutputSpace {
@@ -88,7 +93,7 @@ impl OutputSpace {
             residual_mass,
             truncated,
             interrupted,
-            ..
+            nodes_visited,
         } = result;
         let cancel = if interrupted {
             CancelToken::never()
@@ -172,8 +177,8 @@ impl OutputSpace {
         }
 
         // Deterministic merge: outcomes move (never clone) into the keyed
-        // listing in chase order; the partition aggregates one key clone per
-        // outcome, nothing more.
+        // listing in chase order; each event's mass aggregates in that same
+        // order, and the listing clones each distinct key once.
         let keyed: Vec<(PossibleOutcome, ModelSetKey)> = outcomes
             .into_iter()
             .zip(slots)
@@ -185,19 +190,26 @@ impl OutputSpace {
                 (outcome, key)
             })
             .collect();
-        // The partition's residual is the chase's own figure — authoritative
-        // over `1 − explored mass`, with which it agrees up to
-        // floating-point noise.
-        let partition = EventPartition::from_weighted_keys(
-            keyed.iter().map(|(o, k)| (k.clone(), o.probability)),
-            residual_mass,
-        );
+        // Every key now lives in `keyed`: free the solved copies before the
+        // listing is built, so the two are never resident together.
+        drop(solved);
+        let mut masses: HashMap<&ModelSetKey, Prob> = HashMap::new();
+        for (outcome, key) in &keyed {
+            let mass = masses.entry(key).or_insert(Prob::ZERO);
+            *mass = mass.add(&outcome.probability);
+        }
+        let mut events: Vec<(ModelSetKey, Prob)> = masses
+            .into_iter()
+            .map(|(key, mass)| (key.clone(), mass))
+            .collect();
+        events.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         Ok(OutputSpace {
             outcomes: keyed,
-            partition,
+            events,
             residual: residual_mass,
             truncated,
             interrupted,
+            nodes_visited,
         })
     }
 
@@ -213,12 +225,16 @@ impl OutputSpace {
 
     /// Number of distinct events (distinct induced sets of stable models).
     pub fn event_count(&self) -> usize {
-        self.partition.len()
+        self.events.len()
     }
 
-    /// The probability mass of the event with the given key.
+    /// The probability mass of the event with the given key (zero if no
+    /// outcome induces it).
     pub fn event_probability(&self, key: &ModelSetKey) -> Prob {
-        self.partition.mass_of(key)
+        self.events
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or(Prob::ZERO, |(_, mass)| *mass)
     }
 
     /// The residual mass: the error event (infinite outcomes) plus any mass
@@ -241,15 +257,25 @@ impl OutputSpace {
         self.interrupted
     }
 
+    /// Chase-tree nodes the enumeration behind this space visited.
+    pub fn nodes_visited(&self) -> usize {
+        self.nodes_visited
+    }
+
     /// Total mass of the explored events.
     pub fn explored_mass(&self) -> Prob {
-        self.partition.explored_mass()
+        Prob::sum(self.events.iter().map(|(_, mass)| *mass))
     }
 
     /// Probability of the (countable) union of the events selected by
     /// `predicate`.
     pub fn probability_where<F: Fn(&ModelSetKey) -> bool>(&self, predicate: F) -> Prob {
-        self.partition.union_probability(predicate)
+        Prob::sum(
+            self.events
+                .iter()
+                .filter(|(key, _)| predicate(key))
+                .map(|(_, mass)| *mass),
+        )
     }
 
     /// Probability that the program has at least one stable model (the
@@ -277,14 +303,8 @@ impl OutputSpace {
     /// comparison for exact masses — so dyadic ties and masses that differ
     /// only past `f64` precision order identically on every platform and at
     /// every thread count (reports diff clean across CI legs).
-    pub fn events_by_mass(&self) -> Vec<(ModelSetKey, Prob)> {
-        let mut v: Vec<(ModelSetKey, Prob)> = self
-            .partition
-            .iter()
-            .map(|(k, m)| (k.clone(), m.mass))
-            .collect();
-        v.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v
+    pub fn events_by_mass(&self) -> &[(ModelSetKey, Prob)] {
+        &self.events
     }
 
     /// A deterministic fingerprint of the output space: FNV-1a over the
@@ -375,6 +395,24 @@ mod tests {
         let u3 = GroundAtom::make("Uninfected", vec![Const::Int(3)]);
         let both = space.probability_where(|k| k.brave(&u2) && k.brave(&u3));
         assert_eq!(both, Prob::ZERO);
+        // Infected(1,1) is a database fact: it holds in every stable model,
+        // so its brave and cautious probabilities equal the domination
+        // probability. A nonsense fact has probability zero.
+        let infected =
+            |x: i64, y: i64| GroundAtom::make("Infected", vec![Const::Int(x), Const::Int(y)]);
+        assert_eq!(
+            space.cautious_probability(&infected(1, 1)),
+            Prob::ratio(19, 100)
+        );
+        assert_eq!(
+            space.brave_probability(&infected(1, 1)),
+            Prob::ratio(19, 100)
+        );
+        assert_eq!(space.brave_probability(&infected(9, 1)), Prob::ZERO);
+        // Router 2 is infected in some dominated worlds but not all of them.
+        let brave2 = space.brave_probability(&infected(2, 1));
+        assert!(brave2.is_positive());
+        assert!(space.cautious_probability(&infected(2, 1)).to_f64() <= brave2.to_f64());
     }
 
     #[test]

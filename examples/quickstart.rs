@@ -53,11 +53,10 @@ fn main() {
 
     // Marginals of individual atoms.
     for router in 2..=3i64 {
-        let infected = gdlog::core::brave_fact_probability(
-            &space,
+        let infected = space.brave_probability(&GroundAtom::make(
             "Infected",
-            [Const::Int(router), Const::Int(1)],
-        );
+            vec![Const::Int(router), Const::Int(1)],
+        ));
         println!(
             "P(router {router} infected in some stable model) = {:.4}",
             infected.to_f64()

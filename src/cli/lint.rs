@@ -7,7 +7,7 @@
 //! variable occurrence, or as a deterministic JSON report for the golden
 //! corpus.
 
-use super::json::Json;
+use gdlog_core::api::Json;
 use gdlog_core::Severity;
 use gdlog_parser::parse_source;
 use std::cmp::Reverse;

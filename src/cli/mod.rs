@@ -14,18 +14,16 @@
 //! integration tests drive it in-process with captured output.
 
 pub mod args;
-pub mod json;
 pub mod lint;
-pub mod report;
 pub mod serve;
 
 use args::{Command, RunOptions, USAGE};
+use gdlog_core::api::QueryResponse;
 use gdlog_core::{Executor, Severity};
 use gdlog_parser::pretty::{pretty_atom, pretty_database, pretty_rule};
 use gdlog_parser::{parse_source, render_diagnostic_with, RuleAst};
 use gdlog_server::{compile_source, render_core_error};
 use lint::LintOutcome;
-use report::ScenarioReport;
 use std::io::Write;
 use std::sync::Arc;
 
@@ -243,7 +241,7 @@ fn format_file(path: &str) -> Result<String, String> {
 /// and dispatch the flags as one unified request — the same code path a
 /// resident server session runs, minus the wire. Errors come back fully
 /// rendered (diagnostics included) and ready to print.
-pub fn execute_run(o: &RunOptions) -> Result<ScenarioReport, String> {
+pub fn execute_run(o: &RunOptions) -> Result<QueryResponse, String> {
     let source = read_file(&o.path)?;
     let executor = Arc::new(match o.flags.threads {
         Some(n) => Executor::new(n),

@@ -871,11 +871,11 @@ proptest! {
         let chase = oracle.chase().unwrap();
         let flat = OutputSpace::from_chase(&chase, &StableModelLimits::default()).unwrap();
         let flat_events = flat.events_by_mass();
-        let flat_canon = canon_events(&flat_events);
+        let flat_canon = canon_events(flat_events);
 
         // Probe atoms: a spread of atoms drawn from the flat stable models.
         let mut seen = std::collections::BTreeSet::new();
-        for (key, _) in &flat_events {
+        for (key, _) in flat_events {
             for model in key.models() {
                 for atom in model {
                     seen.insert(atom.clone());
@@ -899,7 +899,7 @@ proptest! {
             );
 
             if islands.len() >= 2 {
-                prop_assert!(cold.is_factored(), "{} islands did not factor", islands.len());
+                prop_assert!(cold.factor_count() > 1, "{} islands did not factor", islands.len());
                 prop_assert!(cold.factor_count() >= islands.len());
             }
 
@@ -920,7 +920,7 @@ proptest! {
                     threads,
                     text.clone()
                 );
-                for (key, mass) in &flat_events {
+                for (key, mass) in flat_events {
                     prop_assert_eq!(&solve.event_probability(key), mass);
                 }
                 for atom in &probe {
@@ -1017,22 +1017,23 @@ proptest! {
 
 /// A program whose choices are all welded into one component (coin_chain's
 /// zero-arity `SomeHeads` head couples every coin) must take the flat
-/// fallback: `solve_factored` returns the `Flat` variant, byte-identical —
-/// same fingerprint, same event listing — to `Pipeline::solve`.
+/// fallback: `solve_factored` returns a product of one factor that is
+/// byte-identical — same fingerprint, same event listing — to
+/// `Pipeline::solve`.
 #[test]
 fn single_component_programs_fall_back_to_the_flat_path() {
     let (program, db) = gdlog_bench::workloads::coin_chain(3, 0.5);
     let pipeline = Pipeline::new(&program, &db).unwrap();
     assert_eq!(pipeline.factor_count().unwrap(), 1);
     let solve = pipeline.solve_factored().unwrap();
-    assert!(!solve.is_factored());
     assert_eq!(solve.factor_count(), 1);
     let flat = pipeline.solve().unwrap();
     assert_eq!(solve.fingerprint(), flat.fingerprint());
     assert_eq!(
-        solve.as_flat().expect("flat fallback").events_by_mass(),
+        solve.factors()[0].space.events_by_mass(),
         flat.events_by_mass()
     );
+    assert_eq!(solve.events_by_mass_top(usize::MAX), flat.events_by_mass());
 }
 
 /// Satellite check for the parallel stable-model back-end: on every workload

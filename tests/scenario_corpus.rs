@@ -20,7 +20,7 @@ mod common;
 use common::{manifest_dir, scenario_files};
 use gdlog::cli::args::{parse_args, Command};
 use gdlog::cli::execute_run;
-use gdlog::cli::report::ScenarioReport;
+use gdlog_core::api::{QueryReport, QueryResponse};
 use gdlog_core::{dime_quarter_program, GrounderChoice, Pipeline};
 use gdlog_data::Database;
 
@@ -90,7 +90,7 @@ fn parse_directives(source: &str, name: &str) -> Directives {
 }
 
 /// Run a scenario through the CLI code path and return its report.
-fn run_scenario(path: &str, extra_args: &[String]) -> ScenarioReport {
+fn run_scenario(path: &str, extra_args: &[String]) -> QueryResponse {
     let mut argv = vec![path.to_owned()];
     argv.extend(extra_args.iter().cloned());
     let command = parse_args(&argv).unwrap_or_else(|e| panic!("{path}: bad args: {e}"));
@@ -100,11 +100,7 @@ fn run_scenario(path: &str, extra_args: &[String]) -> ScenarioReport {
     execute_run(&options).unwrap_or_else(|e| panic!("{path}: run failed:\n{e}"))
 }
 
-fn find_query<'a>(
-    report: &'a ScenarioReport,
-    atom: &str,
-    name: &str,
-) -> &'a gdlog::cli::report::QueryReport {
+fn find_query<'a>(report: &'a QueryResponse, atom: &str, name: &str) -> &'a QueryReport {
     report
         .queries
         .iter()
@@ -114,7 +110,7 @@ fn find_query<'a>(
         })
 }
 
-fn check_expectations(name: &str, report: &ScenarioReport, expects: &[Expect]) {
+fn check_expectations(name: &str, report: &QueryResponse, expects: &[Expect]) {
     assert!(
         !expects.is_empty(),
         "{name}: every scenario must declare at least one `%! expect:` line"
@@ -146,7 +142,7 @@ fn check_expectations(name: &str, report: &ScenarioReport, expects: &[Expect]) {
     }
 }
 
-fn check_golden(name: &str, report: &ScenarioReport) {
+fn check_golden(name: &str, report: &QueryResponse) {
     let golden_path = manifest_dir()
         .join("scenarios/golden")
         .join(format!("{name}.json"));
@@ -232,7 +228,7 @@ fn dime_quarter_cli_matches_the_builder_api_byte_for_byte() {
     // with identical display text for keys and masses.
     let builder_events: Vec<(String, String)> = space
         .events_by_mass()
-        .into_iter()
+        .iter()
         .map(|(key, mass)| (key.to_string(), mass.to_string()))
         .collect();
     let cli_events: Vec<(String, String)> = report
@@ -321,7 +317,7 @@ fn factored_scenario_matches_the_flat_path() {
         factored.residual_mass.to_string(),
         flat.residual_mass.to_string()
     );
-    let probs = |r: &ScenarioReport| -> Vec<String> {
+    let probs = |r: &QueryResponse| -> Vec<String> {
         r.queries
             .iter()
             .chain(&r.marginals)
@@ -337,7 +333,7 @@ fn factored_scenario_matches_the_flat_path() {
             .collect()
     };
     assert_eq!(probs(&factored), probs(&flat));
-    let events = |r: &ScenarioReport| -> Vec<(String, String)> {
+    let events = |r: &QueryResponse| -> Vec<(String, String)> {
         r.top_events
             .iter()
             .map(|e| (e.key.clone(), e.mass.to_string()))
