@@ -395,6 +395,12 @@ mod tests {
         let u3 = GroundAtom::make("Uninfected", vec![Const::Int(3)]);
         let both = space.probability_where(|k| k.brave(&u2) && k.brave(&u3));
         assert_eq!(both, Prob::ZERO);
+    }
+
+    #[test]
+    fn fact_probabilities_agree_with_the_space() {
+        let space = output_for(&network_resilience_program(0.1), &network_db());
+        assert_eq!(space.has_stable_model_probability(), Prob::ratio(19, 100));
         // Infected(1,1) is a database fact: it holds in every stable model,
         // so its brave and cautious probabilities equal the domination
         // probability. A nonsense fact has probability zero.
