@@ -537,34 +537,6 @@ pub fn grounding_network_suite(small: bool) -> Vec<(String, Database)> {
     ]
 }
 
-/// A plain (non-probabilistic) ground program family for the stable-model
-/// engine benchmarks: `k` independent even loops plus a shared positive
-/// chain, yielding `2^k` stable models.
-pub fn choice_program(k: usize) -> gdlog_engine::GroundProgram {
-    use gdlog_data::GroundAtom;
-    use gdlog_engine::GroundRule;
-    let atom1 = |name: &str, i: i64| GroundAtom::make(name, vec![Const::Int(i)]);
-    let mut program = gdlog_engine::GroundProgram::new();
-    for i in 1..=k as i64 {
-        program.push(GroundRule::new(
-            atom1("In", i),
-            vec![],
-            vec![atom1("Out", i)],
-        ));
-        program.push(GroundRule::new(
-            atom1("Out", i),
-            vec![],
-            vec![atom1("In", i)],
-        ));
-        program.push(GroundRule::new(
-            atom1("Picked", i),
-            vec![atom1("In", i)],
-            vec![],
-        ));
-    }
-    program
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,13 +792,5 @@ mod tests {
             .map(|(_, db)| db.len())
             .sum();
         assert!(small < full);
-    }
-
-    #[test]
-    fn choice_program_has_exponential_stable_models() {
-        let p = choice_program(3);
-        let models =
-            gdlog_engine::stable_models(&p, &gdlog_engine::StableModelLimits::default()).unwrap();
-        assert_eq!(models.len(), 8);
     }
 }

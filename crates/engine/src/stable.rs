@@ -16,6 +16,14 @@
 //!    decided literals evaluated away. `sms(Σ) = { T ∪ S }` where `T` is the
 //!    WFM-true core and `S` ranges over the stable models of the residual
 //!    (see `ARCHITECTURE.md`, "Stable-model back-end", for the argument).
+//!    The well-founded model is computed on dense atom ids: the program's
+//!    atoms are interned once per call, and every alternating-fixpoint step
+//!    `Γ(I) = lm(Σ^I)` is counter-based forward chaining over index vectors
+//!    it shares with the other steps; the residual is built straight from
+//!    those ids. [`well_founded`](crate::wellfounded::well_founded),
+//!    [`reduct`] and [`least_model`] stay off this path: they remain the
+//!    `Database`-level reference that [`crate::naive_stable`],
+//!    [`is_stable_model`] and the tests compare against.
 //! 2. **Component split.** The residual's ground-atom dependency graph is
 //!    decomposed into strongly connected components
 //!    ([`crate::depgraph::sccs_of`], the same Tarjan kernel as
@@ -47,7 +55,6 @@ use crate::depgraph::sccs_of;
 use crate::ground::GroundProgram;
 use crate::least_model::least_model;
 use crate::reduct::reduct;
-use crate::wellfounded::{well_founded, WellFounded};
 use gdlog_data::{Database, GroundAtom};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -132,9 +139,10 @@ pub fn stable_models(
 }
 
 /// [`stable_models`] with a cooperative [`CancelToken`]: the token is polled
-/// once per branch decision, per component, and per cross-product step, so a
-/// cancellation request surfaces as [`StableError::Interrupted`] within one
-/// unit of search work. The enumeration stays exact-or-nothing — a cancelled
+/// once per alternating round of the well-founded fixpoint, per branch
+/// decision, per component, and per cross-product step, so a cancellation
+/// request surfaces as [`StableError::Interrupted`] within one unit of search
+/// work. The enumeration stays exact-or-nothing — a cancelled
 /// search never returns a partial model set.
 pub fn stable_models_with_cancel(
     program: &GroundProgram,
@@ -144,16 +152,18 @@ pub fn stable_models_with_cancel(
     if cancel.is_cancelled() {
         return Err(StableError::Interrupted);
     }
-    let wf = well_founded(program);
+    let dense = DenseProgram::new(program);
+    let value = dense.well_founded(cancel)?;
 
     // Fast path: a total well-founded model is the unique stable model
     // (provided it actually is one — odd loops can make it non-stable, but a
     // total WFM is always stable).
-    if wf.is_total() {
-        return Ok(vec![wf.true_atoms.clone()]);
+    if !value.contains(&Val::Unknown) {
+        let model = dense.atoms_with(&value, Val::True);
+        return Ok(vec![Database::from_atoms(model.into_iter().cloned())]);
     }
 
-    let residual = Residual::build(program, &wf);
+    let residual = Residual::build(&dense, &value);
     let components = residual.split();
 
     // Enforce the branch limit over every component before solving any, so
@@ -197,17 +207,17 @@ pub fn stable_models_with_cancel(
 
     // Cross product of the per-component model sets, each completed with the
     // well-founded core.
-    let core: Vec<GroundAtom> = wf.true_atoms.canonical_atoms();
-    let mut out: BTreeSet<Vec<GroundAtom>> = BTreeSet::new();
+    let core: Vec<&GroundAtom> = dense.atoms_with(&value, Val::True);
+    let mut out: BTreeSet<Vec<&GroundAtom>> = BTreeSet::new();
     let mut pick = vec![0usize; solved.len()];
     loop {
         if cancel.is_cancelled() {
             return Err(StableError::Interrupted);
         }
-        let mut model: Vec<GroundAtom> = core.clone();
+        let mut model: Vec<&GroundAtom> = core.clone();
         for (ci, comp) in components.iter().enumerate() {
             for &local in &solved[ci][pick[ci]] {
-                model.push(comp.atoms[local as usize].clone());
+                model.push(comp.atoms[local as usize]);
             }
         }
         model.sort();
@@ -217,7 +227,10 @@ pub fn stable_models_with_cancel(
         let mut ci = 0;
         loop {
             if ci == pick.len() {
-                return Ok(out.into_iter().map(Database::from_atoms).collect());
+                return Ok(out
+                    .into_iter()
+                    .map(|m| Database::from_atoms(m.into_iter().cloned()))
+                    .collect());
             }
             pick[ci] += 1;
             if pick[ci] < solved[ci].len() {
@@ -229,79 +242,228 @@ pub fn stable_models_with_cancel(
     }
 }
 
-/// A residual rule over dense indexes into [`Residual::atoms`]; `pos` and
-/// `neg` are sorted and duplicate-free so per-literal counters are exact.
+/// A rule over dense atom ids; `pos` and `neg` are sorted and duplicate-free
+/// so per-literal counters are exact.
 struct LocalRule {
     head: u32,
     pos: Vec<u32>,
     neg: Vec<u32>,
 }
 
-/// The residual program: the WFM-undecided part of the input, with decided
-/// literals evaluated away. Every atom it mentions is WFM-unknown.
-struct Residual {
-    atoms: Vec<GroundAtom>,
+/// The input program on dense atom ids: every atom is interned once per
+/// call, and the rules and their occurrence lists are index vectors that
+/// every alternating-fixpoint step reuses.
+struct DenseProgram<'p> {
+    /// Atom id → atom, in first-occurrence order.
+    atoms: Vec<&'p GroundAtom>,
     rules: Vec<LocalRule>,
+    /// Atom id → the rules with that atom in their positive body.
+    pos_occ: Vec<Vec<u32>>,
 }
 
-impl Residual {
-    fn build(program: &GroundProgram, wf: &WellFounded) -> Residual {
-        let atoms: Vec<GroundAtom> = wf.unknown_atoms.canonical_atoms();
-        let index_of: HashMap<&GroundAtom, u32> = atoms
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a, i as u32))
-            .collect();
-
-        let mut rules = Vec::new();
-        'rules: for rule in program.iter() {
-            // Only rules for undecided heads survive: WFM-true heads are in
-            // every stable model already, WFM-false heads can never fire.
-            let Some(&head) = index_of.get(&rule.head) else {
-                continue;
-            };
-            let mut pos = Vec::new();
-            for a in &rule.pos {
-                if let Some(&i) = index_of.get(a) {
-                    pos.push(i);
-                } else if !wf.true_atoms.contains(a) {
-                    // A WFM-false positive literal: the body is never
-                    // satisfied in any stable model.
-                    continue 'rules;
-                }
-                // WFM-true positive literals are simply satisfied.
-            }
-            let mut neg = Vec::new();
-            for a in &rule.neg {
-                if let Some(&i) = index_of.get(a) {
-                    neg.push(i);
-                } else if wf.true_atoms.contains(a) {
-                    // A WFM-true negated atom blocks the rule in every
-                    // stable model.
-                    continue 'rules;
-                }
-                // WFM-false negated atoms are simply satisfied.
-            }
+impl<'p> DenseProgram<'p> {
+    fn new(program: &'p GroundProgram) -> Self {
+        let mut atoms: Vec<&GroundAtom> = Vec::new();
+        let mut id_of: HashMap<&GroundAtom, u32> = HashMap::new();
+        let mut intern = |a: &'p GroundAtom| -> u32 {
+            *id_of.entry(a).or_insert_with(|| {
+                atoms.push(a);
+                atoms.len() as u32 - 1
+            })
+        };
+        let mut rules = Vec::with_capacity(program.len());
+        for rule in program.iter() {
+            let head = intern(&rule.head);
+            let mut pos: Vec<u32> = rule.pos.iter().map(&mut intern).collect();
+            let mut neg: Vec<u32> = rule.neg.iter().map(&mut intern).collect();
             pos.sort_unstable();
             pos.dedup();
             neg.sort_unstable();
             neg.dedup();
+            rules.push(LocalRule { head, pos, neg });
+        }
+
+        let mut pos_occ: Vec<Vec<u32>> = vec![Vec::new(); atoms.len()];
+        for (r, rule) in rules.iter().enumerate() {
+            for &a in &rule.pos {
+                pos_occ[a as usize].push(r as u32);
+            }
+        }
+        DenseProgram {
+            atoms,
+            rules,
+            pos_occ,
+        }
+    }
+
+    /// The atoms whose value is `val`, in id order.
+    fn atoms_with(&self, value: &[Val], val: Val) -> Vec<&'p GroundAtom> {
+        (0..self.atoms.len())
+            .filter(|&a| value[a] == val)
+            .map(|a| self.atoms[a])
+            .collect()
+    }
+
+    /// The well-founded model, one [`Val`] per atom id, by Van Gelder's
+    /// alternating fixpoint `T₀ = ∅, U_i = Γ(T_i), T_{i+1} = Γ(U_i)` (the
+    /// same sequence as [`crate::wellfounded::well_founded`]). The token is
+    /// polled once per alternating round: a negation chain needs a round per
+    /// two links, each linear in the program.
+    fn well_founded(&self, cancel: &CancelToken) -> Result<Vec<Val>, StableError> {
+        let mut gamma = Gamma::new(self);
+        let mut t = vec![false; self.atoms.len()];
+        let mut u = vec![false; self.atoms.len()];
+        let mut t_next = t.clone();
+        let mut u_next = u.clone();
+        gamma.apply(self, &t, &mut u);
+        loop {
+            if cancel.is_cancelled() {
+                return Err(StableError::Interrupted);
+            }
+            gamma.apply(self, &u, &mut t_next);
+            gamma.apply(self, &t_next, &mut u_next);
+            if t_next == t && u_next == u {
+                break;
+            }
+            std::mem::swap(&mut t, &mut t_next);
+            std::mem::swap(&mut u, &mut u_next);
+        }
+        Ok(t.iter()
+            .zip(&u)
+            .map(|(&t, &u)| match (t, u) {
+                (true, _) => Val::True,
+                (false, true) => Val::Unknown,
+                (false, false) => Val::False,
+            })
+            .collect())
+    }
+}
+
+/// Scratch for `Γ(I) = lm(Σ^I)` on a [`DenseProgram`]: per-rule counters of
+/// underived positive body atoms, reused by every step.
+struct Gamma {
+    counts: Vec<u32>,
+    stack: Vec<u32>,
+}
+
+impl Gamma {
+    fn new(dense: &DenseProgram) -> Self {
+        Gamma {
+            counts: vec![0; dense.rules.len()],
+            stack: Vec::with_capacity(dense.atoms.len()),
+        }
+    }
+
+    /// Write `Γ(interpretation)` into `model`: the least model of the rules
+    /// no negated atom of which is in `interpretation`, by counter-based
+    /// forward chaining.
+    fn apply(&mut self, dense: &DenseProgram, interpretation: &[bool], model: &mut [bool]) {
+        model.fill(false);
+        self.stack.clear();
+        for (r, rule) in dense.rules.iter().enumerate() {
+            if rule.neg.iter().any(|&a| interpretation[a as usize]) {
+                self.counts[r] = u32::MAX; // not in the reduct
+                continue;
+            }
+            self.counts[r] = rule.pos.len() as u32;
+            if rule.pos.is_empty() && !model[rule.head as usize] {
+                model[rule.head as usize] = true;
+                self.stack.push(rule.head);
+            }
+        }
+        while let Some(a) = self.stack.pop() {
+            for &r in &dense.pos_occ[a as usize] {
+                let count = &mut self.counts[r as usize];
+                if *count == u32::MAX {
+                    continue;
+                }
+                *count -= 1;
+                if *count == 0 {
+                    let head = dense.rules[r as usize].head;
+                    if !model[head as usize] {
+                        model[head as usize] = true;
+                        self.stack.push(head);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The residual program: the WFM-undecided part of the input, with decided
+/// literals evaluated away. Every atom it mentions is WFM-unknown.
+struct Residual<'p> {
+    atoms: Vec<&'p GroundAtom>,
+    rules: Vec<LocalRule>,
+}
+
+impl<'p> Residual<'p> {
+    /// Build the residual of `dense` under its well-founded model `value`.
+    /// Residual atoms are the unknown ones in canonical (sorted) order.
+    fn build(dense: &DenseProgram<'p>, value: &[Val]) -> Residual<'p> {
+        let mut unknown: Vec<u32> = (0..dense.atoms.len() as u32)
+            .filter(|&a| value[a as usize] == Val::Unknown)
+            .collect();
+        unknown.sort_unstable_by_key(|&a| dense.atoms[a as usize]);
+        let mut local = vec![u32::MAX; dense.atoms.len()];
+        for (i, &a) in unknown.iter().enumerate() {
+            local[a as usize] = i as u32;
+        }
+
+        let mut rules = Vec::new();
+        'rules: for rule in &dense.rules {
+            // Only rules for undecided heads survive: WFM-true heads are in
+            // every stable model already, WFM-false heads can never fire.
+            if value[rule.head as usize] != Val::Unknown {
+                continue;
+            }
+            let mut pos = Vec::new();
+            for &a in &rule.pos {
+                match value[a as usize] {
+                    Val::Unknown => pos.push(local[a as usize]),
+                    // A WFM-false positive literal: the body is never
+                    // satisfied in any stable model.
+                    Val::False => continue 'rules,
+                    // WFM-true positive literals are simply satisfied.
+                    Val::True => {}
+                }
+            }
+            let mut neg = Vec::new();
+            for &a in &rule.neg {
+                match value[a as usize] {
+                    Val::Unknown => neg.push(local[a as usize]),
+                    // A WFM-true negated atom blocks the rule in every
+                    // stable model.
+                    Val::True => continue 'rules,
+                    // WFM-false negated atoms are simply satisfied.
+                    Val::False => {}
+                }
+            }
+            pos.sort_unstable();
+            neg.sort_unstable();
             // `α ∧ ¬α` in one body can never be satisfied by the candidate
             // the rule's reduct would have to reproduce; drop it eagerly so
             // it does not feign support for its head.
             if pos.iter().any(|p| neg.binary_search(p).is_ok()) {
                 continue;
             }
-            rules.push(LocalRule { head, pos, neg });
+            rules.push(LocalRule {
+                head: local[rule.head as usize],
+                pos,
+                neg,
+            });
         }
-        Residual { atoms, rules }
+        Residual {
+            atoms: unknown.iter().map(|&a| dense.atoms[a as usize]).collect(),
+            rules,
+        }
     }
 
     /// Split into independent solve units: the connected components of the
     /// SCC condensation of the atom dependency graph (equivalently, of its
     /// undirected view). Units share no atoms, so `sms` factors as their
     /// cross product.
-    fn split(&self) -> Vec<Component> {
+    fn split(&self) -> Vec<Component<'p>> {
         let n = self.atoms.len();
         let mut uf = UnionFind::new(n);
         for rule in &self.rules {
@@ -330,7 +492,7 @@ impl Residual {
         let mut components: Vec<Component> = members
             .iter()
             .map(|group| Component {
-                atoms: group.iter().map(|&a| self.atoms[a].clone()).collect(),
+                atoms: group.iter().map(|&a| self.atoms[a]).collect(),
                 rules: Vec::new(),
                 branch: Vec::new(),
             })
@@ -354,8 +516,8 @@ impl Residual {
 }
 
 /// One independent solve unit of the residual program.
-struct Component {
-    atoms: Vec<GroundAtom>,
+struct Component<'p> {
+    atoms: Vec<&'p GroundAtom>,
     rules: Vec<LocalRule>,
     /// Local indexes of the negatively-occurring atoms (the negative
     /// signature of the unit), in bottom-up SCC order: branching on the
@@ -364,7 +526,7 @@ struct Component {
     branch: Vec<u32>,
 }
 
-impl Component {
+impl Component<'_> {
     fn order_branch_atoms(&mut self) {
         let n = self.atoms.len();
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -408,7 +570,7 @@ enum Val {
 /// the per-rule counter updates, so backtracking is O(consequences), with no
 /// allocation and no `Database` rebuilds.
 struct Solver<'a> {
-    comp: &'a Component,
+    comp: &'a Component<'a>,
     value: Vec<Val>,
     /// Has this assigned atom's counter effects been applied yet? (Assigned
     /// atoms whose effects were still queued when a conflict surfaced must
@@ -450,7 +612,7 @@ struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    fn new(comp: &'a Component) -> Self {
+    fn new(comp: &'a Component<'a>) -> Self {
         let n = comp.atoms.len();
         let m = comp.rules.len();
         let mut pos_occ: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -767,7 +929,9 @@ mod tests {
     use super::*;
     use crate::ground::GroundRule;
     use crate::naive_stable::naive_stable_models;
+    use crate::wellfounded::{well_founded, WellFounded};
     use gdlog_data::Const;
+    use std::time::{Duration, Instant};
 
     fn atom(name: &str) -> GroundAtom {
         GroundAtom::make(name, vec![])
@@ -1067,5 +1231,111 @@ mod tests {
         for m in &ms {
             assert!(!m.contains(&atom("c")));
         }
+    }
+
+    /// The dense kernel's true / unknown / false split as a [`WellFounded`].
+    fn dense_well_founded(p: &GroundProgram) -> WellFounded {
+        let dense = DenseProgram::new(p);
+        let value = dense.well_founded(&CancelToken::never()).unwrap();
+        let set = |val| Database::from_atoms(dense.atoms_with(&value, val).into_iter().cloned());
+        WellFounded {
+            true_atoms: set(Val::True),
+            false_atoms: set(Val::False),
+            unknown_atoms: set(Val::Unknown),
+        }
+    }
+
+    /// `a(i) ← ¬a(i − 1)` for `i = 1..=n`: the alternating fixpoint decides
+    /// two links per round, so the chain needs about `n / 2` rounds.
+    fn negation_chain(n: i64) -> GroundProgram {
+        (1..=n)
+            .map(|i| GroundRule::new(atom1("a", i), vec![], vec![atom1("a", i - 1)]))
+            .collect()
+    }
+
+    /// A seeded random program over propositional and first-order atoms.
+    /// Bodies draw with replacement (repeated positive atoms), negative
+    /// bodies also draw from atoms that head no rule, and some bodies are
+    /// forced to contain `α ∧ ¬α`.
+    fn random_program(seed: u64) -> GroundProgram {
+        let mut state = seed;
+        let mut next = move |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let head_pool: Vec<GroundAtom> = (0..4)
+            .map(|i| atom(&format!("p{i}")))
+            .chain((0..4).map(|i| atom1("q", i)))
+            .chain((0..2).map(|i| GroundAtom::make("e", vec![Const::Int(i), Const::Int(i + 1)])))
+            .collect();
+        let neg_only: Vec<GroundAtom> = (0..2).map(|i| atom1("n", i)).collect();
+        let rules = next(12);
+        let mut p = GroundProgram::new();
+        for _ in 0..rules {
+            let head = head_pool[next(head_pool.len() as u64) as usize].clone();
+            let mut pos: Vec<GroundAtom> = (0..next(4))
+                .map(|_| head_pool[next(head_pool.len() as u64) as usize].clone())
+                .collect();
+            let mut neg: Vec<GroundAtom> = (0..next(3))
+                .map(|_| {
+                    let k = next((head_pool.len() + neg_only.len()) as u64) as usize;
+                    head_pool.iter().chain(&neg_only).nth(k).unwrap().clone()
+                })
+                .collect();
+            if next(8) == 0 {
+                let alpha = head_pool[next(head_pool.len() as u64) as usize].clone();
+                pos.push(alpha.clone());
+                neg.push(alpha);
+            }
+            p.push(GroundRule::new(head, pos, neg));
+        }
+        p
+    }
+
+    #[test]
+    fn dense_well_founded_matches_the_reference() {
+        let mut cases: Vec<GroundProgram> = vec![
+            GroundProgram::new(),
+            GroundProgram::from_rules((0..5).map(|i| GroundRule::fact(atom1("F", i)))),
+            negation_chain(41),
+            GroundProgram::from_rules(vec![
+                GroundRule::fact(atom("s")),
+                GroundRule::new(atom("b"), vec![atom("s"), atom("s")], vec![atom("n")]),
+                GroundRule::new(atom("c"), vec![atom("b")], vec![atom("b")]),
+                GroundRule::new(atom("d"), vec![atom("s")], vec![atom("d"), atom("d")]),
+            ]),
+        ];
+        cases.extend((0..2_000).map(random_program));
+        let mut partial = 0;
+        for (i, p) in cases.iter().enumerate() {
+            let reference = well_founded(p);
+            assert_eq!(dense_well_founded(p), reference, "case {i}:\n{p}");
+            partial += usize::from(!reference.is_total());
+        }
+        // The sweep exercises the residual path, not only total models.
+        assert!(partial > 100, "only {partial} programs with unknown atoms");
+        let chain = dense_well_founded(&negation_chain(41));
+        assert!(chain.unknown_atoms.is_empty());
+        assert_eq!(chain.true_atoms.len(), 21);
+    }
+
+    #[test]
+    fn long_negation_chain_is_interrupted_by_a_deadline() {
+        // 20 000 links: about 10 000 alternating rounds of two linear-time
+        // Γ steps each. The whole fixpoint runs for seconds even in an
+        // optimised build, far beyond 100× the 5 ms deadline.
+        let p = negation_chain(20_000);
+        let cancel = CancelToken::new();
+        let started = Instant::now();
+        let _deadline = cancel.cancel_after(Duration::from_millis(5));
+        assert_eq!(
+            stable_models_with_cancel(&p, &StableModelLimits::default(), &cancel),
+            Err(StableError::Interrupted)
+        );
+        assert!(started.elapsed() < Duration::from_secs(2));
     }
 }
