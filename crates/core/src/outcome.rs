@@ -73,21 +73,28 @@ impl ModelSetKey {
         if keys.iter().any(|k| k.is_empty()) {
             return ModelSetKey::empty();
         }
-        let mut encoded: Vec<Vec<GroundAtom>> = vec![Vec::new()];
-        for key in keys {
-            let mut next = Vec::with_capacity(encoded.len() * key.0.len());
-            for prefix in &encoded {
-                for model in &key.0 {
-                    let mut joined = prefix.clone();
-                    joined.extend(model.iter().cloned());
-                    next.push(joined);
-                }
+        // One model per key, chosen by an odometer whose last digit turns
+        // fastest; each joint model is concatenated once, cloning every atom
+        // once, instead of re-cloning a growing prefix per key.
+        let mut choice = vec![0usize; keys.len()];
+        let mut encoded: Vec<Vec<GroundAtom>> = Vec::new();
+        loop {
+            let parts = || keys.iter().zip(&choice).map(|(key, &c)| &key.0[c]);
+            let mut joined = Vec::with_capacity(parts().map(Vec::len).sum());
+            for model in parts() {
+                joined.extend(model.iter().cloned());
             }
-            encoded = next;
-        }
-        for model in &mut encoded {
-            model.sort();
-            model.dedup();
+            joined.sort();
+            joined.dedup();
+            encoded.push(joined);
+            let Some(digit) = (0..keys.len())
+                .rev()
+                .find(|&d| choice[d] + 1 < keys[d].0.len())
+            else {
+                break;
+            };
+            choice[digit] += 1;
+            choice[digit + 1..].fill(0);
         }
         encoded.sort();
         encoded.dedup();
@@ -300,6 +307,41 @@ mod tests {
         let unit = ModelSetKey::product(&[]);
         assert_eq!(unit.model_count(), 1);
         assert_eq!(ModelSetKey::product(&[&left, &unit]), left);
+
+        // Three keys, two of them with two models: four joint models, each
+        // sorted and free of the atom two parts share.
+        let third = ModelSetKey::from_models(&[
+            db(&[atom("C", &[1])]),
+            db(&[atom("B", &[1]), atom("C", &[2])]),
+        ]);
+        let (a1, a2, b1) = (atom("A", &[1]), atom("A", &[2]), atom("B", &[1]));
+        let (c1, c2) = (atom("C", &[1]), atom("C", &[2]));
+        assert_eq!(
+            ModelSetKey::product(&[&left, &right, &third]),
+            ModelSetKey(vec![
+                vec![a1.clone(), b1.clone(), c1.clone()],
+                vec![a1.clone(), b1.clone(), c2.clone()],
+                vec![a2.clone(), b1.clone(), c1],
+                vec![a2, b1.clone(), c2],
+            ])
+        );
+
+        // Joint models that coincide collapse to one: {A1} ∪ {S1} and
+        // {A1, S1} ∪ {S1} are the same model.
+        let overlapping = ModelSetKey::from_models(&[
+            db(&[atom("A", &[1])]),
+            db(&[atom("A", &[1]), atom("S", &[1])]),
+        ]);
+        let shared = ModelSetKey::from_models(&[db(&[atom("S", &[1])]), db(&[atom("B", &[1])])]);
+        let s1 = atom("S", &[1]);
+        assert_eq!(
+            ModelSetKey::product(&[&overlapping, &shared]),
+            ModelSetKey(vec![
+                vec![a1.clone(), b1.clone()],
+                vec![a1.clone(), b1, s1.clone()],
+                vec![a1, s1],
+            ])
+        );
     }
 
     #[test]

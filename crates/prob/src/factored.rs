@@ -7,17 +7,26 @@
 //! quantities (total mass, residual mass, top-k joint outcomes) are computed
 //! by per-factor lookup and exact [`Prob`] factor multiplication.
 //!
-//! The top-k listing uses a lazy best-first merge over per-factor index
-//! tuples (a k-way generalization of pairwise merge): factors are pre-sorted
-//! by descending mass, the heap starts at the all-zeros tuple (the joint
-//! maximum) and each pop pushes its coordinate-successors, so only
-//! `O(k·m log k)` work is done no matter how astronomically large the full
+//! The top-k listing is a lazy best-first merge over per-factor index
+//! tuples (a k-way generalization of pairwise merge). Factors are pre-sorted
+//! by descending mass, so the all-zeros tuple is the joint maximum. Every
+//! other tuple has one *canonical parent*: the tuple with its last nonzero
+//! coordinate decremented. That parent is at least as heavy (its factor is
+//! sorted by descending mass) and lexicographically smaller, so it precedes
+//! the child in the listing order (mass descending, index tuple ascending).
+//! A pop therefore pushes only its canonical children — `t + e_f` for every
+//! factor `f` at or after its last nonzero coordinate — and the heap still
+//! pops exactly that order: each tuple is pushed once, by its parent, and no
+//! visited set is needed. A candidate stores only its nonzero coordinates
+//! and the folded mass of the coordinates before its last nonzero one, so a
+//! child's mass extends its parent's prefix instead of refolding all `m`
+//! factors. The cost is at most `m` pushes per pop, however large the full
 //! product is.
 
 use crate::probability::Prob;
 use crate::space::DiscreteSpace;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// A product of independent discrete probability spaces.
 ///
@@ -37,7 +46,12 @@ pub struct FactoredSpace<T: Ord + Clone> {
 /// lexicographically smallest tuple so the listing is deterministic.
 struct Candidate {
     mass: Prob,
-    indices: Vec<usize>,
+    /// The tuple's nonzero coordinates as `(factor, sample)` pairs in
+    /// ascending factor order; every other coordinate is zero.
+    nonzero: Vec<(usize, usize)>,
+    /// The masses of the coordinates before the last nonzero one, folded
+    /// in factor order (`Prob::ONE` for the all-zeros tuple).
+    head: Prob,
 }
 
 impl PartialEq for Candidate {
@@ -60,8 +74,23 @@ impl Ord for Candidate {
         // smaller index tuple must pop first, so reverse the tuple order.
         self.mass
             .total_cmp(&other.mass)
-            .then_with(|| other.indices.cmp(&self.indices))
+            .then_with(|| tuple_cmp(&other.nonzero, &self.nonzero))
     }
+}
+
+/// Lexicographic order of two index tuples given by their nonzero
+/// coordinates. At the first differing entry, the tuple whose nonzero
+/// coordinate sits at the smaller factor is larger there (the other tuple
+/// holds a zero); a tuple that runs out first has zeros where the other
+/// still has nonzero coordinates.
+fn tuple_cmp(a: &[(usize, usize)], b: &[(usize, usize)]) -> Ordering {
+    for (&(fa, ia), &(fb, ib)) in a.iter().zip(b) {
+        match fb.cmp(&fa).then(ia.cmp(&ib)) {
+            Ordering::Equal => {}
+            unequal => return unequal,
+        }
+    }
+    a.len().cmp(&b.len())
 }
 
 impl<T: Ord + Clone> FactoredSpace<T> {
@@ -129,9 +158,9 @@ impl<T: Ord + Clone> FactoredSpace<T> {
     }
 
     /// The `k` heaviest joint samples, each as one sample reference per
-    /// factor with the exact product mass, in (mass-descending,
-    /// index-tuple-ascending) order — computed by the lazy best-first merge
-    /// without materializing the cross product.
+    /// factor with the product mass folded in factor order, in
+    /// (mass-descending, index-tuple-ascending) order — computed by the
+    /// canonical-parent merge without materializing the cross product.
     ///
     /// Returns fewer than `k` entries only when the whole product has fewer;
     /// an empty factor makes the product empty.
@@ -141,41 +170,57 @@ impl<T: Ord + Clone> FactoredSpace<T> {
         }
         let samples: Vec<Vec<&(T, Prob)>> =
             self.factors.iter().map(|f| f.iter().collect()).collect();
-        let mass_at = |indices: &[usize]| {
-            Prob::product(indices.iter().enumerate().map(|(f, &i)| samples[f][i].1))
-        };
+        // The mass of a tuple whose coordinates from `from` on are all zero,
+        // given the fold of the ones before: `prefix` folded on through each
+        // later factor's heaviest sample, in the order `Prob::product` over
+        // the whole tuple would use.
+        let zeros: Vec<Prob> = samples.iter().map(|s| s[0].1).collect();
+        let fold_zeros =
+            |prefix: Prob, from: usize| zeros[from..].iter().fold(prefix, |acc, z| acc.mul(z));
 
         let mut heap = BinaryHeap::new();
-        let mut visited: HashSet<Vec<usize>> = HashSet::new();
-        let root = vec![0usize; samples.len()];
-        visited.insert(root.clone());
         heap.push(Candidate {
-            mass: mass_at(&root),
-            indices: root,
+            mass: fold_zeros(Prob::ONE, 0),
+            nonzero: Vec::new(),
+            head: Prob::ONE,
         });
-
-        let mut out = Vec::with_capacity(k);
+        let size = usize::try_from(self.combined_samples()).unwrap_or(usize::MAX);
+        let mut out = Vec::with_capacity(k.min(size));
         while out.len() < k {
-            let Some(Candidate { mass, indices }) = heap.pop() else {
+            let Some(Candidate {
+                mass,
+                nonzero,
+                head,
+            }) = heap.pop()
+            else {
                 break;
             };
-            for (f, &i) in indices.iter().enumerate() {
-                if i + 1 < samples[f].len() {
-                    let mut next = indices.clone();
-                    next[f] = i + 1;
-                    if visited.insert(next.clone()) {
-                        heap.push(Candidate {
-                            mass: mass_at(&next),
-                            indices: next,
-                        });
+            // The canonical children: bump the last nonzero coordinate
+            // (coordinate 0 for the all-zeros tuple), or set a later one to 1.
+            // `prefix` is the fold of the coordinates before `f`.
+            let (last, at) = nonzero.last().copied().unwrap_or((0, 0));
+            let mut prefix = head;
+            for (f, s) in samples.iter().enumerate().skip(last) {
+                let i = if f == last { at } else { 0 };
+                if let Some(next) = s.get(i + 1) {
+                    let mut child = Vec::with_capacity(nonzero.len() + 1);
+                    child.extend_from_slice(&nonzero);
+                    match child.last_mut() {
+                        Some(entry) if f == last => entry.1 += 1,
+                        _ => child.push((f, 1)),
                     }
+                    heap.push(Candidate {
+                        mass: fold_zeros(prefix.mul(&next.1), f + 1),
+                        nonzero: child,
+                        head: prefix,
+                    });
                 }
+                prefix = prefix.mul(&s[i].1);
             }
-            let parts = indices
-                .iter()
-                .enumerate()
-                .map(|(f, &i)| &samples[f][i].0)
-                .collect();
+            let mut parts: Vec<&T> = samples.iter().map(|s| &s[0].0).collect();
+            for &(f, i) in &nonzero {
+                parts[f] = &samples[f][i].0;
+            }
             out.push((parts, mass));
         }
         out
@@ -292,5 +337,105 @@ mod tests {
                 vec![&"T", &"T"],
             ]
         );
+    }
+
+    #[test]
+    fn top_k_past_the_product_size_returns_the_whole_product() {
+        let space = FactoredSpace::from_factors(vec![
+            coin(Prob::ratio(1, 3)),
+            coin(Prob::ratio(1, 2)),
+            coin(Prob::ratio(1, 5)),
+        ]);
+        let all = space.top_k(usize::MAX);
+        assert_eq!(all.len(), 8);
+        assert_eq!(all, space.top_k(8));
+        assert_eq!(Prob::sum(all.iter().map(|(_, m)| *m)), Prob::ONE);
+    }
+
+    /// Every joint sample of the product, sorted by (mass descending, index
+    /// tuple ascending) with each mass folded in factor order: the listing
+    /// `top_k` must reproduce prefix by prefix.
+    fn brute_force(space: &FactoredSpace<usize>) -> Vec<(Vec<&usize>, Prob)> {
+        let mut tuples: Vec<Vec<usize>> = vec![Vec::new()];
+        for f in space.factors() {
+            tuples = tuples
+                .into_iter()
+                .flat_map(|t| {
+                    (0..f.len()).map(move |i| {
+                        let mut t = t.clone();
+                        t.push(i);
+                        t
+                    })
+                })
+                .collect();
+        }
+        let sample = |f: usize, i: usize| space.factor(f).iter().nth(i).unwrap();
+        let mut joint: Vec<(Vec<usize>, Prob)> = tuples
+            .into_iter()
+            .map(|t| {
+                let mass = Prob::product(t.iter().enumerate().map(|(f, &i)| sample(f, i).1));
+                (t, mass)
+            })
+            .collect();
+        joint.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        joint
+            .into_iter()
+            .map(|(t, mass)| {
+                let keys = t.iter().enumerate().map(|(f, &i)| &sample(f, i).0);
+                (keys.collect(), mass)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn top_k_matches_the_sorted_cross_product() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Few distinct masses, so equal-mass ties are common; two of them
+        // are not short decimals and stay approximate.
+        let masses = [
+            Prob::ratio(1, 2),
+            Prob::ratio(1, 4),
+            Prob::ratio(1, 4),
+            Prob::ratio(3, 10),
+            Prob::ratio(1, 5),
+            Prob::from_f64(1.0 / 3.0),
+            Prob::from_f64(std::f64::consts::FRAC_1_SQRT_2),
+        ];
+        assert!(!masses[5].is_exact() && !masses[6].is_exact());
+        let mut rng = StdRng::seed_from_u64(14);
+        for case in 0..300 {
+            let factors: Vec<DiscreteSpace<usize>> = (0..rng.gen_range(1..=6))
+                .map(|_| {
+                    let n = rng.gen_range(1..=4);
+                    DiscreteSpace::from_samples(
+                        (0..n).map(|i| (i, masses[rng.gen_range(0..masses.len())])),
+                    )
+                })
+                .collect();
+            let space = FactoredSpace::from_factors(factors);
+            let expected = brute_force(&space);
+            let size = expected.len();
+            // Every prefix up to the product size; past a few hundred
+            // samples a stride keeps the sweep fast.
+            let step = if size <= 256 { 1 } else { 37 };
+            let ks = (0..=size).step_by(step).chain([size, size + 1, usize::MAX]);
+            for k in ks {
+                let top = space.top_k(k);
+                let want = &expected[..k.min(size)];
+                assert_eq!(top.len(), want.len(), "case {case}, k = {k}");
+                for (j, (got, want)) in top.iter().zip(want).enumerate() {
+                    assert_eq!(got.0, want.0, "case {case}, k = {k}, rank {j}");
+                    // `Prob`'s `==` compares an exact and an approximate
+                    // value by rounding; the fold must match variant too.
+                    assert_eq!(
+                        (got.1.is_exact(), got.1),
+                        (want.1.is_exact(), want.1),
+                        "case {case}, k = {k}, rank {j}"
+                    );
+                }
+            }
+        }
     }
 }

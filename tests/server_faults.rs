@@ -341,13 +341,17 @@ fn panicking_query_costs_one_connection_not_the_server() {
     handle.stop();
 }
 
-/// Spawn the real `gdlog serve` binary with the given chaos spec injected
-/// via `GDLOG_CHAOS` (set on the child only — never on this test process)
-/// and return the child plus its bound address.
-fn spawn_serve_with_chaos(spec: &str) -> (Child, std::net::SocketAddr) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_gdlog"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"])
-        .env("GDLOG_CHAOS", spec)
+/// Spawn the real `gdlog serve` binary, with the given chaos spec injected
+/// via `GDLOG_CHAOS` (set on the child only — never on this test process) or
+/// with chaos disarmed, and return the child plus its bound address.
+fn spawn_serve(chaos: Option<&str>) -> (Child, std::net::SocketAddr) {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_gdlog"));
+    command.args(["serve", "--addr", "127.0.0.1:0", "--threads", "1"]);
+    match chaos {
+        Some(spec) => command.env("GDLOG_CHAOS", spec),
+        None => command.env_remove("GDLOG_CHAOS"),
+    };
+    let mut child = command
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -374,13 +378,34 @@ fn assert_alive(child: &mut Child, context: &str) {
     }
 }
 
+/// A `--top` far past the product size lists the whole product: the
+/// factored listing reserves no more than the product holds, so the real
+/// `gdlog serve` process neither panics nor aborts on the allocation, which
+/// would take every session down with it.
+#[test]
+fn huge_top_lists_the_whole_product_and_the_server_survives() {
+    let (mut child, addr) = spawn_serve(None);
+    let mut client = ServeClient::connect(addr).expect("connect");
+    client
+        .set_io_timeout(Some(Duration::from_secs(60)))
+        .expect("io timeout");
+    client.open("farm4", &coin_farm(4)).expect("open");
+    let body = client
+        .query("farm4", &["--factored", "--top", "1000000000000"])
+        .expect("a huge --top answers OK");
+    assert_eq!(body.matches("\"models\": ").count(), 16, "{body}");
+    assert_alive(&mut child, "after a huge --top");
+    child.kill().expect("kill");
+    child.wait().expect("wait");
+}
+
 /// Byte-preserving chaos (delivery delays, mid-frame stalls) on **every**
 /// connection of a real `gdlog serve` process: the full scenario corpus,
 /// replayed over the degraded wire, still answers byte-identically to the
 /// committed goldens, and the server process survives.
 #[test]
 fn corpus_over_byte_preserving_chaos_is_still_golden_identical() {
-    let (mut child, addr) = spawn_serve_with_chaos("every=1,seed=42,delay=1,stall=1");
+    let (mut child, addr) = spawn_serve(Some("every=1,seed=42,delay=1,stall=1"));
     let mut client = ServeClient::connect(addr).expect("connect");
     client
         .set_io_timeout(Some(Duration::from_secs(60)))
@@ -414,7 +439,7 @@ fn corpus_over_byte_preserving_chaos_is_still_golden_identical() {
 /// latency, never correctness — and the server process survives.
 #[test]
 fn retry_armed_client_survives_corrupting_chaos() {
-    let (mut child, addr) = spawn_serve_with_chaos("every=2,seed=3,drop=2,truncate=3,garbage=4");
+    let (mut child, addr) = spawn_serve(Some("every=2,seed=3,drop=2,truncate=3,garbage=4"));
     // Connection order is the accept order: the retry client takes conn 0
     // (chaotic — even ids roll faults under `every=2`), the healthy witness
     // takes conn 1 and must never see a fault.
