@@ -1,5 +1,5 @@
 //! Experiment runner: reproduces every quantitative claim of the paper and
-//! prints a paper-vs-measured report (recorded in `EXPERIMENTS.md`).
+//! prints a paper-vs-measured report.
 //!
 //! Usage:
 //!

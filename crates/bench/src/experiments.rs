@@ -1,9 +1,9 @@
-//! The per-claim experiment runners (E1–E10 of `DESIGN.md` §4).
+//! The per-claim experiment runners, `e1`–`e10`.
 //!
 //! Each experiment reproduces a quantitative claim of the paper (a worked
 //! example or a finitely-checkable theorem) and reports paper-vs-measured
-//! rows. E11/E12 are pure performance studies and live in the Criterion
-//! benches only.
+//! rows. Performance is measured by the `bench_*` trackers and by
+//! `perfbench`, not here.
 
 use crate::report::{Report, Row};
 use crate::workloads::{

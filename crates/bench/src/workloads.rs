@@ -1,9 +1,9 @@
 //! Workload generators.
 //!
-//! The paper has no benchmark suite; these generators produce the synthetic
-//! families described in `DESIGN.md` §4: the paper's worked examples at their
-//! original size and parameterised scalings of them (network topologies, coin
-//! chains, dime/quarter batches).
+//! The paper has no benchmark suite; these generators produce synthetic
+//! families: the paper's worked examples at their original size and
+//! parameterised scalings of them (network topologies, coin chains,
+//! dime/quarter batches).
 
 use gdlog_core::{
     dime_quarter_program, network_resilience_program, AtrRule, AtrSet, GroundRuleSet, Grounder,

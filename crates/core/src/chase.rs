@@ -15,11 +15,20 @@
 //! whose probability falls below the cut-off) is accumulated in
 //! [`ChaseResult::residual_mass`]. By Theorem 3.9 the explored mass plus the
 //! residual equals one.
+//!
+//! There is one decision path. `Chase::expand` does a node's
+//! order-independent work — ground, find the triggers, decide leaf, depth
+//! cut or trigger application with its branches — and `Chase::explore`
+//! walks the tree in trigger order, the only code that counts nodes, applies
+//! the budget cuts and adds residual mass. With a parallel [`Executor`] a
+//! prefetch first fills a tree of write-once cells with `expand` results on
+//! the pool; the walk then uses a node's prefetched expansion, or expands it
+//! inline when the prefetch left the cell empty.
 
 use crate::error::CoreError;
 use crate::exec::Executor;
-use crate::grounding::{AtrRule, AtrSet, Grounder, Grounding};
-use gdlog_data::GroundAtom;
+use crate::grounding::{AtrRule, AtrSet, GroundRuleSet, Grounder, Grounding};
+use gdlog_data::{Const, GroundAtom};
 use gdlog_engine::CancelToken;
 use gdlog_prob::Prob;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -205,14 +214,15 @@ pub fn enumerate_outcomes(
 
 /// [`enumerate_outcomes`] under an explicit execution policy.
 ///
-/// With a parallel [`Executor`] the chase tree is explored by the pool —
-/// each sibling subtree extends an `Arc`-shared snapshot of its parent's
-/// grounding, so subtrees share no mutable state — and the per-subtree
-/// results are then merged **in trigger order** by a sequential replay, so
-/// the outcome list, every probability, the residual mass, `truncated` and
-/// `nodes_visited` are bit-identical to the sequential enumeration
-/// regardless of the thread count or scheduling (see `ARCHITECTURE.md`,
-/// "Parallel chase exploration").
+/// With a parallel [`Executor`] the pool first *prefetches* the chase tree:
+/// it grounds each node, picks its trigger and enumerates its branches —
+/// each sibling subtree extending an `Arc`-shared snapshot of its parent's
+/// grounding, so subtrees share no mutable state. One sequential walk in
+/// trigger order then takes every budget decision and every residual
+/// addition, so the outcome list, every probability, the residual mass,
+/// `truncated` and `nodes_visited` are bit-identical to the sequential
+/// enumeration regardless of the thread count or scheduling (see
+/// `ARCHITECTURE.md`, "Parallel chase exploration").
 pub fn enumerate_outcomes_with(
     grounder: &dyn Grounder,
     budget: &ChaseBudget,
@@ -250,504 +260,347 @@ pub fn enumerate_outcomes_cancellable(
         nodes_visited: 0,
         interrupted: false,
     };
-    match executor.pool() {
-        None => explore(
-            grounder,
-            budget,
-            order,
-            AtrSet::new(),
-            None,
-            Prob::ONE,
-            0,
-            cancel,
-            &mut result,
-        )?,
-        Some(pool) => {
-            let ctx = Ctx {
-                grounder,
-                budget,
-                order,
-                found: AtomicUsize::new(0),
-                cancel,
-            };
-            let root = Arc::new(Cell::new());
-            pool.scope(|scope| {
-                let ctx = &ctx;
-                let root = Arc::clone(&root);
-                scope.spawn(move |scope| {
-                    speculate(ctx, scope, AtrSet::new(), None, Prob::ONE, 0, root)
-                });
-            });
-            replay(
-                grounder,
-                budget,
-                order,
-                take_node(root),
-                cancel,
-                &mut result,
-            )?;
-        }
+    let chase = Chase {
+        grounder,
+        budget,
+        order,
+        cancel,
+        found: AtomicUsize::new(0),
+    };
+    let root = Slot::new();
+    if let Some(pool) = executor.pool() {
+        pool.scope(|scope| chase.prefetch(scope, AtrSet::new(), None, Prob::ONE, 0, &root));
     }
+    chase.explore(
+        &mut result,
+        AtrSet::new(),
+        None,
+        root.into_inner(),
+        Prob::ONE,
+        0,
+    )?;
     Ok(result)
 }
 
-/// Children are dispatched to the pool only above this depth; below it a
-/// subtree is explored inline by the task that owns it. With binary
-/// branching this yields up to 2¹² parallel subtrees — far more than any
-/// realistic worker count — while keeping per-task overhead negligible for
-/// deep trees.
+/// Children are prefetched by their own pool task only above this depth;
+/// below it a subtree is prefetched inline by the task that owns it. With
+/// binary branching this yields up to 2¹² parallel subtrees — far more than
+/// any realistic worker count — while keeping per-task overhead negligible
+/// for deep trees.
 const SPLIT_DEPTH: usize = 12;
 
-/// What the parallel phase found out about one chase node. The variants
-/// mirror the branch structure of [`explore`] exactly; the per-node
-/// *decisions* that depend on global traversal state (the outcome budget)
-/// are deferred to the sequential replay.
-enum Node {
-    /// Skipped speculatively because the outcome budget looked exhausted.
-    /// The replay re-explores it sequentially if (and only if) the budget
-    /// turns out not to be full when the walk reaches it in trigger order.
-    Deferred {
-        atr: AtrSet,
-        path_prob: Prob,
-        depth: usize,
-    },
-    /// `path_prob` is below the path-probability cut-off (a purely local
-    /// decision, safe to take in parallel).
-    MinPathCut { path_prob: Prob },
-    /// A terminal configuration: a finite possible outcome.
-    Leaf(Box<PossibleOutcome>),
+/// The order-independent work at one chase node: its grounding, its trigger
+/// and its branches. By Lemma 4.4 all of it depends only on the node, so the
+/// prefetch may compute it on any thread; the budget decisions and the
+/// residual accounting, which depend on visit order, stay in
+/// [`Chase::explore`].
+enum Expansion {
+    /// The token fired while grounding: the rule set may be incomplete, so
+    /// it must not decide whether the node is a leaf.
+    Cancelled,
+    /// A terminal configuration: `G(Σ)` of a finite possible outcome.
+    Leaf(GroundRuleSet),
     /// A non-terminal node at the depth budget.
-    DepthCut { path_prob: Prob },
-    /// A trigger application: children in branch (outcome) order.
+    DepthCut,
+    /// A trigger application (Definition 4.1).
     Branch {
-        path_prob: Prob,
+        /// The node's grounding, which its children extend.
+        grounding: Grounding,
+        /// The applied trigger.
+        trigger: GroundAtom,
+        /// Its enumerated outcomes with their masses, in branch order.
+        branches: Vec<(Const, Prob)>,
+        /// Did `max_branching` cut the trigger's support?
         support_cut: bool,
-        tail: Prob,
-        children: Vec<Arc<Cell>>,
     },
-    /// A schema/branch-enumeration failure at this node. Sequentially the
-    /// error is raised *after* the node's entry checks, so the replay still
-    /// applies outcome-budget and path-probability pruning first (a pruned
-    /// node never surfaces its error) — hence the `path_prob`.
-    Failed { path_prob: Prob, error: CoreError },
-    /// A failure constructing this child in its parent's branch loop.
-    /// Sequentially the error is raised *before* the child node is entered,
-    /// so the replay surfaces it unconditionally, without counting a visit.
-    FailedChild(CoreError),
 }
 
-/// A write-once slot filled by exactly one exploration task.
-type Cell = OnceLock<Node>;
+/// A write-once cell the prefetch fills with one node's expansion. It stays
+/// empty when the prefetch left the node to the walk.
+type Slot = OnceLock<Prefetched>;
 
-struct Ctx<'a> {
+/// One prefetched node: its expansion and a slot per child the prefetch
+/// reached, in branch order.
+struct Prefetched {
+    expansion: Result<Expansion, CoreError>,
+    children: Vec<Arc<Slot>>,
+    /// A leaf's configuration, so the walk need not rebuild it. Interior
+    /// configurations are not kept: the walk rebuilds them, and the
+    /// prefetched tree holds no more choice sets than the outcomes will.
+    leaf: Option<AtrSet>,
+}
+
+/// One enumeration's fixed inputs.
+struct Chase<'a> {
     grounder: &'a dyn Grounder,
     budget: &'a ChaseBudget,
     order: TriggerOrder,
-    /// Outcomes discovered so far across all tasks — a heuristic used only
-    /// to stop speculative work once the budget *could* be full; the replay
-    /// re-establishes the exact sequential semantics.
-    found: AtomicUsize,
-    /// Cooperative cancellation: once set, speculation defers every node it
-    /// reaches and the replay cuts them to residual mass.
     cancel: &'a CancelToken,
+    /// Leaves the prefetch has found so far, across all tasks. A relaxed
+    /// heuristic that stops prefetching once the outcome budget *could* be
+    /// full; the walk alone decides what the budget admits.
+    found: AtomicUsize,
 }
 
-fn set_node(cell: &Cell, node: Node) {
-    if cell.set(node).is_err() {
-        unreachable!("chase node cell filled twice");
-    }
-}
-
-fn take_node(cell: Arc<Cell>) -> Node {
-    Arc::try_unwrap(cell)
-        .unwrap_or_else(|_| unreachable!("chase node cell still shared after the scope"))
-        .into_inner()
-        .expect("every exploration task fills its cell")
-}
-
-/// The parallel exploration phase: compute this node's grounding and local
-/// structure, then fan its children out to the pool. Performs exactly the
-/// per-node work of [`explore`] *except* for the decisions that depend on
-/// global traversal order (outcome-budget pruning and result accumulation),
-/// which [`replay`] takes afterwards.
-fn speculate<'s>(
-    ctx: &'s Ctx<'s>,
-    scope: &rayon::Scope<'s>,
-    atr: AtrSet,
-    parent: Option<(AtrSet, Grounding)>,
-    path_prob: Prob,
-    depth: usize,
-    cell: Arc<Cell>,
-) {
-    // A cancelled speculation defers: the replay re-enters the node
-    // sequentially, sees the cancelled token, and cuts it to residual mass
-    // without redoing any grounding work.
-    if ctx.cancel.is_cancelled() || ctx.found.load(Ordering::Relaxed) >= ctx.budget.max_outcomes {
-        set_node(
-            &cell,
-            Node::Deferred {
-                atr,
-                path_prob,
-                depth,
-            },
-        );
-        return;
-    }
-    if path_prob.to_f64() < ctx.budget.min_path_probability {
-        set_node(&cell, Node::MinPathCut { path_prob });
-        return;
-    }
-
-    let mut grounding = match parent {
-        Some((parent_atr, mut parent_grounding)) => {
-            ctx.grounder
-                .ground_from(&atr, &parent_atr, &mut parent_grounding)
-        }
-        None => ctx.grounder.ground_node(&atr),
-    };
-
-    // Re-check after grounding: a cancelled grounder may have broken out of
-    // saturation early, so this node's rule set (and hence its trigger set)
-    // cannot be trusted to decide leaf-ness. Defer it; the replay cuts it.
-    if ctx.cancel.is_cancelled() {
-        set_node(
-            &cell,
-            Node::Deferred {
-                atr,
-                path_prob,
-                depth,
-            },
-        );
-        return;
-    }
-    let triggers = ctx.grounder.triggers(&atr, grounding.rules());
-
-    if triggers.is_empty() {
-        ctx.found.fetch_add(1, Ordering::Relaxed);
-        set_node(
-            &cell,
-            Node::Leaf(Box::new(PossibleOutcome::new(
-                atr,
-                grounding.into_rules(),
-                path_prob,
-            ))),
-        );
-        return;
-    }
-
-    if depth >= ctx.budget.max_depth {
-        set_node(&cell, Node::DepthCut { path_prob });
-        return;
-    }
-
-    let trigger = triggers[ctx.order.pick(&triggers, depth)].clone();
-    let schema = match ctx.grounder.sigma().schema_for_active(&trigger.predicate) {
-        Some(schema) => schema,
-        None => {
-            set_node(
-                &cell,
-                Node::Failed {
-                    path_prob,
-                    error: CoreError::Validation(format!(
-                        "trigger {trigger} does not use a generated Active predicate"
-                    )),
-                },
-            );
-            return;
-        }
-    };
-    let mut branches = match schema.outcomes(&trigger, ctx.budget.max_branching.saturating_add(1)) {
-        Ok(branches) => branches,
-        Err(e) => {
-            set_node(
-                &cell,
-                Node::Failed {
-                    path_prob,
-                    error: e.into(),
-                },
-            );
-            return;
-        }
-    };
-    let support_cut = branches.len() > ctx.budget.max_branching;
-    branches.truncate(ctx.budget.max_branching);
-    let branch_mass = Prob::sum(branches.iter().map(|(_, p)| *p));
-    let tail = path_prob.mul(&Prob::ONE.sub(&branch_mass));
-
-    let mut children = Vec::with_capacity(branches.len());
-    for (outcome_value, mass) in branches {
-        let child_cell = Arc::new(Cell::new());
-        children.push(Arc::clone(&child_cell));
-        // A construction failure becomes the child's node: the replay walks
-        // the earlier children normally and surfaces the error exactly where
-        // the sequential recursion would have.
-        let rule = match AtrRule::new(ctx.grounder.sigma(), trigger.clone(), outcome_value) {
-            Ok(rule) => rule,
-            Err(e) => {
-                set_node(&child_cell, Node::FailedChild(e));
-                break;
+impl<'a> Chase<'a> {
+    /// Ground the node `atr` — incrementally from its parent's grounding
+    /// when there is one — and decide what it is: cancelled, a leaf, cut at
+    /// the depth budget, or a trigger application with its branches.
+    fn expand(
+        &self,
+        atr: &AtrSet,
+        parent: Option<(&AtrSet, &mut Grounding)>,
+        depth: usize,
+    ) -> Result<Expansion, CoreError> {
+        // Each node extends its parent's configuration by one choice, so the
+        // parent's grounding seeds an incremental saturation over a
+        // structurally shared snapshot (all siblings share the parent's
+        // rule-log prefix).
+        let grounding = match parent {
+            Some((parent_atr, parent_grounding)) => {
+                self.grounder.ground_from(atr, parent_atr, parent_grounding)
             }
+            None => self.grounder.ground_node(atr),
         };
-        let child_atr = match atr.extended(rule) {
-            Ok(child_atr) => child_atr,
-            Err(e) => {
-                set_node(&child_cell, Node::FailedChild(e));
-                break;
-            }
-        };
-        // O(1) structural snapshot: the child owns its view of the parent's
-        // grounding, so sibling tasks share no mutable state. Taking the
-        // snapshots serially here preserves the exact representation
-        // evolution (freeze/flatten points) of the sequential descent.
-        let child_parent = Some((atr.clone(), grounding.snapshot()));
-        let child_prob = path_prob.mul(&mass);
-        if depth < SPLIT_DEPTH {
-            scope.spawn(move |scope| {
-                speculate(
-                    ctx,
-                    scope,
-                    child_atr,
-                    child_parent,
-                    child_prob,
-                    depth + 1,
-                    child_cell,
-                )
-            });
-        } else {
-            speculate(
-                ctx,
-                scope,
-                child_atr,
-                child_parent,
-                child_prob,
-                depth + 1,
-                child_cell,
-            );
+
+        // Re-check after grounding, *before* the leaf decision: a cancelled
+        // grounder may have broken out of saturation early, and an
+        // incomplete rule set must never be recorded as a terminal outcome.
+        if self.cancel.is_cancelled() {
+            return Ok(Expansion::Cancelled);
         }
-    }
-    set_node(
-        &cell,
-        Node::Branch {
-            path_prob,
+        let triggers = self.grounder.triggers(atr, grounding.rules());
+        if triggers.is_empty() {
+            // Σ is terminal; `Σ ∪ G(Σ)` is a finite possible outcome.
+            return Ok(Expansion::Leaf(grounding.into_rules()));
+        }
+        if depth >= self.budget.max_depth {
+            return Ok(Expansion::DepthCut);
+        }
+
+        // Apply one trigger (Definition 4.1): branch over every outcome with
+        // positive probability. Enumerating one outcome past the branching
+        // budget detects exactly whether the support was cut.
+        let trigger = triggers[self.order.pick(&triggers, depth)].clone();
+        let schema = self
+            .grounder
+            .sigma()
+            .schema_for_active(&trigger.predicate)
+            .ok_or_else(|| {
+                CoreError::Validation(format!(
+                    "trigger {trigger} does not use a generated Active predicate"
+                ))
+            })?;
+        let max_branching = self.budget.max_branching;
+        let mut branches = schema.outcomes(&trigger, max_branching.saturating_add(1))?;
+        let support_cut = branches.len() > max_branching;
+        branches.truncate(max_branching);
+        Ok(Expansion::Branch {
+            grounding,
+            trigger,
+            branches,
             support_cut,
-            tail,
-            children,
-        },
-    );
-}
+        })
+    }
 
-/// The deterministic merge: walk the speculatively explored tree in trigger
-/// order — the exact visit order of the sequential [`explore`] — applying
-/// the order-dependent budget decisions and accumulating outcomes and
-/// residual mass. Because every accumulation happens in the sequential
-/// order, the result is bit-identical to the sequential enumeration (resid-
-/// ual float adds included); subtrees the speculation skipped are explored
-/// sequentially on demand, so the heuristic can never change the result.
-fn replay(
-    grounder: &dyn Grounder,
-    budget: &ChaseBudget,
-    order: TriggerOrder,
-    node: Node,
-    cancel: &CancelToken,
-    result: &mut ChaseResult,
-) -> Result<(), CoreError> {
-    match node {
-        // `explore` performs the node count and both budget checks itself.
-        Node::Deferred {
-            atr,
-            path_prob,
-            depth,
-        } => {
-            return explore(
-                grounder, budget, order, atr, None, path_prob, depth, cancel, result,
-            );
+    /// The configuration of one branch: `atr` extended by the trigger's
+    /// chosen outcome.
+    fn child(
+        &self,
+        atr: &AtrSet,
+        trigger: &GroundAtom,
+        outcome: Const,
+    ) -> Result<AtrSet, CoreError> {
+        atr.extended(AtrRule::new(
+            self.grounder.sigma(),
+            trigger.clone(),
+            outcome,
+        )?)
+    }
+
+    /// The parallel phase: fill `slot` with this node's expansion and fan
+    /// the children out to the pool. It takes no budget decision and adds
+    /// no mass; it only leaves a node's slot empty — for the walk to
+    /// expand inline — once the token has fired, the outcome budget could
+    /// be full, or the node's path falls below the probability cut-off.
+    fn prefetch<'s>(
+        &'s self,
+        scope: &rayon::Scope<'s>,
+        atr: AtrSet,
+        mut parent: Option<(Arc<AtrSet>, Grounding)>,
+        path_prob: Prob,
+        depth: usize,
+        slot: &Slot,
+    ) {
+        if self.cancel.is_cancelled()
+            || self.found.load(Ordering::Relaxed) >= self.budget.max_outcomes
+            || path_prob.to_f64() < self.budget.min_path_probability
+        {
+            return;
         }
-        // Raised in the parent's branch loop, before this node is entered.
-        Node::FailedChild(e) => return Err(e),
-        _ => {}
-    }
-
-    result.nodes_visited += 1;
-    let path_prob = match &node {
-        Node::MinPathCut { path_prob }
-        | Node::DepthCut { path_prob }
-        | Node::Branch { path_prob, .. }
-        | Node::Failed { path_prob, .. } => *path_prob,
-        Node::Leaf(outcome) => outcome.probability,
-        Node::Deferred { .. } | Node::FailedChild(_) => unreachable!("handled above"),
-    };
-
-    if cancel.is_cancelled() {
-        result.residual_mass = result.residual_mass.add(&path_prob);
-        result.truncated = true;
-        result.interrupted = true;
-        return Ok(());
-    }
-    if result.outcomes.len() >= budget.max_outcomes {
-        result.residual_mass = result.residual_mass.add(&path_prob);
-        result.truncated = true;
-        return Ok(());
-    }
-    if path_prob.to_f64() < budget.min_path_probability {
-        result.residual_mass = result.residual_mass.add(&path_prob);
-        result.truncated = true;
-        return Ok(());
-    }
-
-    match node {
-        Node::Leaf(outcome) => {
-            result.outcomes.push(*outcome);
+        let parent = parent.as_mut().map(|(atr, grounding)| (&**atr, grounding));
+        let mut expansion = self.expand(&atr, parent, depth);
+        let mut slots = Vec::new();
+        let mut leaf = None;
+        match &mut expansion {
+            Ok(Expansion::Leaf(_)) => {
+                self.found.fetch_add(1, Ordering::Relaxed);
+                leaf = Some(atr);
+            }
+            Ok(Expansion::Branch {
+                grounding,
+                trigger,
+                branches,
+                ..
+            }) => {
+                let atr = Arc::new(atr);
+                for (outcome, mass) in branches.iter() {
+                    // The walk raises a failure to build a child itself.
+                    let Ok(child) = self.child(&atr, trigger, *outcome) else {
+                        break;
+                    };
+                    let child_slot = Arc::new(Slot::new());
+                    slots.push(Arc::clone(&child_slot));
+                    // An O(1) structural snapshot per child, taken serially
+                    // in branch order so the snapshot/flatten sequence
+                    // matches the sequential descent.
+                    let child_parent = Some((Arc::clone(&atr), grounding.snapshot()));
+                    let child_prob = path_prob.mul(mass);
+                    let task = move |scope: &rayon::Scope<'s>| {
+                        self.prefetch(
+                            scope,
+                            child,
+                            child_parent,
+                            child_prob,
+                            depth + 1,
+                            &child_slot,
+                        )
+                    };
+                    if depth < SPLIT_DEPTH {
+                        scope.spawn(task);
+                    } else {
+                        task(scope);
+                    }
+                }
+            }
+            _ => {}
         }
-        Node::DepthCut { path_prob } => {
+        let _ = slot.set(Prefetched {
+            expansion,
+            children: slots,
+            leaf,
+        });
+    }
+
+    /// The walk: visit the chase tree depth-first in trigger order, using
+    /// each node's prefetched expansion when there is one and calling
+    /// [`Chase::expand`] inline otherwise. It is the only place that counts
+    /// nodes, applies the budget cuts and adds residual mass, so every
+    /// accumulation happens in the sequential order and the result does not
+    /// depend on what the prefetch reached.
+    fn explore(
+        &self,
+        result: &mut ChaseResult,
+        atr: AtrSet,
+        parent: Option<(&AtrSet, &mut Grounding)>,
+        prefetched: Option<Prefetched>,
+        path_prob: Prob,
+        depth: usize,
+    ) -> Result<(), CoreError> {
+        result.nodes_visited += 1;
+
+        // Cancellation cuts exactly like a budget cut: the whole subtree's
+        // mass is accounted in the residual, keeping explored + residual = 1.
+        if self.cancel.is_cancelled() {
             result.residual_mass = result.residual_mass.add(&path_prob);
             result.truncated = true;
+            result.interrupted = true;
+            return Ok(());
         }
-        Node::Branch {
-            support_cut,
-            tail,
-            children,
+
+        // Once the outcome budget is full, no further node can contribute an
+        // outcome: stop before doing any grounding work, so `max_outcomes`
+        // bounds the number of nodes visited, not just the outcomes reported.
+        // Paths below the probability cut-off are abandoned the same way.
+        if result.outcomes.len() >= self.budget.max_outcomes
+            || path_prob.to_f64() < self.budget.min_path_probability
+        {
+            result.residual_mass = result.residual_mass.add(&path_prob);
+            result.truncated = true;
+            return Ok(());
+        }
+
+        let Prefetched {
+            expansion,
+            children: slots,
             ..
-        } => {
-            if support_cut {
-                result.residual_mass = result.residual_mass.add(&tail);
+        } = prefetched.unwrap_or_else(|| Prefetched {
+            expansion: self.expand(&atr, parent, depth),
+            children: Vec::new(),
+            leaf: None,
+        });
+        match expansion? {
+            Expansion::Cancelled => {
+                result.residual_mass = result.residual_mass.add(&path_prob);
                 result.truncated = true;
-            } else if tail.is_positive() {
-                result.residual_mass = result.residual_mass.add(&tail);
+                result.interrupted = true;
             }
-            for child in children {
-                replay(grounder, budget, order, take_node(child), cancel, result)?;
+            Expansion::Leaf(rules) => {
+                result
+                    .outcomes
+                    .push(PossibleOutcome::new(atr, rules, path_prob));
+            }
+            Expansion::DepthCut => {
+                // The path is cut: its mass is unexplored (it may correspond
+                // to an infinite possible outcome, i.e. the error event, or
+                // merely to a deeper finite one).
+                result.residual_mass = result.residual_mass.add(&path_prob);
+                result.truncated = true;
+            }
+            Expansion::Branch {
+                mut grounding,
+                trigger,
+                branches,
+                support_cut,
+            } => {
+                // Whenever `max_branching` cut the support, the unenumerated
+                // tail is accounted exactly in `Prob` — no matter how small
+                // its float value — so `total_mass()` stays 1 and
+                // `truncated` reflects the cut.
+                let branch_mass = Prob::sum(branches.iter().map(|(_, p)| *p));
+                let tail = path_prob.mul(&Prob::ONE.sub(&branch_mass));
+                if support_cut {
+                    result.residual_mass = result.residual_mass.add(&tail);
+                    result.truncated = true;
+                } else if tail.is_positive() {
+                    // Float dust from inexact parameters: keep the masses
+                    // summing to ~1 without claiming a budget truncation.
+                    result.residual_mass = result.residual_mass.add(&tail);
+                }
+                let mut slots = slots.into_iter();
+                for (outcome, mass) in branches {
+                    // After the prefetch's scope no task holds a slot.
+                    let mut prefetched = slots
+                        .next()
+                        .and_then(Arc::into_inner)
+                        .and_then(OnceLock::into_inner);
+                    let child = match prefetched.as_mut().and_then(|p| p.leaf.take()) {
+                        Some(child) => child,
+                        None => self.child(&atr, &trigger, outcome)?,
+                    };
+                    self.explore(
+                        result,
+                        child,
+                        Some((&atr, &mut grounding)),
+                        prefetched,
+                        path_prob.mul(&mass),
+                        depth + 1,
+                    )?;
+                }
             }
         }
-        Node::Failed { error, .. } => return Err(error),
-        // A `MinPathCut` always fails the cut-off re-check above, and the
-        // remaining variants were dispatched before the checks.
-        Node::MinPathCut { .. } | Node::Deferred { .. } | Node::FailedChild(_) => unreachable!(),
+        Ok(())
     }
-    Ok(())
-}
-
-#[allow(clippy::too_many_arguments)]
-fn explore(
-    grounder: &dyn Grounder,
-    budget: &ChaseBudget,
-    order: TriggerOrder,
-    atr: AtrSet,
-    parent: Option<(&AtrSet, &mut Grounding)>,
-    path_prob: Prob,
-    depth: usize,
-    cancel: &CancelToken,
-    result: &mut ChaseResult,
-) -> Result<(), CoreError> {
-    result.nodes_visited += 1;
-
-    // Cancellation cuts exactly like a budget cut: the whole subtree's mass
-    // is accounted in the residual, keeping explored + residual = 1.
-    if cancel.is_cancelled() {
-        result.residual_mass = result.residual_mass.add(&path_prob);
-        result.truncated = true;
-        result.interrupted = true;
-        return Ok(());
-    }
-
-    // Once the outcome budget is full, no further node can contribute an
-    // outcome: stop before doing any grounding work, so `max_outcomes`
-    // bounds the number of nodes visited, not just the outcomes reported.
-    if result.outcomes.len() >= budget.max_outcomes {
-        result.residual_mass = result.residual_mass.add(&path_prob);
-        result.truncated = true;
-        return Ok(());
-    }
-
-    if path_prob.to_f64() < budget.min_path_probability {
-        result.residual_mass = result.residual_mass.add(&path_prob);
-        result.truncated = true;
-        return Ok(());
-    }
-
-    // Each node extends its parent's configuration by one choice, so the
-    // parent's grounding seeds an incremental saturation over a structurally
-    // shared snapshot (all siblings share the parent's rule-log prefix).
-    let mut grounding = match parent {
-        Some((parent_atr, parent_grounding)) => {
-            grounder.ground_from(&atr, parent_atr, parent_grounding)
-        }
-        None => grounder.ground_node(&atr),
-    };
-
-    // Re-check after grounding, *before* the leaf decision: a cancelled
-    // grounder may have broken out of saturation early, and an incomplete
-    // rule set must never be recorded as a terminal outcome.
-    if cancel.is_cancelled() {
-        result.residual_mass = result.residual_mass.add(&path_prob);
-        result.truncated = true;
-        result.interrupted = true;
-        return Ok(());
-    }
-    let triggers = grounder.triggers(&atr, grounding.rules());
-
-    if triggers.is_empty() {
-        // Leaf node: Σ is terminal; `Σ ∪ G(Σ)` is a finite possible outcome.
-        result
-            .outcomes
-            .push(PossibleOutcome::new(atr, grounding.into_rules(), path_prob));
-        return Ok(());
-    }
-
-    if depth >= budget.max_depth {
-        // The path is cut: its mass is unexplored (it may correspond to an
-        // infinite possible outcome, i.e. the error event, or merely to a
-        // deeper finite one).
-        result.residual_mass = result.residual_mass.add(&path_prob);
-        result.truncated = true;
-        return Ok(());
-    }
-
-    // Apply one trigger (Definition 4.1): branch over every outcome with
-    // positive probability. Enumerating one outcome past the branching
-    // budget detects exactly whether the support was cut.
-    let trigger = triggers[order.pick(&triggers, depth)].clone();
-    let schema = grounder
-        .sigma()
-        .schema_for_active(&trigger.predicate)
-        .ok_or_else(|| {
-            CoreError::Validation(format!(
-                "trigger {trigger} does not use a generated Active predicate"
-            ))
-        })?;
-    let mut branches = schema.outcomes(&trigger, budget.max_branching.saturating_add(1))?;
-    let support_cut = branches.len() > budget.max_branching;
-    branches.truncate(budget.max_branching);
-
-    // Whenever `max_branching` cut the support, the unenumerated tail is
-    // accounted exactly in `Prob` — no matter how small its float value —
-    // so `total_mass()` stays 1 and `truncated` reflects the cut.
-    let branch_mass = Prob::sum(branches.iter().map(|(_, p)| *p));
-    let tail = path_prob.mul(&Prob::ONE.sub(&branch_mass));
-    if support_cut {
-        result.residual_mass = result.residual_mass.add(&tail);
-        result.truncated = true;
-    } else if tail.is_positive() {
-        // Float dust from inexact parameters: keep the masses summing to ~1
-        // without claiming a budget truncation.
-        result.residual_mass = result.residual_mass.add(&tail);
-    }
-
-    for (outcome_value, mass) in branches {
-        let rule = AtrRule::new(grounder.sigma(), trigger.clone(), outcome_value)?;
-        let child = atr.extended(rule)?;
-        explore(
-            grounder,
-            budget,
-            order,
-            child,
-            Some((&atr, &mut grounding)),
-            path_prob.mul(&mass),
-            depth + 1,
-            cancel,
-            result,
-        )?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -956,7 +809,8 @@ mod tests {
         assert_eq!(result.total_mass(), Prob::ONE);
     }
 
-    fn coin_chain_program(n: i64, db: &mut Database) -> crate::Program {
+    /// `n` independent coins, each landing heads with probability `p`.
+    fn coin_chain_program(n: i64, p: f64, db: &mut Database) -> crate::Program {
         use gdlog_data::Term;
         for i in 1..=n {
             db.insert_fact("Coin", [Const::Int(i)]);
@@ -967,7 +821,7 @@ mod tests {
                     "Toss",
                     vec![Term::var("x")],
                     "Flip",
-                    vec![Term::Const(Const::real(0.5).unwrap())],
+                    vec![Term::Const(Const::real(p).unwrap())],
                     vec![Term::var("x")],
                 )
             })
@@ -980,7 +834,7 @@ mod tests {
         // Six independent coins: the full chase tree has 2⁷ − 1 = 127 nodes
         // and 64 outcomes.
         let mut db = Database::new();
-        let program = coin_chain_program(6, &mut db);
+        let program = coin_chain_program(6, 0.5, &mut db);
         let grounder = simple_for(&program, &db);
         let full =
             enumerate_outcomes(&grounder, &ChaseBudget::default(), TriggerOrder::First).unwrap();
@@ -1002,34 +856,44 @@ mod tests {
         assert_eq!(result.nodes_visited, 13);
     }
 
+    /// The executors every cancellation test runs under: the sequential
+    /// walk and the prefetching walk at two pool sizes.
+    fn executors() -> [Executor; 3] {
+        [Executor::sequential(), Executor::new(2), Executor::new(8)]
+    }
+
     #[test]
     fn pre_cancelled_chase_is_all_residual_and_interrupted() {
         let mut db = Database::new();
-        let program = coin_chain_program(4, &mut db);
+        let program = coin_chain_program(4, 0.5, &mut db);
         let grounder = simple_for(&program, &db);
         let cancel = CancelToken::new();
         cancel.cancel();
-        let result = enumerate_outcomes_cancellable(
-            &grounder,
-            &ChaseBudget::default(),
-            TriggerOrder::First,
-            &Executor::sequential(),
-            &cancel,
-        )
-        .unwrap();
-        // The root is cut before grounding anything: no outcomes, the whole
-        // unit of mass is residual, and the accounting invariant holds.
-        assert!(result.outcomes.is_empty());
-        assert!(result.interrupted);
-        assert!(result.truncated);
-        assert_eq!(result.residual_mass, Prob::ONE);
-        assert_eq!(result.total_mass(), Prob::ONE);
+        for exec in executors() {
+            let result = enumerate_outcomes_cancellable(
+                &grounder,
+                &ChaseBudget::default(),
+                TriggerOrder::First,
+                &exec,
+                &cancel,
+            )
+            .unwrap();
+            // The root is cut before grounding anything: no outcomes, the
+            // whole unit of mass is residual, and the accounting invariant
+            // holds.
+            assert!(result.outcomes.is_empty(), "{exec:?}");
+            assert!(result.interrupted, "{exec:?}");
+            assert!(result.truncated, "{exec:?}");
+            assert_eq!(result.residual_mass, Prob::ONE, "{exec:?}");
+            assert_eq!(result.total_mass(), Prob::ONE, "{exec:?}");
+            assert_eq!(result.nodes_visited, 1, "{exec:?}");
+        }
     }
 
     #[test]
     fn never_token_reproduces_the_uncancelled_chase() {
         let mut db = Database::new();
-        let program = coin_chain_program(4, &mut db);
+        let program = coin_chain_program(4, 0.5, &mut db);
         let grounder = simple_for(&program, &db);
         let plain =
             enumerate_outcomes(&grounder, &ChaseBudget::default(), TriggerOrder::First).unwrap();
@@ -1052,30 +916,32 @@ mod tests {
         // explored + residual invariant must hold exactly and the result
         // must be flagged interrupted.
         let mut db = Database::new();
-        let program = coin_chain_program(12, &mut db);
+        let program = coin_chain_program(12, 0.5, &mut db);
         let grounder = simple_for(&program, &db);
-        let cancel = CancelToken::new();
-        let flag = cancel.clone();
-        let canceller = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(2));
-            flag.cancel();
-        });
-        let result = enumerate_outcomes_cancellable(
-            &grounder,
-            &ChaseBudget::default(),
-            TriggerOrder::First,
-            &Executor::sequential(),
-            &cancel,
-        )
-        .unwrap();
-        canceller.join().unwrap();
-        assert_eq!(result.total_mass(), Prob::ONE);
-        // 2^12 outcomes under a 2ms deadline: the cut must land mid-tree on
-        // any realistic machine; if the walk somehow finished first, the
-        // invariants above still validated the uncancelled path.
-        if result.interrupted {
-            assert!(result.truncated);
-            assert!(result.residual_mass.is_positive());
+        for exec in executors() {
+            let cancel = CancelToken::new();
+            let flag = cancel.clone();
+            let canceller = std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                flag.cancel();
+            });
+            let result = enumerate_outcomes_cancellable(
+                &grounder,
+                &ChaseBudget::default(),
+                TriggerOrder::First,
+                &exec,
+                &cancel,
+            )
+            .unwrap();
+            canceller.join().unwrap();
+            assert_eq!(result.total_mass(), Prob::ONE, "{exec:?}");
+            // 2^12 outcomes under a 2ms deadline: the cut must land mid-tree
+            // on any realistic machine; if the walk somehow finished first,
+            // the invariants above still validated the uncancelled path.
+            if result.interrupted {
+                assert!(result.truncated, "{exec:?}");
+                assert!(result.residual_mass.is_positive(), "{exec:?}");
+            }
         }
     }
 
@@ -1118,7 +984,7 @@ mod tests {
     #[test]
     fn parallel_enumeration_is_bit_identical_to_sequential() {
         let mut db = Database::new();
-        let program = coin_chain_program(6, &mut db);
+        let program = coin_chain_program(6, 0.5, &mut db);
         let chain = simple_for(&program, &db);
         let ring = simple_for(&network_resilience_program(0.1), &network_db(3));
         let grounders: [&dyn crate::grounding::Grounder; 2] = [&chain, &ring];
@@ -1144,35 +1010,50 @@ mod tests {
     #[test]
     fn parallel_enumeration_replays_outcome_budget_truncation_exactly() {
         // max_outcomes = 1 prunes almost the whole tree sequentially; the
-        // parallel walk may speculate past the budget but the replay must
-        // reproduce the sequential pruning — outcomes, residual *and* the
-        // visited-node count.
-        let mut db = Database::new();
-        let program = coin_chain_program(6, &mut db);
-        let grounder = simple_for(&program, &db);
-        for budget in [
-            ChaseBudget {
-                max_outcomes: 1,
-                ..ChaseBudget::default()
-            },
-            ChaseBudget {
-                max_outcomes: 5,
-                max_depth: 3,
-                max_branching: 2,
-                min_path_probability: 0.0,
-            },
-            ChaseBudget {
-                min_path_probability: 0.2,
-                ..ChaseBudget::default()
-            },
-        ] {
-            let sequential = enumerate_outcomes(&grounder, &budget, TriggerOrder::First).unwrap();
-            for threads in [2, 8] {
-                let exec = crate::exec::Executor::new(threads);
-                let parallel =
-                    enumerate_outcomes_with(&grounder, &budget, TriggerOrder::First, &exec)
-                        .unwrap();
-                assert_bit_identical(&sequential, &parallel, &format!("{budget:?} x{threads}"));
+        // prefetch may run past the budget but the walk must reproduce the
+        // sequential pruning — outcomes, residual *and* the visited-node
+        // count. The p = 1/3 chain has inexact (`Prob::Approx`) masses, so
+        // the residual additions must also happen in the sequential order.
+        let mut exact_db = Database::new();
+        let exact = simple_for(&coin_chain_program(6, 0.5, &mut exact_db), &exact_db);
+        let mut approx_db = Database::new();
+        let approx = simple_for(
+            &coin_chain_program(6, 1.0 / 3.0, &mut approx_db),
+            &approx_db,
+        );
+        let full = enumerate_outcomes(&approx, &ChaseBudget::default(), TriggerOrder::First);
+        assert!(
+            !full.unwrap().outcomes[0].probability.is_exact(),
+            "the p = 1/3 chain must carry inexact masses"
+        );
+        let grounders: [&dyn crate::grounding::Grounder; 2] = [&exact, &approx];
+        for grounder in grounders {
+            for budget in [
+                ChaseBudget {
+                    max_outcomes: 1,
+                    ..ChaseBudget::default()
+                },
+                ChaseBudget {
+                    max_outcomes: 5,
+                    max_depth: 3,
+                    max_branching: 2,
+                    min_path_probability: 0.0,
+                },
+                ChaseBudget {
+                    min_path_probability: 0.2,
+                    ..ChaseBudget::default()
+                },
+            ] {
+                let sequential =
+                    enumerate_outcomes(grounder, &budget, TriggerOrder::First).unwrap();
+                assert!(sequential.residual_mass.is_positive());
+                for threads in [2, 8] {
+                    let exec = crate::exec::Executor::new(threads);
+                    let parallel =
+                        enumerate_outcomes_with(grounder, &budget, TriggerOrder::First, &exec)
+                            .unwrap();
+                    assert_bit_identical(&sequential, &parallel, &format!("{budget:?} x{threads}"));
+                }
             }
         }
     }

@@ -76,7 +76,7 @@ pub use compare::{as_good_as, compare_outputs, SemanticsComparison};
 pub use delta::DeltaTerm;
 pub use depgraph::{dependency_graph, stratification, DependencyGraph, Stratification};
 pub use error::CoreError;
-pub use exec::{Executor, THREADS_ENV};
+pub use exec::{Executor, MAX_THREADS, THREADS_ENV};
 pub use factor::{ChaseComponent, ComponentGrounder, Factor, FactorAnalysis, FactoredOutputSpace};
 pub use fingerprint::fnv1a_fingerprint;
 pub use gdlog_engine::{CancelToken, DeadlineGuard};
@@ -98,11 +98,14 @@ pub use translate::{AtrSchema, SigmaPi, TgdRule};
 
 #[cfg(test)]
 mod send_sync_audit {
-    //! The parallel chase hands a shared `&dyn Grounder` plus owned
-    //! `Grounding` snapshots to pool workers and collects `PossibleOutcome`s
-    //! from them; this is the compile-time audit that the whole surface is
-    //! (and stays) `Send + Sync`. `Grounder` itself has `Send + Sync` as a
-    //! supertrait, so every implementor is covered by construction.
+    //! The chase prefetch hands a shared `&dyn Grounder` plus owned
+    //! `AtrSet`s and `Grounding` snapshots to pool workers and collects node
+    //! expansions (groundings, triggers, branches, leaf rule sets and
+    //! configurations, errors) from them, and `Executor::map` shares
+    //! `PossibleOutcome`s with its tasks; this is the compile-time audit
+    //! that the whole surface is (and stays) `Send + Sync`. `Grounder` itself
+    //! has `Send + Sync` as a supertrait, so every implementor is covered by
+    //! construction.
     use super::*;
 
     fn assert_send_sync<T: Send + Sync + ?Sized>() {}

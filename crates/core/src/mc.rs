@@ -23,7 +23,7 @@ use gdlog_prob::sampler::{sample_distribution, Estimate};
 use gdlog_prob::Prob;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
 
 /// The RNG for walk `index` of a run rooted at `seed`: the seed is combined
 /// with the index through a SplitMix64-style finalizer (Steele, Lea &
@@ -199,88 +199,32 @@ impl<'a> MonteCarlo<'a> {
     {
         let first_walk = self.next_walk;
         self.next_walk += samples as u64;
-        let pool = self.executor.and_then(Executor::pool);
-        let (hits, abandoned) = match pool {
-            None => {
-                let mut hits = 0usize;
-                let mut abandoned = 0usize;
-                for walk in first_walk..first_walk + samples as u64 {
-                    if self.cancel.is_cancelled() {
-                        return Err(CoreError::Interrupted("monte-carlo estimation".into()));
-                    }
-                    match self.run_walk(walk, &event)? {
-                        Some(true) => hits += 1,
-                        Some(false) => {}
-                        None => abandoned += 1,
-                    }
-                }
-                (hits, abandoned)
-            }
-            Some(pool) => {
-                // Contiguous chunks of the walk range, several per worker so
-                // the pool balances uneven walk lengths by stealing. Chunk
-                // tallies are integers, so the merge is order-insensitive —
-                // except for errors, which are surfaced in walk order (each
-                // chunk stops at its first failing walk, and chunks are
-                // merged lowest-first), exactly as the sequential loop does.
-                let threads = pool.current_num_threads().max(1);
-                let chunk = samples.div_ceil(threads * 4).max(1);
-                let ranges: Vec<(u64, u64)> = (0..samples)
-                    .step_by(chunk)
-                    .map(|start| {
-                        (
-                            first_walk + start as u64,
-                            first_walk + (start + chunk).min(samples) as u64,
-                        )
-                    })
-                    .collect();
-                /// Hit/abandon counts of one chunk, or its first walk error.
-                type Tally = OnceLock<Result<(usize, usize), CoreError>>;
-                let tallies: Vec<Arc<Tally>> =
-                    ranges.iter().map(|_| Arc::new(OnceLock::new())).collect();
-                pool.scope(|scope| {
-                    for (&(start, end), tally) in ranges.iter().zip(&tallies) {
-                        let tally = Arc::clone(tally);
-                        let this = &*self;
-                        let event = &event;
-                        scope.spawn(move |_| {
-                            let mut hits = 0usize;
-                            let mut abandoned = 0usize;
-                            let mut outcome = Ok(());
-                            for walk in start..end {
-                                if this.cancel.is_cancelled() {
-                                    outcome = Err(CoreError::Interrupted(
-                                        "monte-carlo estimation".into(),
-                                    ));
-                                    break;
-                                }
-                                match this.run_walk(walk, event) {
-                                    Ok(Some(true)) => hits += 1,
-                                    Ok(Some(false)) => {}
-                                    Ok(None) => abandoned += 1,
-                                    Err(e) => {
-                                        outcome = Err(e);
-                                        break;
-                                    }
-                                }
-                            }
-                            let _ = tally.set(outcome.map(|()| (hits, abandoned)));
-                        });
-                    }
-                });
-                let mut hits = 0usize;
-                let mut abandoned = 0usize;
-                for tally in tallies {
-                    let (h, a) = Arc::try_unwrap(tally)
-                        .unwrap_or_else(|_| unreachable!("tally still shared after the scope"))
-                        .into_inner()
-                        .expect("every chunk task reports")?;
-                    hits += h;
-                    abandoned += a;
-                }
-                (hits, abandoned)
-            }
+        // Contiguous chunks of the walk range: one when sequential, several
+        // per worker when parallel so the pool balances uneven walk lengths
+        // by stealing. Chunk tallies are integers, so the merge is
+        // order-insensitive — except for errors, which surface in walk
+        // order: each chunk stops at its first failing walk, and chunks are
+        // merged lowest-first.
+        let sequential = Executor::sequential();
+        let executor = self.executor.unwrap_or(&sequential);
+        let chunks = if executor.is_parallel() {
+            executor.threads() * 4
+        } else {
+            1
         };
+        let chunk = samples.div_ceil(chunks).max(1);
+        let ranges: Vec<Range<u64>> = (0..samples)
+            .step_by(chunk)
+            .map(|start| {
+                first_walk + start as u64..first_walk + (start + chunk).min(samples) as u64
+            })
+            .collect();
+        let (mut hits, mut abandoned) = (0usize, 0usize);
+        for tally in executor.map(&ranges, |walks| self.run_walks(walks.clone(), &event)) {
+            let (h, a) = tally?;
+            hits += h;
+            abandoned += a;
+        }
         Ok(SampleStats {
             estimate: Estimate::from_bernoulli(hits, samples),
             abandoned,
@@ -288,17 +232,24 @@ impl<'a> MonteCarlo<'a> {
         })
     }
 
-    /// Run one walk: `Some(event result)` for finite paths, `None` for
-    /// abandoned ones.
-    fn run_walk<F>(&self, walk: u64, event: &F) -> Result<Option<bool>, CoreError>
+    /// Run a contiguous range of walks, counting the finite paths on which
+    /// `event` holds and the abandoned ones; stop at the first failing walk.
+    fn run_walks<F>(&self, walks: Range<u64>, event: &F) -> Result<(usize, usize), CoreError>
     where
         F: Fn(&PossibleOutcome) -> bool,
     {
-        let mut rng = walk_rng(self.seed, walk);
-        match sample_outcome(self.grounder, self.max_triggers, &mut rng)? {
-            SampledPath::Finite(outcome) => Ok(Some(event(&outcome))),
-            SampledPath::Abandoned { .. } => Ok(None),
+        let (mut hits, mut abandoned) = (0usize, 0usize);
+        for walk in walks {
+            if self.cancel.is_cancelled() {
+                return Err(CoreError::Interrupted("monte-carlo estimation".into()));
+            }
+            let mut rng = walk_rng(self.seed, walk);
+            match sample_outcome(self.grounder, self.max_triggers, &mut rng)? {
+                SampledPath::Finite(outcome) => hits += usize::from(event(&outcome)),
+                SampledPath::Abandoned { .. } => abandoned += 1,
+            }
         }
+        Ok((hits, abandoned))
     }
 }
 

@@ -17,7 +17,6 @@ use gdlog_data::GroundAtom;
 use gdlog_engine::{CancelToken, StableModelLimits};
 use gdlog_prob::Prob;
 use std::collections::HashMap;
-use std::sync::OnceLock;
 
 /// The output of a GDatalog¬\[Δ\] program on a database relative to a
 /// grounder: the explored finite outcomes, keyed by their induced set of
@@ -141,37 +140,15 @@ impl OutputSpace {
         }
 
         // Solve each distinct program — one task per program on a parallel
-        // executor; inline otherwise. Tasks share no mutable state (each
-        // fills its own write-once cell).
-        let limits = *limits;
-        let cells: Vec<OnceLock<Result<ModelSetKey, CoreError>>> =
-            work.iter().map(|_| OnceLock::new()).collect();
-        match executor.pool() {
-            None => {
-                for (cell, &i) in cells.iter().zip(&work) {
-                    let _ = cell.set(outcomes[i].model_set_key_cancellable(&limits, &cancel));
-                }
-            }
-            Some(pool) => {
-                let outcomes = &outcomes;
-                let cancel = &cancel;
-                pool.scope(|scope| {
-                    for (cell, &i) in cells.iter().zip(&work) {
-                        scope.spawn(move |_| {
-                            let _ =
-                                cell.set(outcomes[i].model_set_key_cancellable(&limits, cancel));
-                        });
-                    }
-                });
-            }
-        }
+        // executor; inline otherwise. Errors surface in work-list order.
+        let keys = executor.map(&work, |&i| {
+            outcomes[i].model_set_key_cancellable(limits, &cancel)
+        });
         let mut solved: Vec<ModelSetKey> = Vec::with_capacity(work.len());
-        for (slot, cell) in work.iter().zip(cells) {
-            let key = cell
-                .into_inner()
-                .expect("every solver task fills its cell")?;
+        for (&i, key) in work.iter().zip(keys) {
+            let key = key?;
             if let Some(cache) = cache {
-                cache.insert(std::mem::take(&mut fingerprints[*slot]), key.clone());
+                cache.insert(std::mem::take(&mut fingerprints[i]), key.clone());
             }
             solved.push(key);
         }

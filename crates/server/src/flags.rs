@@ -9,7 +9,7 @@
 //! `QUERY` frame as one argument.
 
 use gdlog_core::api::{McRequest, QueryRequest, SolveStrategy};
-use gdlog_core::{ChaseBudget, GrounderChoice, TriggerOrder};
+use gdlog_core::{ChaseBudget, GrounderChoice, TriggerOrder, MAX_THREADS};
 use gdlog_data::GroundAtom;
 use gdlog_engine::StableModelLimits;
 use gdlog_parser::parse_database;
@@ -94,6 +94,19 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<
         .map_err(|_| format!("invalid value `{raw}` for flag `{flag}`"))
 }
 
+/// Parse the value of a `--threads` flag: a count up to [`MAX_THREADS`]
+/// (`0` means one thread per available CPU). Larger counts are refused: a
+/// pool that large can abort the process.
+pub fn parse_threads(flag: &str, value: Option<&str>) -> Result<usize, String> {
+    let threads = parse_value(flag, value)?;
+    if threads > MAX_THREADS {
+        return Err(format!(
+            "invalid value `{threads}` for flag `{flag}` (at most {MAX_THREADS})"
+        ));
+    }
+    Ok(threads)
+}
+
 /// Parse an argument list into flags plus the non-flag positionals (the CLI
 /// expects exactly one — the scenario path; the wire `QUERY` command expects
 /// none). Unknown flags are errors, as on the command line.
@@ -161,7 +174,7 @@ pub fn parse_query_flags<S: AsRef<str>>(args: &[S]) -> Result<(QueryFlags, Vec<S
                 i += 2;
             }
             "--threads" => {
-                flags.threads = Some(parse_value(a, value)?);
+                flags.threads = Some(parse_threads(a, value)?);
                 i += 2;
             }
             "--max-outcomes" => {
@@ -391,6 +404,12 @@ mod tests {
             "invalid strategy `quantum` (expected flat, factored or auto)"
         );
         assert!(parse(&["--top"]).unwrap_err().contains("expects a value"));
+        assert_eq!(
+            parse(&["--threads", "200000"]).unwrap_err(),
+            format!("invalid value `200000` for flag `--threads` (at most {MAX_THREADS})")
+        );
+        let (flags, _) = parse(&["--threads", &MAX_THREADS.to_string()]).unwrap();
+        assert_eq!(flags.threads, Some(MAX_THREADS));
         assert!(parse(&["--frobnicate"])
             .unwrap_err()
             .contains("unknown flag"));

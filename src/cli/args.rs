@@ -15,7 +15,7 @@
 //! same parser serves the CLI and the wire `QUERY` command, so the two
 //! front-ends cannot drift.
 
-use gdlog_server::flags::{parse_query_flags, QueryFlags};
+use gdlog_server::flags::{parse_query_flags, parse_threads, QueryFlags};
 use gdlog_server::ServeConfig;
 
 /// What the invocation asked for.
@@ -149,7 +149,7 @@ fn parse_serve(rest: &[String]) -> Result<ServeConfig, String> {
                 i += 2;
             }
             "--threads" => {
-                config.threads = Some(parse_value(a, value)?);
+                config.threads = Some(parse_threads(a, value.map(String::as_str))?);
                 i += 2;
             }
             "--max-inflight" => {
@@ -335,6 +335,9 @@ mod tests {
         };
         assert_eq!(d, ServeConfig::default());
         assert!(parse_args(&args(&["serve", "--query", "X"])).is_err());
+        // Thread counts share the run grammar's cap.
+        let err = parse_args(&args(&["serve", "--threads", "200000"])).unwrap_err();
+        assert!(err.contains("invalid value `200000`"), "{err}");
     }
 
     #[test]

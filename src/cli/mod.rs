@@ -293,6 +293,10 @@ mod tests {
         let (code, _, err) = run_cli(&["--frobnicate"]);
         assert_eq!(code, 2);
         assert!(err.contains("unknown flag"));
+        // A pool this large would abort the process; it is refused up front.
+        let (code, _, err) = run_cli(&["scenarios/coin.gdl", "--threads", "200000"]);
+        assert_eq!(code, 2);
+        assert!(err.contains("`--threads`"), "{err}");
     }
 
     #[test]
