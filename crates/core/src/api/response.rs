@@ -13,7 +13,6 @@
 //! factored.
 
 use super::json::Json;
-use crate::model_cache::ModelCacheStats;
 use gdlog_prob::Prob;
 use std::fmt::Write as _;
 
@@ -101,11 +100,6 @@ pub struct QueryResponse {
     pub interrupted: bool,
     /// Probability that at least one stable model exists.
     pub p_stable: Prob,
-    /// Stable-model memo-table counters of the solve that produced this
-    /// response's output space. The counters are a property of the *solve*,
-    /// not of the serving process: a warm response replays the stats of the
-    /// original cold solve, so warm and cold responses are byte-identical.
-    pub stable_cache: ModelCacheStats,
     /// FNV-1a fingerprint of the event listing (the bench scheme).
     pub fingerprint: String,
     /// Per-query probabilities.
@@ -187,17 +181,7 @@ impl QueryResponse {
         if self.interrupted {
             pairs.push(("interrupted", Json::Bool(true)));
         }
-        pairs.extend([
-            (
-                "stable_cache",
-                Json::obj([
-                    ("hits", Json::Int(self.stable_cache.hits as i128)),
-                    ("misses", Json::Int(self.stable_cache.misses as i128)),
-                    ("hit_rate", Json::Float(self.stable_cache.hit_rate())),
-                ]),
-            ),
-            ("fingerprint", Json::str(&self.fingerprint)),
-        ]);
+        pairs.push(("fingerprint", Json::str(&self.fingerprint)));
         if let Some(g) = &self.given {
             pairs.push(("given", Json::str(g)));
         }
@@ -280,13 +264,6 @@ impl QueryResponse {
             );
         }
         let _ = writeln!(out, "P(stable model exists) = {}", self.p_stable);
-        let _ = writeln!(
-            out,
-            "stable cache: {} hits, {} misses (hit rate {:.2})",
-            self.stable_cache.hits,
-            self.stable_cache.misses,
-            self.stable_cache.hit_rate()
-        );
         let _ = writeln!(out, "fingerprint: {}", self.fingerprint);
         for q in &self.queries {
             let _ = write!(
@@ -345,7 +322,6 @@ mod tests {
             truncated: false,
             interrupted: false,
             p_stable: Prob::ratio(1, 2),
-            stable_cache: ModelCacheStats { hits: 1, misses: 1 },
             fingerprint: "cbf29ce484222325".into(),
             queries: vec![QueryReport {
                 atom: "Coin(1)".into(),
@@ -379,7 +355,6 @@ mod tests {
         assert!(text.contains("fingerprint: cbf29ce484222325"));
         assert!(text.contains("mc Coin(1): mean 0.5"));
         assert!(text.contains("factors: 1, analysis: flat"));
-        assert!(text.contains("stable cache: 1 hits, 1 misses (hit rate 0.50)"));
     }
 
     #[test]
@@ -444,8 +419,6 @@ mod tests {
         assert!(json.contains("\"text\": \"1/2\""));
         assert!(json.contains("\"fingerprint\": \"cbf29ce484222325\""));
         assert!(json.contains("\"factors\": 1"));
-        assert!(json.contains("\"hits\": 1"));
-        assert!(json.contains("\"hit_rate\": 0.5"));
         // Thread counts must never reach the golden format.
         assert!(!json.contains("thread"));
     }

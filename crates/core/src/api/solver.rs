@@ -11,13 +11,12 @@
 //! path the resident server multiplexes sessions onto.
 //!
 //! Determinism contract: a warm response is **byte-identical** to the cold
-//! one. Each solve entry runs on a pipeline with a *fresh* stable-model memo
-//! table, and the response's `stable_cache` counters are the snapshot taken
-//! when the entry was solved — exactly what a one-shot CLI process reports —
-//! so replaying a query against a warm solver cannot observe the serving
-//! process's history. (Sharing one memo table across entries or programs
-//! would leak observable hit-rate differences into responses; the
-//! solve-entry cache strictly subsumes the warmth it would buy.)
+//! one. A response is a function of the solved space and the request alone —
+//! exactly what a one-shot CLI process reports — so replaying a query
+//! against a warm solver cannot observe the serving process's history. The
+//! stable-model layer keeps no memo table: an entry is solved once, and two
+//! leaves of its chase always differ in their choices, so a table keyed by
+//! outcome program could never hit.
 //!
 //! One answering space: every strategy solves, through
 //! [`Pipeline::solve_with`], into a [`FactoredOutputSpace`] — a flat solve is
@@ -33,7 +32,6 @@ use crate::api::response::{EventReport, McReport, QueryReport, QueryResponse};
 use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::factor::FactoredOutputSpace;
-use crate::model_cache::ModelCacheStats;
 use crate::pipeline::{McParams, Pipeline};
 use crate::program::Program;
 use crate::translate::SigmaPi;
@@ -52,7 +50,6 @@ struct SolveEntry {
     pipeline: Pipeline,
     space: FactoredOutputSpace,
     analysis: &'static str,
-    stats: ModelCacheStats,
 }
 
 /// A compiled program serving [`QueryRequest`]s warm. See the module docs.
@@ -165,8 +162,6 @@ impl Solver {
         if let Some((_, entry)) = solves.iter().find(|(k, _)| *k == key) {
             return Ok(Arc::clone(entry));
         }
-        // Fresh stable-model memo table per entry: see the determinism
-        // contract in the module docs.
         let pipeline =
             Pipeline::from_sigma(Arc::clone(&self.sigma), self.stratified, key.grounder)?
                 .budget(key.budget)
@@ -176,7 +171,6 @@ impl Solver {
                 .with_cancel(cancel.clone());
         let (space, analysis) = pipeline.solve_with(key.strategy)?;
         let entry = Arc::new(SolveEntry {
-            stats: pipeline.stable_cache_stats(),
             pipeline,
             space,
             analysis: analysis.map_or("flat", |a| a.label()),
@@ -294,7 +288,6 @@ impl Solver {
             truncated: space.is_truncated(),
             interrupted: space.is_interrupted(),
             p_stable: space.has_stable_model_probability(),
-            stable_cache: entry.stats,
             fingerprint: space.fingerprint(),
             queries,
             given: request.given.as_ref().map(|a| a.to_string()),
@@ -374,7 +367,6 @@ mod tests {
         assert_eq!(solver.warm_solves(), 1, "same config must share one solve");
         assert_eq!(cold.render_json(), warm.render_json());
         assert_eq!(cold.render_text(), warm.render_text());
-        assert!(cold.stable_cache.misses > 0, "cold stats snapshot kept");
     }
 
     #[test]

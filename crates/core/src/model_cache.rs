@@ -1,11 +1,9 @@
-//! Memoization of stable-model computations across chase outcomes.
-//!
-//! Distinct chase outcomes frequently induce the *same* ground program
-//! `Σ ∪ G(Σ)` — in the coin-chain family every failing prefix grounds the
-//! same constraint machinery, and repeated [`crate::Pipeline::solve`] calls
-//! (Monte-Carlo refinement loops, report reruns) resolve identical programs
-//! over and over. Since `sms(Σ ∪ G(Σ))` is a pure function of that program,
-//! its event key can be cached.
+//! Memoization of stable-model computations across chase outcomes, kept
+//! only for the benchmark's traced decomposition (`perfbench`), which
+//! reports the counters. No product path builds a [`ModelSetCache`]: two
+//! leaves of one chase always differ in their choices, so no two outcomes of
+//! a solve share a program, and a [`crate::api::Solver`] entry never solves
+//! twice — a table keyed by outcome program cannot hit.
 //!
 //! The cache key is a [`ProgramFingerprint`]: the canonical listing of the
 //! outcome's choice set `Σ` plus the canonical listing of its grounder rules
@@ -16,11 +14,9 @@
 //! definition, so a cache hit can never change a result, at any thread
 //! count.
 //!
-//! Hit/miss counters are kept for observability
-//! ([`crate::Pipeline::stable_cache_stats`]) and are counted once per
-//! outcome during the sequential keying pass of
-//! [`crate::OutputSpace::from_chase_with`], so they are deterministic across
-//! executors.
+//! Hit/miss counters are counted once per outcome during the sequential
+//! keying pass of [`crate::OutputSpace::from_chase_with`], so they are
+//! deterministic across executors.
 
 use crate::grounding::AtrRule;
 use crate::outcome::ModelSetKey;
@@ -80,8 +76,8 @@ impl ModelCacheStats {
 
 /// A thread-safe memo table from [`ProgramFingerprint`]s to the induced
 /// [`ModelSetKey`]s, shared by every [`crate::OutputSpace::from_chase_with`]
-/// call that is handed the same cache (e.g. all solves of one
-/// [`crate::Pipeline`]).
+/// call that is handed the same cache. See the module docs for why only the
+/// benchmark's traced decomposition uses one.
 ///
 /// Only successful searches are cached; [`gdlog_engine::StableError`]s
 /// propagate to the caller untouched so limit changes take effect on retry.

@@ -11,7 +11,7 @@ use crate::error::CoreError;
 use crate::grounding::{AtrSet, GroundRuleSet};
 use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::{
-    stable_models, stable_models_with_cancel, CancelToken, GroundProgram, StableModelLimits,
+    stable_model_atoms, CancelToken, GroundProgram, GroundRule, RuleParts, StableModelLimits,
 };
 use gdlog_prob::Prob;
 use std::fmt;
@@ -157,7 +157,9 @@ impl PossibleOutcome {
     }
 
     /// The full ground program `Σ ∪ G(Σ)` whose stable models this outcome
-    /// induces.
+    /// induces. A copy: the solve path searches the outcome's rules in place
+    /// ([`Self::model_set_key`]); this is the reference the oracles and the
+    /// tests compare against.
     pub fn full_program(&self) -> GroundProgram {
         let mut p = self.rules.clone();
         p.extend(self.atr.to_ground_rules());
@@ -166,7 +168,7 @@ impl PossibleOutcome {
 
     /// Compute `sms(Σ ∪ G(Σ))`.
     pub fn stable_models(&self, limits: &StableModelLimits) -> Result<Vec<Database>, CoreError> {
-        Ok(stable_models(&self.full_program(), limits)?)
+        self.stable_models_cancellable(limits, &CancelToken::never())
     }
 
     /// [`Self::stable_models`] with a cooperative cancellation token. A
@@ -178,33 +180,56 @@ impl PossibleOutcome {
         limits: &StableModelLimits,
         cancel: &CancelToken,
     ) -> Result<Vec<Database>, CoreError> {
-        Ok(stable_models_with_cancel(
-            &self.full_program(),
-            limits,
-            cancel,
-        )?)
+        Ok(self
+            .model_atoms(limits, cancel)?
+            .into_iter()
+            .map(|model| Database::from_atoms(model.into_iter().cloned()))
+            .collect())
     }
 
     /// Compute the event key of the outcome (its set of stable models).
     pub fn model_set_key(&self, limits: &StableModelLimits) -> Result<ModelSetKey, CoreError> {
-        Ok(ModelSetKey::from_models(&self.stable_models(limits)?))
+        self.model_set_key_cancellable(limits, &CancelToken::never())
     }
 
-    /// [`Self::model_set_key`] with a cooperative cancellation token.
+    /// [`Self::model_set_key`] with a cooperative cancellation token. The
+    /// key is built straight from the search's sorted, borrowed models,
+    /// cloning each atom once.
     pub fn model_set_key_cancellable(
         &self,
         limits: &StableModelLimits,
         cancel: &CancelToken,
     ) -> Result<ModelSetKey, CoreError> {
-        Ok(ModelSetKey::from_models(
-            &self.stable_models_cancellable(limits, cancel)?,
+        let models = self.model_atoms(limits, cancel)?;
+        Ok(ModelSetKey(
+            models
+                .into_iter()
+                .map(|model| model.into_iter().cloned().collect())
+                .collect(),
         ))
+    }
+
+    /// `sms(Σ ∪ G(Σ))` as sorted lists of borrowed atoms, searched in place:
+    /// the rules `G(Σ)` chained with each choice of `Σ` borrowed as
+    /// `result ← active`, with no [`Self::full_program`] copy.
+    fn model_atoms(
+        &self,
+        limits: &StableModelLimits,
+        cancel: &CancelToken,
+    ) -> Result<Vec<Vec<&GroundAtom>>, CoreError> {
+        let grounded = self.rules.iter().map(GroundRule::parts);
+        let chosen = self
+            .atr
+            .iter()
+            .map(|c| -> RuleParts<'_> { (&c.result, std::slice::from_ref(&c.active), &[]) });
+        Ok(stable_model_atoms(grounded.chain(chosen), limits, cancel)?)
     }
 
     /// The canonical, collision-free identity of the outcome's ground
     /// program `Σ ∪ G(Σ)` — the memoization key of
     /// [`crate::ModelSetCache`]. Outcomes with equal fingerprints denote the
-    /// same program and therefore the same [`ModelSetKey`].
+    /// same program and therefore the same [`ModelSetKey`]. Kept only for
+    /// the benchmark's traced decomposition; no solve path fingerprints.
     pub fn program_fingerprint(&self) -> crate::model_cache::ProgramFingerprint {
         crate::model_cache::ProgramFingerprint::new(
             self.atr.canonical(),
@@ -348,6 +373,51 @@ mod tests {
     fn display_is_readable() {
         let k = ModelSetKey::from_models(&[db(&[atom("A", &[1])])]);
         assert_eq!(k.to_string(), "{{A(1)}}");
+    }
+
+    #[test]
+    fn in_place_key_matches_the_full_program_key() {
+        use crate::grounding::AtrRule;
+        use gdlog_engine::{stable_models, StableError};
+        // G(Σ) is an Aux1/Aux2 even loop over Coin(1), which only the choice
+        // Toss → Coin(1) derives.
+        let (toss, coin) = (atom("Toss", &[]), atom("Coin", &[1]));
+        let (aux1, aux2) = (atom("Aux1", &[]), atom("Aux2", &[]));
+        let mut atr = AtrSet::new();
+        atr.insert(AtrRule {
+            active: toss.clone(),
+            outcome: Const::Int(1),
+            result: coin.clone(),
+        })
+        .unwrap();
+        let rules = GroundRuleSet::from_rules(vec![
+            GroundRule::fact(toss),
+            GroundRule::new(aux1.clone(), vec![coin.clone()], vec![aux2.clone()]),
+            GroundRule::new(aux2, vec![coin.clone()], vec![aux1]),
+        ]);
+        let outcome = PossibleOutcome::new(atr, rules, Prob::ONE);
+        let limits = StableModelLimits::default();
+        let key = outcome.model_set_key(&limits).unwrap();
+        let full = stable_models(&outcome.full_program(), &limits).unwrap();
+        assert_eq!(key, ModelSetKey::from_models(&full));
+        assert_eq!(outcome.stable_models(&limits).unwrap(), full);
+        assert_eq!(key.model_count(), 2);
+        assert!(key.cautious(&coin));
+
+        let tight = StableModelLimits {
+            max_models: 1,
+            ..limits
+        };
+        assert_eq!(
+            outcome.model_set_key(&tight),
+            Err(CoreError::Stable(StableError::TooManyModels { limit: 1 }))
+        );
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        assert!(matches!(
+            outcome.model_set_key_cancellable(&limits, &cancel),
+            Err(CoreError::Interrupted(_))
+        ));
     }
 
     #[test]

@@ -21,7 +21,6 @@ use crate::factor::{
 };
 use crate::grounding::Grounder;
 use crate::mc::MonteCarlo;
-use crate::model_cache::{ModelCacheStats, ModelSetCache};
 use crate::perfect_grounder::PerfectGrounder;
 use crate::program::Program;
 use crate::semantics::OutputSpace;
@@ -104,11 +103,6 @@ pub struct Pipeline {
     /// Shared so a resident [`crate::api::Solver`] can run many pipelines
     /// (one per solve configuration) on one pool.
     executor: Arc<Executor>,
-    /// Memo table for `sms(Σ ∪ G(Σ))` across outcomes and across repeated
-    /// [`Pipeline::solve`] calls, keyed by the outcomes' canonical program
-    /// fingerprints (hits can never change a result — equal fingerprints
-    /// mean equal programs).
-    stable_cache: ModelSetCache,
     /// Cooperative cancellation token observed at every chase node, every
     /// grounding saturation round, every stable-model branch decision and
     /// every Monte-Carlo walk boundary. Defaults to a token that never fires.
@@ -164,7 +158,6 @@ impl Pipeline {
             // matrix built on it) can parallelize every pipeline consumer
             // without touching call sites.
             executor: Arc::new(Executor::from_env()),
-            stable_cache: ModelSetCache::new(),
             cancel: CancelToken::never(),
         })
     }
@@ -248,35 +241,17 @@ impl Pipeline {
 
     /// Run the full pipeline: chase, stable models, output space.
     ///
-    /// The stable-model back-end fans one task per distinct outcome program
-    /// out to the pipeline's executor and memoizes solved programs in the
-    /// pipeline's cache (so repeated solves, and outcome families inducing
-    /// the same ground program, solve once). Results are bit-identical at
-    /// every thread count and with a warm or cold cache.
+    /// The stable-model back-end fans one task per outcome out to the
+    /// pipeline's executor, each searching its outcome's rules in place.
+    /// Nothing is memoized: two leaves of one chase always differ in their
+    /// choices, so no two outcomes share a program. Results are
+    /// bit-identical at every thread count.
     pub fn solve(&self) -> Result<OutputSpace, CoreError> {
         self.space_from_chase(self.chase()?)
     }
 
     fn space_from_chase(&self, chase: ChaseResult) -> Result<OutputSpace, CoreError> {
-        OutputSpace::from_chase_cancellable(
-            chase,
-            &self.limits,
-            &self.executor,
-            Some(&self.stable_cache),
-            &self.cancel,
-        )
-    }
-
-    /// Hit/miss counters of the stable-model memo table, accumulated over
-    /// every [`Pipeline::solve`] call on this pipeline.
-    pub fn stable_cache_stats(&self) -> ModelCacheStats {
-        self.stable_cache.stats()
-    }
-
-    /// The stable-model memo table itself (shared across flat and factored
-    /// solves on this pipeline).
-    pub fn stable_cache(&self) -> &ModelSetCache {
-        &self.stable_cache
+        OutputSpace::from_chase_cancellable(chase, &self.limits, &self.executor, &self.cancel)
     }
 
     /// The chase-independence analysis for this pipeline's program and
@@ -327,7 +302,7 @@ impl Pipeline {
     /// stratum-cursor saturation intentionally stalls at the stratum of an
     /// undefined trigger, and in a component chase every *other* component's
     /// `Active` atoms stay undefined forever by design. Stable-model solving
-    /// per factor reuses the pipeline's executor, limits and memo table.
+    /// per factor reuses the pipeline's executor and limits.
     pub fn solve_with(
         &self,
         strategy: SolveStrategy,
@@ -471,18 +446,10 @@ mod tests {
     }
 
     #[test]
-    fn solve_memoizes_across_calls_and_thread_counts() {
+    fn repeated_and_parallel_solves_are_bit_identical() {
         let pipeline = Pipeline::new(&network_resilience_program(0.1), &network_db()).unwrap();
         let first = pipeline.solve().unwrap();
-        let after_first = pipeline.stable_cache_stats();
-        assert!(after_first.misses > 0);
         let second = pipeline.solve().unwrap();
-        let after_second = pipeline.stable_cache_stats();
-        assert_eq!(
-            after_second.misses, after_first.misses,
-            "a repeated solve must be served entirely from the memo table"
-        );
-        assert!(after_second.hits > after_first.hits);
         assert_eq!(first.events_by_mass(), second.events_by_mass());
 
         // A parallel pipeline produces a bit-identical output space.

@@ -37,36 +37,52 @@ pub struct OutputSpace {
 
 impl OutputSpace {
     /// Build the output space from a chase enumeration by computing the
-    /// stable models of every explored outcome (sequentially, with no
-    /// memoization; see [`OutputSpace::from_chase_with`] for the parallel,
-    /// cached entry point used by [`crate::Pipeline::solve`]).
+    /// stable models of every explored outcome (sequentially; see
+    /// [`OutputSpace::from_chase_cancellable`] for the parallel entry point
+    /// used by [`crate::Pipeline::solve`]).
     pub fn from_chase(result: &ChaseResult, limits: &StableModelLimits) -> Result<Self, CoreError> {
         Self::from_chase_with(result.clone(), limits, &Executor::sequential(), None)
     }
 
     /// Build the output space from an owned chase enumeration, fanning the
-    /// per-outcome stable-model searches out to `executor` and memoizing
-    /// them in `cache`.
+    /// per-outcome stable-model searches out to `executor`.
     ///
-    /// Outcomes are first keyed by their [`ProgramFingerprint`] in outcome
-    /// order — outcomes inducing the same ground program (and entries of a
-    /// warm cache) are solved **once** — then the distinct programs are
-    /// dispatched one task each, and the results are merged back in outcome
-    /// order. Every field of the result, including [`OutputSpace::events_by_mass`]
-    /// and the first error surfaced, is **bit-identical across executors**:
-    /// the merge order, the partition aggregation and the deterministic
-    /// hit/miss accounting never depend on task scheduling.
+    /// With `None` this is [`OutputSpace::from_chase_cancellable`] under a
+    /// token that never fires. With `Some(cache)` the outcomes are first
+    /// keyed by their [`ProgramFingerprint`] — outcomes inducing the same
+    /// ground program, and entries of a warm cache, are solved once — and
+    /// the cache counts one hit or miss per outcome. No product path passes
+    /// a cache: two leaves of one chase always differ in their choices, so
+    /// their programs differ too. The memo arm is kept only for the
+    /// benchmark's traced decomposition, which reports its counters.
+    ///
+    /// Every field of the result is bit-identical across executors and with
+    /// or without a cache.
     pub fn from_chase_with(
         result: ChaseResult,
         limits: &StableModelLimits,
         executor: &Executor,
         cache: Option<&ModelSetCache>,
     ) -> Result<Self, CoreError> {
-        Self::from_chase_cancellable(result, limits, executor, cache, &CancelToken::never())
+        match cache {
+            None => Self::from_chase_cancellable(result, limits, executor, &CancelToken::never()),
+            Some(cache) => {
+                let keys = memoized_keys(&result.outcomes, limits, executor, cache)?;
+                Ok(Self::from_keys(result, keys))
+            }
+        }
     }
 
-    /// [`OutputSpace::from_chase_with`] observing a cooperative cancellation
-    /// token in the per-outcome stable-model searches.
+    /// Build the output space from an owned chase enumeration, one
+    /// stable-model search per outcome fanned out to `executor`, observing a
+    /// cooperative cancellation token in every search.
+    ///
+    /// Each outcome is its own task: its key is searched in place
+    /// ([`PossibleOutcome::model_set_key_cancellable`]) and moves into the
+    /// listing in chase order. Every field of the result, including
+    /// [`OutputSpace::events_by_mass`] and the first error surfaced, is
+    /// **bit-identical across executors**: the merge order and the partition
+    /// aggregation never depend on task scheduling.
     ///
     /// Two regimes:
     ///
@@ -84,9 +100,27 @@ impl OutputSpace {
         result: ChaseResult,
         limits: &StableModelLimits,
         executor: &Executor,
-        cache: Option<&ModelSetCache>,
         cancel: &CancelToken,
     ) -> Result<Self, CoreError> {
+        let cancel = if result.interrupted {
+            CancelToken::never()
+        } else {
+            cancel.clone()
+        };
+        // Errors surface in outcome order.
+        let keys = executor
+            .map(&result.outcomes, |outcome| {
+                outcome.model_set_key_cancellable(limits, &cancel)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self::from_keys(result, keys))
+    }
+
+    /// Deterministic merge: outcomes and their keys move (never clone) into
+    /// the keyed listing in chase order; each event's mass aggregates in that
+    /// same order, and the event list clones each distinct key once.
+    fn from_keys(result: ChaseResult, keys: Vec<ModelSetKey>) -> Self {
         let ChaseResult {
             outcomes,
             residual_mass,
@@ -94,82 +128,7 @@ impl OutputSpace {
             interrupted,
             nodes_visited,
         } = result;
-        let cancel = if interrupted {
-            CancelToken::never()
-        } else {
-            cancel.clone()
-        };
-
-        // Sequential keying pass: map every outcome to either an
-        // already-known key or a slot in the distinct-program work list.
-        // Fingerprints are only worth computing when a cache is in play —
-        // without one, every outcome is simply its own task.
-        enum Slot {
-            Ready(ModelSetKey),
-            Solved(usize),
-        }
-        let mut fingerprints: Vec<ProgramFingerprint> = Vec::new();
-        let mut slots: Vec<Slot> = Vec::with_capacity(outcomes.len());
-        let mut work: Vec<usize> = Vec::new(); // outcome index per distinct program
-        if let Some(cache) = cache {
-            fingerprints = outcomes
-                .iter()
-                .map(PossibleOutcome::program_fingerprint)
-                .collect();
-            let (mut hits, mut misses) = (0usize, 0usize);
-            let mut first_of: HashMap<&ProgramFingerprint, usize> = HashMap::new();
-            for (i, fp) in fingerprints.iter().enumerate() {
-                if let Some(key) = cache.peek(fp) {
-                    hits += 1;
-                    slots.push(Slot::Ready(key));
-                } else if let Some(&slot) = first_of.get(fp) {
-                    hits += 1;
-                    slots.push(Slot::Solved(slot));
-                } else {
-                    misses += 1;
-                    first_of.insert(fp, work.len());
-                    slots.push(Slot::Solved(work.len()));
-                    work.push(i);
-                }
-            }
-            drop(first_of);
-            cache.record(hits, misses);
-        } else {
-            work.extend(0..outcomes.len());
-            slots.extend((0..outcomes.len()).map(Slot::Solved));
-        }
-
-        // Solve each distinct program — one task per program on a parallel
-        // executor; inline otherwise. Errors surface in work-list order.
-        let keys = executor.map(&work, |&i| {
-            outcomes[i].model_set_key_cancellable(limits, &cancel)
-        });
-        let mut solved: Vec<ModelSetKey> = Vec::with_capacity(work.len());
-        for (&i, key) in work.iter().zip(keys) {
-            let key = key?;
-            if let Some(cache) = cache {
-                cache.insert(std::mem::take(&mut fingerprints[i]), key.clone());
-            }
-            solved.push(key);
-        }
-
-        // Deterministic merge: outcomes move (never clone) into the keyed
-        // listing in chase order; each event's mass aggregates in that same
-        // order, and the listing clones each distinct key once.
-        let keyed: Vec<(PossibleOutcome, ModelSetKey)> = outcomes
-            .into_iter()
-            .zip(slots)
-            .map(|(outcome, slot)| {
-                let key = match slot {
-                    Slot::Ready(key) => key,
-                    Slot::Solved(idx) => solved[idx].clone(),
-                };
-                (outcome, key)
-            })
-            .collect();
-        // Every key now lives in `keyed`: free the solved copies before the
-        // listing is built, so the two are never resident together.
-        drop(solved);
+        let keyed: Vec<(PossibleOutcome, ModelSetKey)> = outcomes.into_iter().zip(keys).collect();
         let mut masses: HashMap<&ModelSetKey, Prob> = HashMap::new();
         for (outcome, key) in &keyed {
             let mass = masses.entry(key).or_insert(Prob::ZERO);
@@ -180,14 +139,14 @@ impl OutputSpace {
             .map(|(key, mass)| (key.clone(), mass))
             .collect();
         events.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        Ok(OutputSpace {
+        OutputSpace {
             outcomes: keyed,
             events,
             residual: residual_mass,
             truncated,
             interrupted,
             nodes_visited,
-        })
+        }
     }
 
     /// The explored finite outcomes with their event keys.
@@ -300,6 +259,61 @@ impl OutputSpace {
                 ))),
         )
     }
+}
+
+/// One key per outcome through `cache`: outcomes are keyed by their
+/// [`ProgramFingerprint`] in outcome order, each distinct uncached program is
+/// solved once (one task per program), and the hits and misses are counted
+/// in that sequential pass, so they do not depend on the executor.
+fn memoized_keys(
+    outcomes: &[PossibleOutcome],
+    limits: &StableModelLimits,
+    executor: &Executor,
+    cache: &ModelSetCache,
+) -> Result<Vec<ModelSetKey>, CoreError> {
+    enum Slot {
+        Ready(ModelSetKey),
+        Solved(usize),
+    }
+    let mut fingerprints: Vec<ProgramFingerprint> = outcomes
+        .iter()
+        .map(PossibleOutcome::program_fingerprint)
+        .collect();
+    let mut slots: Vec<Slot> = Vec::with_capacity(outcomes.len());
+    let mut work: Vec<usize> = Vec::new(); // outcome index per distinct program
+    let (mut hits, mut misses) = (0usize, 0usize);
+    let mut first_of: HashMap<&ProgramFingerprint, usize> = HashMap::new();
+    for (i, fp) in fingerprints.iter().enumerate() {
+        if let Some(key) = cache.peek(fp) {
+            hits += 1;
+            slots.push(Slot::Ready(key));
+        } else if let Some(&slot) = first_of.get(fp) {
+            hits += 1;
+            slots.push(Slot::Solved(slot));
+        } else {
+            misses += 1;
+            first_of.insert(fp, work.len());
+            slots.push(Slot::Solved(work.len()));
+            work.push(i);
+        }
+    }
+    drop(first_of);
+    cache.record(hits, misses);
+
+    let keys = executor.map(&work, |&i| outcomes[i].model_set_key(limits));
+    let mut solved: Vec<ModelSetKey> = Vec::with_capacity(work.len());
+    for (&i, key) in work.iter().zip(keys) {
+        let key = key?;
+        cache.insert(std::mem::take(&mut fingerprints[i]), key.clone());
+        solved.push(key);
+    }
+    Ok(slots
+        .into_iter()
+        .map(|slot| match slot {
+            Slot::Ready(key) => key,
+            Slot::Solved(idx) => solved[idx].clone(),
+        })
+        .collect())
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! `B⁻` are sets of ground atoms and `H` is a ground atom. Facts are rules
 //! with an empty body (`→ α`, as in the paper's `Σ[D] = {True → α | α ∈ D}`).
 
+use crate::stable::RuleParts;
 use gdlog_data::{Database, GroundAtom, Predicate};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -65,6 +66,12 @@ impl GroundRule {
     /// Is the rule (classically) satisfied by `interpretation`?
     pub fn satisfied(&self, interpretation: &Database) -> bool {
         !self.body_satisfied(interpretation) || interpretation.contains(&self.head)
+    }
+
+    /// The rule borrowed as `(head, pos, neg)`, the input of
+    /// [`crate::stable::stable_model_atoms`].
+    pub fn parts(&self) -> RuleParts<'_> {
+        (&self.head, &self.pos, &self.neg)
     }
 
     /// All atoms mentioned by the rule (head, positive and negative body).

@@ -10,9 +10,10 @@
 //!   (semi-naive fixpoint),
 //! * [`reduct()`](reduct::reduct) — the Gelfond–Lifschitz reduct of a ground program w.r.t. an
 //!   interpretation,
-//! * [`is_stable_model`] / [`stable_models`] — checking and enumerating the
-//!   stable models `sms(Σ)` (the classical models of `SM[Σ]`) with a
-//!   component-split, propagating branch-and-prune search,
+//! * [`is_stable_model`] / [`stable_model_atoms`] — checking and
+//!   enumerating the stable models `sms(Σ)` (the classical models of
+//!   `SM[Σ]`) with a component-split, propagating branch-and-prune search
+//!   over borrowed rules; [`stable_models`] wraps its models in databases,
 //! * [`naive_stable_models`] — the original exhaustive `2^k` enumerator,
 //!   retained as the equivalence oracle for the search above,
 //! * [`well_founded`] — the well-founded (alternating fixpoint) approximation
@@ -42,7 +43,8 @@ pub use least_model::least_model;
 pub use naive_stable::naive_stable_models;
 pub use reduct::reduct;
 pub use stable::{
-    is_stable_model, stable_models, stable_models_with_cancel, StableError, StableModelLimits,
+    is_stable_model, stable_model_atoms, stable_models, stable_models_with_cancel, RuleParts,
+    StableError, StableModelLimits,
 };
 pub use stratified::{stratified_model, StratifiedError};
 pub use wellfounded::{well_founded, WellFounded};

@@ -40,8 +40,12 @@
 //!    counters with O(1) push/pop backtracking); only the surviving leaves
 //!    pay for a least-model computation, on dense local indexes.
 //!
-//! The original exhaustive enumerator is retained verbatim as the equivalence
-//! oracle in [`crate::naive_stable`].
+//! The search reads borrowed [`RuleParts`] from any iterator and returns
+//! each model as a sorted list of borrowed atoms ([`stable_model_atoms`]), so
+//! a caller holding its rules in pieces builds no [`GroundProgram`] and no
+//! model [`Database`]. [`stable_models`] is the `Database`-level adapter over
+//! the same search. The original exhaustive enumerator is retained verbatim
+//! as the equivalence oracle in [`crate::naive_stable`].
 //!
 //! The search is exact; [`StableModelLimits`] only guards against
 //! pathological inputs (it returns an error instead of silently truncating).
@@ -52,7 +56,7 @@
 
 use crate::cancel::CancelToken;
 use crate::depgraph::sccs_of;
-use crate::ground::GroundProgram;
+use crate::ground::{GroundProgram, GroundRule};
 use crate::least_model::least_model;
 use crate::reduct::reduct;
 use gdlog_data::{Database, GroundAtom};
@@ -138,29 +142,58 @@ pub fn stable_models(
     stable_models_with_cancel(program, limits, &CancelToken::never())
 }
 
-/// [`stable_models`] with a cooperative [`CancelToken`]: the token is polled
-/// once per alternating round of the well-founded fixpoint, per branch
-/// decision, per component, and per cross-product step, so a cancellation
-/// request surfaces as [`StableError::Interrupted`] within one unit of search
-/// work. The enumeration stays exact-or-nothing — a cancelled
-/// search never returns a partial model set.
+/// [`stable_models`] with a cooperative [`CancelToken`]. A thin adapter over
+/// [`stable_model_atoms`] that wraps each model in a [`Database`]: it stays
+/// the `Database`-level reference the naive-parity tests compare against.
 pub fn stable_models_with_cancel(
     program: &GroundProgram,
     limits: &StableModelLimits,
     cancel: &CancelToken,
 ) -> Result<Vec<Database>, StableError> {
+    Ok(
+        stable_model_atoms(program.iter().map(GroundRule::parts), limits, cancel)?
+            .into_iter()
+            .map(|model| Database::from_atoms(model.into_iter().cloned()))
+            .collect(),
+    )
+}
+
+/// One ground rule `pos, ¬neg → head`, borrowed as `(head, pos, neg)`.
+pub type RuleParts<'p> = (&'p GroundAtom, &'p [GroundAtom], &'p [GroundAtom]);
+
+/// Enumerate the stable models of the ground program whose rules `rules`
+/// yields, without building a [`GroundProgram`] or any model [`Database`].
+///
+/// Each model is a sorted, duplicate-free list of atoms borrowed from the
+/// rules, and the list of models is itself sorted and duplicate-free. Rules
+/// may repeat; a repeated rule changes no stable model.
+///
+/// The token is polled once per alternating round of the well-founded
+/// fixpoint, per branch decision, per component, and per cross-product step,
+/// so a cancellation request surfaces as [`StableError::Interrupted`] within
+/// one unit of search work. The enumeration stays exact-or-nothing — a
+/// cancelled search never returns a partial model set.
+pub fn stable_model_atoms<'p, I>(
+    rules: I,
+    limits: &StableModelLimits,
+    cancel: &CancelToken,
+) -> Result<Vec<Vec<&'p GroundAtom>>, StableError>
+where
+    I: IntoIterator<Item = RuleParts<'p>>,
+{
     if cancel.is_cancelled() {
         return Err(StableError::Interrupted);
     }
-    let dense = DenseProgram::new(program);
+    let dense = DenseProgram::new(rules);
     let value = dense.well_founded(cancel)?;
 
     // Fast path: a total well-founded model is the unique stable model
     // (provided it actually is one — odd loops can make it non-stable, but a
     // total WFM is always stable).
     if !value.contains(&Val::Unknown) {
-        let model = dense.atoms_with(&value, Val::True);
-        return Ok(vec![Database::from_atoms(model.into_iter().cloned())]);
+        let mut model = dense.atoms_with(&value, Val::True);
+        model.sort_unstable();
+        return Ok(vec![model]);
     }
 
     let residual = Residual::build(&dense, &value);
@@ -227,10 +260,7 @@ pub fn stable_models_with_cancel(
         let mut ci = 0;
         loop {
             if ci == pick.len() {
-                return Ok(out
-                    .into_iter()
-                    .map(|m| Database::from_atoms(m.into_iter().cloned()))
-                    .collect());
+                return Ok(out.into_iter().collect());
             }
             pick[ci] += 1;
             if pick[ci] < solved[ci].len() {
@@ -262,7 +292,7 @@ struct DenseProgram<'p> {
 }
 
 impl<'p> DenseProgram<'p> {
-    fn new(program: &'p GroundProgram) -> Self {
+    fn new<I: IntoIterator<Item = RuleParts<'p>>>(program: I) -> Self {
         let mut atoms: Vec<&GroundAtom> = Vec::new();
         let mut id_of: HashMap<&GroundAtom, u32> = HashMap::new();
         let mut intern = |a: &'p GroundAtom| -> u32 {
@@ -271,11 +301,12 @@ impl<'p> DenseProgram<'p> {
                 atoms.len() as u32 - 1
             })
         };
-        let mut rules = Vec::with_capacity(program.len());
-        for rule in program.iter() {
-            let head = intern(&rule.head);
-            let mut pos: Vec<u32> = rule.pos.iter().map(&mut intern).collect();
-            let mut neg: Vec<u32> = rule.neg.iter().map(&mut intern).collect();
+        let program = program.into_iter();
+        let mut rules = Vec::with_capacity(program.size_hint().0);
+        for (head, pos, neg) in program {
+            let head = intern(head);
+            let mut pos: Vec<u32> = pos.iter().map(&mut intern).collect();
+            let mut neg: Vec<u32> = neg.iter().map(&mut intern).collect();
             pos.sort_unstable();
             pos.dedup();
             neg.sort_unstable();
@@ -927,7 +958,6 @@ impl UnionFind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ground::GroundRule;
     use crate::naive_stable::naive_stable_models;
     use crate::wellfounded::{well_founded, WellFounded};
     use gdlog_data::Const;
@@ -1235,7 +1265,7 @@ mod tests {
 
     /// The dense kernel's true / unknown / false split as a [`WellFounded`].
     fn dense_well_founded(p: &GroundProgram) -> WellFounded {
-        let dense = DenseProgram::new(p);
+        let dense = DenseProgram::new(p.iter().map(GroundRule::parts));
         let value = dense.well_founded(&CancelToken::never()).unwrap();
         let set = |val| Database::from_atoms(dense.atoms_with(&value, val).into_iter().cloned());
         WellFounded {

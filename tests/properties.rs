@@ -9,9 +9,10 @@
 
 use gdlog::core::{
     coin_program, dime_quarter_program, enumerate_outcomes, enumerate_outcomes_with,
-    network_resilience_program, AtrRule, AtrSet, ChaseBudget, Executor, Grounder, ModelSetCache,
-    ModelSetKey, MonteCarlo, NaivePerfectGrounder, NaiveSimpleGrounder, OutputSpace,
-    PerfectGrounder, Pipeline, SigmaPi, SimpleGrounder, StaticComponents, TriggerOrder,
+    network_resilience_program, AtrRule, AtrSet, CancelToken, ChaseBudget, CoreError, Executor,
+    Grounder, ModelSetCache, ModelSetKey, MonteCarlo, NaivePerfectGrounder, NaiveSimpleGrounder,
+    OutputSpace, PerfectGrounder, Pipeline, PossibleOutcome, SigmaPi, SimpleGrounder,
+    StaticComponents, TriggerOrder,
 };
 use gdlog::prelude::*;
 use gdlog_engine::{
@@ -21,6 +22,8 @@ use gdlog_engine::{
 use gdlog_prob::Rational;
 use proptest::prelude::*;
 use std::sync::Arc;
+
+mod common;
 
 fn rational() -> impl Strategy<Value = Rational> {
     (-1000i128..1000, 1i128..1000).prop_map(|(n, d)| Rational::new(n, d).unwrap())
@@ -616,6 +619,140 @@ proptest! {
     }
 }
 
+/// Check one outcome's in-place event key against the `Database`-level
+/// reference: under each of `limits` it must equal the key of
+/// `stable_models(&outcome.full_program())`, or fail with the same error, and
+/// a pre-cancelled token must interrupt it. Where the key is found and the
+/// naive oracle stays within `naive_limits`, the oracle's key must match too.
+/// Returns how many keys the naive oracle confirmed.
+fn check_in_place_key(
+    outcome: &PossibleOutcome,
+    limits: &[StableModelLimits],
+    naive_limits: &StableModelLimits,
+    label: &str,
+) -> usize {
+    let full = outcome.full_program();
+    let mut confirmed = 0;
+    for limit in limits {
+        let in_place = outcome.model_set_key(limit);
+        let reference = stable_models(&full, limit)
+            .map(|models| ModelSetKey::from_models(&models))
+            .map_err(CoreError::from);
+        assert_eq!(in_place, reference, "{label}: in-place key under {limit:?}");
+        if let (Ok(key), Ok(naive)) = (&in_place, naive_stable_models(&full, naive_limits)) {
+            assert_eq!(
+                key,
+                &ModelSetKey::from_models(&naive),
+                "{label}: naive oracle"
+            );
+            confirmed += 1;
+        }
+    }
+    let cancelled = CancelToken::new();
+    cancelled.cancel();
+    assert!(
+        matches!(
+            outcome.model_set_key_cancellable(&limits[0], &cancelled),
+            Err(CoreError::Interrupted(_))
+        ),
+        "{label}: a pre-cancelled search must be interrupted"
+    );
+    confirmed
+}
+
+/// An outcome around a looped ground program: up to three choices whose
+/// `Result` atoms are atoms the rules read, each with its `Active` atom
+/// sometimes derived by a fact.
+fn looped_outcome() -> impl Strategy<Value = PossibleOutcome> {
+    let choices = prop::collection::vec((0usize..6, any::<bool>()), 0..4);
+    (looped_ground_program(), choices).prop_map(|(mut rules, choices)| {
+        let names = ["A", "B", "C", "D", "E", "F"];
+        let mut atr = AtrSet::new();
+        for (i, (n, fired)) in choices.into_iter().enumerate() {
+            let active = GroundAtom::make("Active", vec![Const::Int(i as i64)]);
+            if fired {
+                rules.push(GroundRule::fact(active.clone()));
+            }
+            let result = GroundAtom::make(names[n], vec![]);
+            atr.insert(AtrRule {
+                active,
+                outcome: Const::Int(n as i64),
+                result,
+            })
+            .unwrap();
+        }
+        PossibleOutcome::new(atr, rules, Prob::ONE)
+    })
+}
+
+/// Wide limits, a tight model cap and a tight per-component branch limit:
+/// the in-place key must succeed or fail exactly as the reference does.
+const KEY_LIMITS: [StableModelLimits; 3] = [
+    StableModelLimits {
+        max_branch_atoms: 64,
+        max_models: 100_000,
+    },
+    StableModelLimits {
+        max_branch_atoms: 64,
+        max_models: 1,
+    },
+    StableModelLimits {
+        max_branch_atoms: 1,
+        max_models: 100_000,
+    },
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The event key searched over an outcome's rules in place equals the
+    /// key of its full program's stable models, error for error, on
+    /// programs with even and odd loops, Fail/Aux constraints and choices.
+    #[test]
+    fn in_place_key_equals_full_program_key(outcome in looped_outcome()) {
+        check_in_place_key(&outcome, &KEY_LIMITS, &KEY_LIMITS[0], "looped outcome");
+    }
+}
+
+/// The same parity on every chase outcome of the scenario corpus, solved as
+/// each scenario's own flags ask (per factor on factored scenarios): the
+/// in-place key also equals the key the solved space recorded.
+#[test]
+fn in_place_key_equals_full_program_key_on_the_scenario_corpus() {
+    let (mut outcomes, mut confirmed) = (0, 0);
+    for (name, path) in common::scenario_files() {
+        let source = std::fs::read_to_string(&path).unwrap();
+        let (flags, _) = gdlog_server::parse_query_flags(&common::directive_args(&source)).unwrap();
+        let request = flags.to_request().unwrap();
+        let (program, db) = gdlog_parser::parse_program(&source).unwrap();
+        let pipeline = Pipeline::with_grounder(&program, &db, request.grounder)
+            .unwrap()
+            .budget(request.budget)
+            .trigger_order(request.order)
+            .stable_limits(request.limits);
+        let (space, _) = pipeline.solve_with(request.strategy).unwrap();
+        let limits = [request.limits, KEY_LIMITS[1], KEY_LIMITS[2]];
+        for factor in space.factors() {
+            for (outcome, key) in factor.space.outcomes() {
+                assert_eq!(
+                    &outcome.model_set_key(&request.limits).unwrap(),
+                    key,
+                    "{name}: recorded key"
+                );
+                confirmed += check_in_place_key(outcome, &limits, &request.limits, &name);
+                outcomes += 1;
+            }
+        }
+    }
+    // 99 outcomes across the eleven scenarios; the naive oracle stays
+    // within each scenario's limits on most of them.
+    assert!(outcomes >= 90, "only {outcomes} scenario outcomes checked");
+    assert!(
+        confirmed > 2 * outcomes,
+        "naive oracle confirmed only {confirmed} keys"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Surface-syntax round-trip: pretty-printing a random program and database
 // and re-parsing the text reproduces the originals exactly. This is the
@@ -851,8 +988,8 @@ proptest! {
     /// residual mass, outcome/event counts, per-event masses, per-atom brave
     /// and cautious probabilities, cross-island conjunctions and the full
     /// event listing (tie-normalized) — at every thread count of the sweep,
-    /// cold and with a warm memo cache (the warm re-solve must add no
-    /// misses). With two or more islands the analysis must actually factor.
+    /// on a first solve and on a repeated one. With two or more islands the
+    /// analysis must actually factor.
     #[test]
     fn factored_solve_equals_flat_on_planted_islands(
         islands in prop::collection::vec((any::<u8>(), 1u32..=9), 1..4),
@@ -866,7 +1003,7 @@ proptest! {
         let (program, db) = gdlog_parser::parse_program(&text)
             .map_err(|e| TestCaseError::fail(format!("planted program failed to parse: {e}\n{text}")))?;
 
-        // The flat oracle, solved once WITHOUT any memo cache.
+        // The flat oracle, solved once, sequentially.
         let oracle = Pipeline::new(&program, &db).unwrap();
         let chase = oracle.chase().unwrap();
         let flat = OutputSpace::from_chase(&chase, &StableModelLimits::default()).unwrap();
@@ -888,15 +1025,7 @@ proptest! {
         for threads in THREAD_SWEEP {
             let pipeline = Pipeline::new(&program, &db).unwrap().threads(threads);
             let cold = pipeline.solve_factored().unwrap();
-            let stats_after_cold = pipeline.stable_cache_stats();
             let warm = pipeline.solve_factored().unwrap();
-            // Everything the warm run solves was memoized by the cold run.
-            prop_assert_eq!(
-                pipeline.stable_cache_stats().misses,
-                stats_after_cold.misses,
-                "warm factored re-solve missed the memo cache at {} threads",
-                threads
-            );
 
             if islands.len() >= 2 {
                 prop_assert!(cold.factor_count() > 1, "{} islands did not factor", islands.len());
