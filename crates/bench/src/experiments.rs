@@ -2,7 +2,7 @@
 //!
 //! Each experiment reproduces a quantitative claim of the paper (a worked
 //! example or a finitely-checkable theorem) and reports paper-vs-measured
-//! rows. Performance is measured by the `bench_*` trackers and by
+//! rows. Performance is measured by the [`crate::suites`] trackers and by
 //! `perfbench`, not here.
 
 use crate::report::{Report, Row};
@@ -59,11 +59,6 @@ pub fn run_experiment(id: &str) -> ExperimentOutcome {
         id: id.to_owned(),
         report,
     }
-}
-
-/// Run every experiment.
-pub fn run_all() -> Vec<ExperimentOutcome> {
-    EXPERIMENT_IDS.iter().map(|id| run_experiment(id)).collect()
 }
 
 fn fmt_prob(p: &Prob) -> String {

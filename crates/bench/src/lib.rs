@@ -10,14 +10,17 @@
 //!   random stratified programs),
 //! * [`experiments`] — the per-claim experiment runners (`e1`–`e10`) that
 //!   print a paper-vs-measured report,
-//! * the `bench_*` perf trackers under `src/bin/`.
+//! * [`suites`] — the perf trackers that the one `bench` binary runs
+//!   through the shared [`harness`], each writing `BENCH_<suite>.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod harness;
 pub mod report;
+pub mod suites;
 pub mod workloads;
 
-pub use experiments::{run_all, run_experiment, ExperimentOutcome};
-pub use report::{fnv1a_fingerprint, Report, Row};
+pub use experiments::{run_experiment, ExperimentOutcome};
+pub use report::{Report, Row};

@@ -1,14 +1,6 @@
-//! Textual reports for the experiment runner, and the fingerprint scheme
-//! shared by the bench binaries.
+//! Textual reports for the experiment runner.
 
 use std::fmt;
-
-// The deterministic fingerprint scheme of the bench binaries (`bench_chase`
-// over outcome listings, `bench_stable` over event listings) — canonically
-// defined in `gdlog_core::fingerprint` since PR 6, where the CLI and the
-// scenario-corpus goldens share it. Re-exported here so the bench binaries
-// (and CI's thread-determinism diff) keep their historical import path.
-pub use gdlog_core::fingerprint::fnv1a_fingerprint;
 
 /// One row of a paper-vs-measured report.
 #[derive(Clone, Debug)]

@@ -1,6 +1,6 @@
-//! Flat vs. factored output-space benchmark with a JSON summary: the chase
-//! independence analysis + per-component product space against the flat
-//! single-chase enumerator.
+//! `bench factor`: flat vs. factored output spaces — the chase independence
+//! analysis + per-component product space against the flat single-chase
+//! enumerator.
 //!
 //! The factored pipeline (`Pipeline::solve_factored`) partitions the ground
 //! program into chase-independent components, chases each one separately and
@@ -27,16 +27,16 @@
 //! Workload scales live in one table, `workloads::factor_workload_suite`,
 //! so the CI smoke scale and the full measurement scale cannot drift.
 //!
-//! Usage: `bench_factor [--full] [--threads N] [--out PATH]
-//! [--gate-factored]` (defaults: small scale, `GDLOG_THREADS` or 4 threads,
-//! `BENCH_factor.json` in the current directory). With `--gate-factored`
-//! the run exits non-zero unless at least two flat-feasible workloads reach
-//! the scale's speedup floor — 2× at smoke scale, 10× at full scale.
+//! Floor: at least two flat-feasible workloads reach the scale's speedup
+//! threshold — 10× at full scale, 2× at smoke scale, where margins are
+//! tighter.
 
-use gdlog_bench::workloads::{factor_workload_suite, FactorWorkload};
-use gdlog_core::{ModelSetKey, Pipeline, THREADS_ENV};
+use crate::harness::{int, num, time_min_ms, two_reach, Config, Outcome};
+use crate::workloads::{factor_workload_suite, FactorWorkload};
+use gdlog_core::api::Json;
+use gdlog_core::fingerprint::fnv1a_fingerprint;
+use gdlog_core::{ModelSetKey, Pipeline};
 use gdlog_prob::Prob;
-use std::time::Instant;
 
 /// Events hashed into the fingerprint and compared flat-vs-factored.
 const PROBE_EVENTS: usize = 512;
@@ -64,22 +64,11 @@ impl Row {
     }
 }
 
-/// Minimum wall-clock over `reps` runs, in milliseconds.
-fn time_min_ms<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 /// Fingerprint of the mass-sorted top-event listing (shared FNV-1a scheme) —
 /// CI compares these across `GDLOG_THREADS` legs, and `measure` asserts the
 /// flat listing hashes to the same value wherever the flat path runs.
 fn fingerprint(events: &[(ModelSetKey, Prob)], combined_outcomes: u128) -> String {
-    gdlog_bench::fnv1a_fingerprint(
+    fnv1a_fingerprint(
         events
             .iter()
             .map(|(key, mass)| format!("{key}@{mass};"))
@@ -282,111 +271,89 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
     row
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let gate = args.iter().any(|a| a == "--gate-factored");
-    let out_path = args
+/// Run the suite.
+pub fn run(config: &Config) -> Outcome {
+    let rows: Vec<Row> = factor_workload_suite(config.full)
         .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_factor.json".to_owned());
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .or_else(|| {
-            std::env::var(THREADS_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        })
-        .unwrap_or(4);
-    let reps = 2;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let rows: Vec<Row> = factor_workload_suite(full)
-        .iter()
-        .map(|w| measure(w, reps, threads))
+        .map(|w| measure(w, 2, config.threads))
         .collect();
 
-    let best = rows
+    let (best, best_speedup) = rows
         .iter()
-        .filter(|r| r.speedup().is_some())
-        .max_by(|a, b| {
-            a.speedup()
-                .unwrap_or(0.0)
-                .total_cmp(&b.speedup().unwrap_or(0.0))
-        })
+        .filter_map(|r| Some((r, r.speedup()?)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
         .expect("the suite has flat-feasible workloads");
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"factorized_spaces\",\n");
-    json.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        if full { "full" } else { "small" }
-    ));
-    json.push_str(&format!(
-        "  \"threads\": {threads},\n  \"available_parallelism\": {cores},\n"
-    ));
-    json.push_str(&format!(
-        "  \"best_workload\": \"{}\",\n  \"best_speedup\": {:.3},\n",
-        best.name,
-        best.speedup().expect("best is flat-feasible"),
-    ));
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let flat_ms = match r.flat_ms {
-            Some(ms) => format!("{ms:.3}"),
-            None => "null".to_owned(),
-        };
-        let speedup = match r.speedup() {
-            Some(s) => format!("{s:.3}"),
-            None => "null".to_owned(),
-        };
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"factors\": {}, \"flat_feasible\": {}, \
-             \"combined_outcomes\": {}, \"stored_outcomes\": {}, \
-             \"outcomes_avoided\": {}, \"combined_events\": {}, \
-             \"fingerprint\": \"{}\", \
-             \"flat_ms\": {flat_ms}, \"factored_ms\": {:.3}, \"speedup\": {speedup}}}{}\n",
-            r.name,
-            r.factors,
-            r.flat_feasible,
-            r.combined_outcomes,
-            r.stored_outcomes,
-            r.outcomes_avoided(),
-            r.combined_events,
-            r.fingerprint,
-            r.factored_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let optional = |ms: Option<f64>| ms.map_or(Json::Null, num);
+    let fields = vec![
+        ("best_workload", Json::str(&best.name)),
+        ("best_speedup", num(best_speedup)),
+        (
+            "workloads",
+            Json::Arr(
+                rows.iter()
+                    .map(|r| {
+                        Json::obj([
+                            ("name", Json::str(&r.name)),
+                            ("factors", int(r.factors)),
+                            ("flat_feasible", Json::Bool(r.flat_feasible)),
+                            ("combined_outcomes", int(r.combined_outcomes)),
+                            ("stored_outcomes", int(r.stored_outcomes)),
+                            ("outcomes_avoided", int(r.outcomes_avoided())),
+                            ("combined_events", int(r.combined_events)),
+                            ("fingerprint", Json::str(&r.fingerprint)),
+                            ("flat_ms", optional(r.flat_ms)),
+                            ("factored_ms", num(r.factored_ms)),
+                            ("speedup", optional(r.speedup())),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ];
+    Outcome {
+        fields,
+        floor: floor(&rows, config.full),
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write summary");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+}
 
-    // Acceptance floor: with --gate-factored, at least two flat-feasible
-    // workloads must reach the scale's speedup threshold (10x at full
-    // measurement scale, 2x at CI-smoke scale, where margins are tighter).
+/// At least two flat-feasible workloads at the scale's speedup threshold:
+/// 10x at full scale, 2x at smoke scale.
+fn floor(rows: &[Row], full: bool) -> Result<(), String> {
     let threshold = if full { 10.0 } else { 2.0 };
-    let winners = rows
-        .iter()
-        .filter(|r| r.speedup().is_some_and(|s| s >= threshold))
-        .count();
-    let walls = rows.iter().filter(|r| !r.flat_feasible).count();
-    eprintln!(
-        "acceptance: {winners}/{} workloads at >= {threshold}x flat->factored speedup, \
-         {walls} past-the-wall workloads solved exactly (threads={threads}, cores={cores})",
-        rows.len()
-    );
-    if gate && winners < 2 {
-        eprintln!("FAIL: fewer than two workloads reached the {threshold}x factored floor");
-        std::process::exit(1);
+    two_reach(
+        rows.iter().filter_map(Row::speedup),
+        threshold,
+        "flat->factored speedup",
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(speedup: Option<f64>) -> Row {
+        Row {
+            name: String::new(),
+            factors: 2,
+            flat_feasible: speedup.is_some(),
+            combined_outcomes: 4,
+            stored_outcomes: 4,
+            combined_events: 4,
+            fingerprint: String::new(),
+            flat_ms: speedup,
+            factored_ms: 1.0,
+        }
+    }
+
+    #[test]
+    fn floor_needs_two_workloads_at_10x_full_or_2x_small() {
+        let full = [row(Some(10.0)), row(Some(10.0)), row(None)];
+        assert!(floor(&full, true).is_ok());
+        let short = [row(Some(10.0)), row(Some(9.999)), row(None)];
+        assert!(floor(&short, true).is_err());
+        assert!(floor(&short, false).is_ok());
+        let small = [row(Some(2.0)), row(Some(1.999)), row(None)];
+        assert!(floor(&small, false).is_err());
+        assert!(floor(&[row(Some(2.0)), row(Some(2.0))], false).is_ok());
     }
 }

@@ -1,6 +1,6 @@
-//! Warm-vs-cold benchmark of the resident server with a JSON summary.
+//! `bench serve`: warm vs. cold queries against the resident server.
 //!
-//! The tentpole claim of `gdlog serve` is that keeping compiled programs
+//! The premise of `gdlog serve` is that keeping compiled programs
 //! **warm** amortizes parse → validate → translate → ground → solve across
 //! queries: a cold query pays the whole pipeline, a warm query answers from
 //! the solver's solve-entry cache. This tracker measures exactly that, over
@@ -27,12 +27,12 @@
 //! correctness), and the recorded p50/p99 put a number on that latency
 //! cost in `BENCH_serve.json`.
 //!
-//! Usage: `bench_serve [--threads N] [--out PATH] [--gate-warm]`
-//! (defaults: `GDLOG_THREADS` or 1 thread, `BENCH_serve.json` in the
-//! current directory). With `--gate-warm` the run exits non-zero unless at
-//! least two workloads reach a 5× warm-over-cold throughput floor.
+//! Floor: at least two workloads reach a 5× warm-over-cold throughput
+//! (warm should buy orders of magnitude; 5× is robust to noisy CI
+//! runners).
 
-use gdlog_core::THREADS_ENV;
+use crate::harness::{elapsed_ms, int, num, percentile, two_reach, Config, Outcome};
+use gdlog_core::api::Json;
 use gdlog_server::{RetryPolicy, ServeClient, ServeConfig};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -72,34 +72,24 @@ fn qps(latencies_ms: &[f64]) -> Option<f64> {
     (total > 0.0).then(|| latencies_ms.len() as f64 / (total / 1e3))
 }
 
-/// The given percentile (0–100) of a latency sample, by nearest rank.
-fn percentile(latencies_ms: &[f64], p: f64) -> f64 {
-    let mut sorted = latencies_ms.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
-}
-
-fn scenario_dir() -> PathBuf {
+/// A corpus scenario's label, source and `%! args:` directives.
+fn scenario(name: &str) -> (String, String, Vec<String>) {
     // crates/bench/ -> repo root.
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
-}
-
-fn directive_args(source: &str) -> Vec<String> {
-    source
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("../../scenarios/{name}.gdl"));
+    let source = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let args = source
         .lines()
         .filter_map(|l| l.trim().strip_prefix("%!"))
         .filter_map(|rest| rest.trim().strip_prefix("args:"))
         .flat_map(|args| args.split_whitespace().map(str::to_owned))
-        .collect()
+        .collect();
+    (format!("scenarios/{name}.gdl"), source, args)
 }
 
 fn measure(client: &mut ServeClient, name: &str) -> Row {
-    let path = scenario_dir().join(format!("{name}.gdl"));
-    let source = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-    let label = format!("scenarios/{name}.gdl");
-    let args = directive_args(&source);
+    let (label, source, args) = scenario(name);
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
 
     // Cold path: drop every compiled program, recompile, solve.
@@ -110,7 +100,7 @@ fn measure(client: &mut ServeClient, name: &str) -> Row {
         let start = Instant::now();
         client.open(&label, &source).expect("OPEN");
         cold_response = client.query(&label, &argv).expect("cold QUERY");
-        cold_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        cold_ms.push(elapsed_ms(start));
     }
 
     // Warm path: the session stays open; prime once, then measure.
@@ -123,7 +113,7 @@ fn measure(client: &mut ServeClient, name: &str) -> Row {
     for _ in 0..WARM_ITERS {
         let start = Instant::now();
         let response = client.query(&label, &argv).expect("warm QUERY");
-        warm_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        warm_ms.push(elapsed_ms(start));
         debug_assert_eq!(response, cold_response);
     }
 
@@ -149,21 +139,16 @@ fn measure(client: &mut ServeClient, name: &str) -> Row {
 /// (taken from the healthy server) — the fault leg measures the latency
 /// cost of faults, never a correctness discount.
 fn measure_under_fault(
+    config: &ServeConfig,
     label: &str,
     source: &str,
     argv: &[&str],
     expected: &str,
-    threads: usize,
 ) -> Vec<f64> {
     // Chaos arms via the environment, read once at server startup; set it
     // only around this `start` so nothing else inherits it.
     std::env::set_var(netline::chaos::CHAOS_ENV, FAULT_SPEC);
-    let config = ServeConfig {
-        addr: "127.0.0.1:0".to_owned(),
-        threads: Some(threads),
-        ..ServeConfig::default()
-    };
-    let started = gdlog_server::start(&config);
+    let started = gdlog_server::start(config);
     std::env::remove_var(netline::chaos::CHAOS_ENV);
     let mut server = started.expect("bind chaos server");
 
@@ -189,7 +174,7 @@ fn measure_under_fault(
     for _ in 0..FAULT_ITERS {
         let start = Instant::now();
         let response = client.query(label, argv).expect("QUERY under fault");
-        fault_ms.push(start.elapsed().as_secs_f64() * 1e3);
+        fault_ms.push(elapsed_ms(start));
         assert_eq!(
             response, expected,
             "fault corruption leaked into a response"
@@ -200,33 +185,14 @@ fn measure_under_fault(
     fault_ms
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let gate = args.iter().any(|a| a == "--gate-warm");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_serve.json".to_owned());
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .or_else(|| {
-            std::env::var(THREADS_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        })
-        .unwrap_or(1);
-
-    let config = ServeConfig {
+/// Run the suite.
+pub fn run(config: &Config) -> Outcome {
+    let serve_config = ServeConfig {
         addr: "127.0.0.1:0".to_owned(),
-        threads: Some(threads),
+        threads: Some(config.threads),
         ..ServeConfig::default()
     };
-    let mut server = gdlog_server::start(&config).expect("bind ephemeral server");
+    let mut server = gdlog_server::start(&serve_config).expect("bind ephemeral server");
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     let rows: Vec<Row> = WORKLOADS.iter().map(|w| measure(&mut client, w)).collect();
@@ -234,17 +200,15 @@ fn main() {
     // Tail latency under injected transport faults, against the healthy
     // response as the byte-identity reference.
     let fault_ms = {
-        let path = scenario_dir().join(format!("{FAULT_WORKLOAD}.gdl"));
-        let source = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
-        let label = format!("scenarios/{FAULT_WORKLOAD}.gdl");
-        let args = directive_args(&source);
+        let (label, source, args) = scenario(FAULT_WORKLOAD);
         let argv: Vec<&str> = args.iter().map(String::as_str).collect();
         let expected = client
             .query(&label, &argv)
             .expect("healthy reference QUERY");
-        measure_under_fault(&label, &source, &argv, &expected, threads)
+        measure_under_fault(&serve_config, &label, &source, &argv, &expected)
     };
+    drop(client);
+    server.stop();
     eprintln!(
         "{FAULT_WORKLOAD} under {FAULT_SPEC}: warm p50 {:.3}ms, p99 {:.3}ms ({:.0} qps)",
         percentile(&fault_ms, 50.0),
@@ -252,59 +216,69 @@ fn main() {
         qps(&fault_ms).unwrap_or(0.0),
     );
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"resident_server\",\n");
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!(
-        "  \"cold_iters\": {COLD_ITERS},\n  \"warm_iters\": {WARM_ITERS},\n"
-    ));
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"args\": \"{}\", \
-             \"cold_ms_p50\": {:.3}, \"cold_ms_p99\": {:.3}, \"cold_qps\": {:.2}, \
-             \"warm_ms_p50\": {:.4}, \"warm_ms_p99\": {:.4}, \"warm_qps\": {:.2}, \
-             \"warm_over_cold\": {:.1}}}{}\n",
-            r.name,
-            r.args.join(" "),
-            percentile(&r.cold_ms, 50.0),
-            percentile(&r.cold_ms, 99.0),
-            qps(&r.cold_ms).unwrap_or(0.0),
-            percentile(&r.warm_ms, 50.0),
-            percentile(&r.warm_ms, 99.0),
-            qps(&r.warm_ms).unwrap_or(0.0),
-            r.warm_over_cold(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let workloads = rows
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("name", Json::str(&r.name)),
+                ("args", Json::str(r.args.join(" "))),
+                ("cold_ms_p50", num(percentile(&r.cold_ms, 50.0))),
+                ("cold_ms_p99", num(percentile(&r.cold_ms, 99.0))),
+                ("cold_qps", num(qps(&r.cold_ms).unwrap_or(0.0))),
+                ("warm_ms_p50", num(percentile(&r.warm_ms, 50.0))),
+                ("warm_ms_p99", num(percentile(&r.warm_ms, 99.0))),
+                ("warm_qps", num(qps(&r.warm_ms).unwrap_or(0.0))),
+                ("warm_over_cold", num(r.warm_over_cold())),
+            ])
+        })
+        .collect();
+    let fault_leg = Json::obj([
+        ("workload", Json::str(FAULT_WORKLOAD)),
+        ("chaos", Json::str(FAULT_SPEC)),
+        ("iters", int(FAULT_ITERS)),
+        ("warm_ms_p50", num(percentile(&fault_ms, 50.0))),
+        ("warm_ms_p99", num(percentile(&fault_ms, 99.0))),
+        ("warm_qps", num(qps(&fault_ms).unwrap_or(0.0))),
+    ]);
+    let fields = vec![
+        ("cold_iters", int(COLD_ITERS)),
+        ("warm_iters", int(WARM_ITERS)),
+        ("workloads", Json::Arr(workloads)),
+        ("fault_leg", fault_leg),
+    ];
+    Outcome {
+        fields,
+        floor: floor(&rows),
     }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"fault_leg\": {{\"workload\": \"{FAULT_WORKLOAD}\", \"chaos\": \"{FAULT_SPEC}\", \
-         \"iters\": {FAULT_ITERS}, \"warm_ms_p50\": {:.4}, \"warm_ms_p99\": {:.4}, \
-         \"warm_qps\": {:.2}}}\n",
-        percentile(&fault_ms, 50.0),
-        percentile(&fault_ms, 99.0),
-        qps(&fault_ms).unwrap_or(0.0),
-    ));
-    json.push_str("}\n");
-    drop(client);
-    server.stop();
+}
 
-    std::fs::write(&out_path, &json).expect("write summary");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+/// At least two workloads at a 5x warm-over-cold throughput.
+fn floor(rows: &[Row]) -> Result<(), String> {
+    two_reach(
+        rows.iter().map(Row::warm_over_cold),
+        5.0,
+        "warm-over-cold throughput",
+    )
+}
 
-    // Acceptance floor: warm must buy at least 5x throughput on at least
-    // two workloads (it should buy orders of magnitude; 5x is the gate the
-    // PR commits to, robust to noisy CI runners).
-    let winners = rows.iter().filter(|r| r.warm_over_cold() >= 5.0).count();
-    eprintln!(
-        "acceptance: {winners}/{} workloads at >= 5x warm-over-cold throughput",
-        rows.len()
-    );
-    if gate && winners < 2 {
-        eprintln!("FAIL: fewer than two workloads reached the 5x warm floor");
-        std::process::exit(1);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// One cold query of 1ms against warm queries of `1 / ratio` ms.
+    fn row(ratio: f64) -> Row {
+        Row {
+            name: String::new(),
+            args: Vec::new(),
+            cold_ms: vec![1.0],
+            warm_ms: vec![1.0 / ratio],
+        }
+    }
+
+    #[test]
+    fn floor_needs_two_workloads_at_5x() {
+        assert!(floor(&[row(5.0), row(5.0), row(1.0)]).is_ok());
+        assert!(floor(&[row(5.0), row(4.99), row(1.0)]).is_err());
+        assert!(floor(&[row(40.0), row(4.99), row(8.0)]).is_ok());
     }
 }

@@ -1,10 +1,9 @@
-//! Stable-model back-end benchmark with a JSON summary: the seed `2^k`
-//! enumerator vs. the component-split propagating search, plus the parallel
-//! `OutputSpace::from_chase` path.
+//! `bench stable`: the seed `2^k` enumerator vs. the component-split
+//! propagating search, plus the parallel `OutputSpace::from_chase` path.
 //!
-//! PR 5 rebuilt the back-end that turns explored chase outcomes into the
-//! paper's output probability space (Definition 3.8). This tracker measures
-//! every lever against the same outcome-space workloads:
+//! The stable-model back-end turns explored chase outcomes into the paper's
+//! output probability space (Definition 3.8). This tracker measures every
+//! lever against the same outcome-space workloads:
 //!
 //! * `naive_ms` — the seed back-end: for every outcome, enumerate
 //!   `sms(Σ ∪ G(Σ))` with the retained naive `2^k` sweep
@@ -19,26 +18,26 @@
 //! per-outcome event keys and the mass-sorted event listing are compared
 //! between naive, sequential SCC and parallel, and a
 //! `GDLOG_THREADS`-style sweep asserts `events_by_mass` is bit-identical at
-//! 1, 2 and 8 threads. The JSON carries an event-listing fingerprint so CI
-//! can diff runs across its thread matrix.
+//! 1, 2 and 8 threads. The JSON carries the space's
+//! [`OutputSpace::fingerprint`] so CI can diff runs across its thread
+//! matrix.
 //!
 //! Workload scales live in one table, `workloads::stable_workload_suite`, so
 //! the CI smoke scale and the full measurement scale cannot drift.
 //!
-//! Usage: `bench_stable [--full] [--threads N] [--out PATH]` (defaults:
-//! small scale, `GDLOG_THREADS` or 4 threads for the parallel column,
-//! `BENCH_stable.json` in the current directory). At full scale the run
-//! exits non-zero unless at least two workloads reach a 2× naive→SCC
-//! speedup — the PR's acceptance floor.
+//! Floor: at full scale, at least two workloads reach a 2× naive→SCC
+//! speedup. The small (CI smoke) scale is not gated — its margins sit
+//! inside scheduler noise on shared runners.
 
-use gdlog_bench::workloads::stable_workload_suite;
+use crate::harness::{int, num, time_min_ms, two_reach, Config, Outcome};
+use crate::workloads::stable_workload_suite;
+use gdlog_core::api::Json;
 use gdlog_core::{
-    enumerate_outcomes, ChaseBudget, ChaseResult, Executor, ModelSetKey, OutputSpace, TriggerOrder,
-    THREADS_ENV,
+    enumerate_outcomes, ChaseBudget, ChaseResult, Executor, Grounder, ModelSetKey, OutputSpace,
+    TriggerOrder,
 };
 use gdlog_engine::{naive_stable_models, StableModelLimits};
 use gdlog_prob::{EventPartition, Prob};
-use std::time::Instant;
 
 struct Row {
     name: String,
@@ -61,17 +60,6 @@ impl Row {
     }
 }
 
-/// Minimum wall-clock over `reps` runs, in milliseconds.
-fn time_min_ms<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(start.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
 /// The seed back-end, reproduced end to end: naive per-outcome stable-model
 /// enumeration, event partition, mass-sorted listing.
 fn naive_events(chase: &ChaseResult, limits: &StableModelLimits) -> Vec<(ModelSetKey, Prob)> {
@@ -91,23 +79,7 @@ fn naive_events(chase: &ChaseResult, limits: &StableModelLimits) -> Vec<(ModelSe
     events
 }
 
-/// Fingerprint of the mass-sorted event listing (shared FNV-1a scheme) — CI
-/// compares these across `GDLOG_THREADS` legs.
-fn fingerprint(events: &[(ModelSetKey, Prob)], outcomes: usize) -> String {
-    gdlog_bench::fnv1a_fingerprint(
-        events
-            .iter()
-            .map(|(key, mass)| format!("{key}@{mass};"))
-            .chain(std::iter::once(format!("outcomes={outcomes};"))),
-    )
-}
-
-fn measure(
-    name: &str,
-    grounder: &dyn gdlog_core::Grounder,
-    reps: usize,
-    executor: &Executor,
-) -> Row {
+fn measure(name: &str, grounder: &dyn Grounder, reps: usize, executor: &Executor) -> Row {
     let limits = StableModelLimits::default();
     let chase = enumerate_outcomes(grounder, &ChaseBudget::default(), TriggerOrder::First)
         .expect("chase enumeration succeeds");
@@ -171,12 +143,11 @@ fn measure(
             .event_count()
     });
 
-    let events = sequential.events_by_mass();
     let row = Row {
         name: name.to_owned(),
         outcomes: chase.outcomes.len(),
-        events: events.len(),
-        fingerprint: fingerprint(events, chase.outcomes.len()),
+        events: sequential.event_count(),
+        fingerprint: sequential.fingerprint(),
         naive_ms,
         scc_ms,
         par_ms,
@@ -193,34 +164,11 @@ fn measure(
     row
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_stable.json".to_owned());
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .or_else(|| {
-            std::env::var(THREADS_ENV)
-                .ok()
-                .and_then(|v| v.trim().parse::<usize>().ok())
-        })
-        .unwrap_or(4);
-    let reps = if full { 3 } else { 2 };
-    let executor = Executor::new(threads);
-    let threads = executor.threads();
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-
-    let rows: Vec<Row> = stable_workload_suite(full)
+/// Run the suite.
+pub fn run(config: &Config) -> Outcome {
+    let reps = if config.full { 3 } else { 2 };
+    let executor = Executor::new(config.threads);
+    let rows: Vec<Row> = stable_workload_suite(config.full)
         .iter()
         .map(|w| measure(&w.name, w.grounder.as_ref(), reps, &executor))
         .collect();
@@ -229,65 +177,74 @@ fn main() {
         .iter()
         .max_by(|a, b| a.speedup().total_cmp(&b.speedup()))
         .expect("the suite is non-empty");
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"bench\": \"stable_backend\",\n");
-    json.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        if full { "full" } else { "small" }
-    ));
-    json.push_str(&format!(
-        "  \"threads\": {threads},\n  \"available_parallelism\": {cores},\n"
-    ));
-    json.push_str(&format!(
-        "  \"best_workload\": \"{}\",\n  \"best_speedup\": {:.3},\n",
-        best.name,
-        best.speedup(),
-    ));
-    json.push_str("  \"workloads\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let sweep = r
-            .sweep_ms
-            .iter()
-            .map(|(t, ms)| format!("{{\"threads\": {t}, \"ms\": {ms:.3}}}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"outcomes\": {}, \"events\": {}, \
-             \"fingerprint\": \"{}\", \
-             \"naive_ms\": {:.3}, \"scc_ms\": {:.3}, \"speedup\": {:.3}, \
-             \"par_ms\": {:.3}, \"par_speedup\": {:.3}, \
-             \"thread_sweep\": [{sweep}]}}{}\n",
-            r.name,
-            r.outcomes,
-            r.events,
-            r.fingerprint,
-            r.naive_ms,
-            r.scc_ms,
-            r.speedup(),
-            r.par_ms,
-            r.par_speedup(),
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    let fields = vec![
+        ("best_workload", Json::str(&best.name)),
+        ("best_speedup", num(best.speedup())),
+        (
+            "workloads",
+            Json::Arr(
+                rows.iter()
+                    .map(|r| {
+                        let sweep = r
+                            .sweep_ms
+                            .iter()
+                            .map(|&(threads, ms)| {
+                                Json::obj([("threads", int(threads)), ("ms", num(ms))])
+                            })
+                            .collect();
+                        Json::obj([
+                            ("name", Json::str(&r.name)),
+                            ("outcomes", int(r.outcomes)),
+                            ("events", int(r.events)),
+                            ("fingerprint", Json::str(&r.fingerprint)),
+                            ("naive_ms", num(r.naive_ms)),
+                            ("scc_ms", num(r.scc_ms)),
+                            ("speedup", num(r.speedup())),
+                            ("par_ms", num(r.par_ms)),
+                            ("par_speedup", num(r.par_speedup())),
+                            ("thread_sweep", Json::Arr(sweep)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+    ];
+    Outcome {
+        fields,
+        floor: floor(&rows, config.full),
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).expect("write summary");
-    eprintln!("wrote {out_path}");
-    println!("{json}");
+}
 
-    // Acceptance floor: at full scale, the SCC back-end must beat the seed
-    // back-end by >= 2x on at least two workloads. The small (CI smoke)
-    // scale reports without gating — its margins sit inside scheduler noise
-    // on shared runners.
-    let winners = rows.iter().filter(|r| r.speedup() >= 2.0).count();
-    eprintln!(
-        "acceptance: {winners}/{} workloads at >= 2x naive->scc speedup \
-         (threads={threads}, cores={cores})",
-        rows.len()
-    );
-    if full && winners < 2 {
-        eprintln!("FAIL: fewer than two workloads reached the 2x acceptance floor");
-        std::process::exit(1);
+/// At full scale, at least two workloads at a 2x naive→SCC speedup.
+fn floor(rows: &[Row], full: bool) -> Result<(), String> {
+    if !full {
+        return Ok(());
+    }
+    two_reach(rows.iter().map(Row::speedup), 2.0, "naive->scc speedup")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn row(naive_ms: f64) -> Row {
+        Row {
+            name: String::new(),
+            outcomes: 0,
+            events: 0,
+            fingerprint: String::new(),
+            naive_ms,
+            scc_ms: 1.0,
+            par_ms: 1.0,
+            sweep_ms: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn floor_needs_two_workloads_at_2x_at_full_scale() {
+        assert!(floor(&[row(2.0), row(2.0), row(0.5)], true).is_ok());
+        assert!(floor(&[row(2.0), row(1.999), row(9.0)], true).is_ok());
+        assert!(floor(&[row(2.0), row(1.999), row(0.5)], true).is_err());
+        assert!(floor(&[row(1.0), row(1.0)], false).is_ok());
     }
 }

@@ -141,7 +141,7 @@ pub fn coin_chain(n: usize, p: f64) -> (Program, Database) {
 /// coin into one chase component). The chase-independence analysis splits
 /// the farm into one component per coin, so the factored output space is a
 /// product of `n` two-outcome factors while the flat chase needs `2^n`
-/// outcomes — the scaling family for `bench_factor`.
+/// outcomes — the scaling family for `bench factor`.
 pub fn coin_farm(n: usize, p: f64) -> (Program, Database) {
     let program = ProgramBuilder::new()
         .rule(|r| {
@@ -224,7 +224,7 @@ pub struct FactorWorkload {
 }
 
 /// The factorization benchmark suite — **the** scale table for
-/// `bench_factor`, at CI-smoke (`full = false`) or full measurement size.
+/// `bench factor`, at CI-smoke (`full = false`) or full measurement size.
 /// Scales live only here so the smoke and full runs cannot drift.
 pub fn factor_workload_suite(full: bool) -> Vec<FactorWorkload> {
     let farm = if full { 16 } else { 8 };
@@ -404,7 +404,7 @@ pub struct StableWorkload {
     pub grounder: Box<dyn Grounder>,
 }
 
-/// The stable-model benchmark suite — **the** scale table for `bench_stable`,
+/// The stable-model benchmark suite — **the** scale table for `bench stable`,
 /// at CI-smoke (`full = false`) or full measurement size. Scales live only
 /// here so the smoke and full runs cannot drift.
 pub fn stable_workload_suite(full: bool) -> Vec<StableWorkload> {
@@ -471,7 +471,7 @@ pub struct ChaseWorkload {
     pub grounder: Box<dyn Grounder>,
 }
 
-/// The chase benchmark suite — **the** scale table for `bench_chase`, at
+/// The chase benchmark suite — **the** scale table for `bench chase`, at
 /// CI-smoke (`full = false`) or full measurement size. Scales live only here
 /// so the smoke and full runs cannot drift.
 pub fn chase_workload_suite(full: bool) -> Vec<ChaseWorkload> {
@@ -512,9 +512,9 @@ pub fn chase_workload_suite(full: bool) -> Vec<ChaseWorkload> {
 }
 
 /// The network families the grounding benchmarks scale over: name plus
-/// database, at a CI-smoke (`small = true`) or full measurement size.
-pub fn grounding_network_suite(small: bool) -> Vec<(String, Database)> {
-    let (clique_n, ring_n, er_n) = if small { (5, 12, 8) } else { (9, 48, 16) };
+/// database, at CI-smoke (`full = false`) or full measurement size.
+pub fn grounding_network_suite(full: bool) -> Vec<(String, Database)> {
+    let (clique_n, ring_n, er_n) = if full { (9, 48, 16) } else { (5, 12, 8) };
     vec![
         (
             format!("clique_n{clique_n}"),
@@ -778,16 +778,16 @@ mod tests {
 
     #[test]
     fn grounding_suite_has_three_topologies_at_both_scales() {
-        for small in [true, false] {
-            let suite = grounding_network_suite(small);
+        for full in [false, true] {
+            let suite = grounding_network_suite(full);
             assert_eq!(suite.len(), 3);
             assert!(suite.iter().all(|(_, db)| !db.is_empty()));
         }
-        let small: usize = grounding_network_suite(true)
+        let small: usize = grounding_network_suite(false)
             .iter()
             .map(|(_, db)| db.len())
             .sum();
-        let full: usize = grounding_network_suite(false)
+        let full: usize = grounding_network_suite(true)
             .iter()
             .map(|(_, db)| db.len())
             .sum();

@@ -8,7 +8,7 @@
 //! * **test oracle** — property tests assert that the semi-naive grounders
 //!   produce exactly the same [`GroundRuleSet`] on random programs and AtR
 //!   sets (see `tests/properties.rs` and the tests below), and
-//! * **baseline** — the `bench_grounding` binary measures the speedup of the
+//! * **baseline** — `bench grounding` measures the speedup of the
 //!   delta-driven loop against it.
 //!
 //! [`NaiveSimpleGrounder`] and [`NaivePerfectGrounder`] wrap the existing

@@ -245,7 +245,7 @@ impl OutputSpace {
 
     /// A deterministic fingerprint of the output space: FNV-1a over the
     /// [`OutputSpace::events_by_mass`] listing plus the outcome count — the
-    /// exact scheme `bench_stable` records per `GDLOG_THREADS` leg (see
+    /// exact scheme `bench stable` records per `GDLOG_THREADS` leg (see
     /// [`crate::fingerprint::fnv1a_fingerprint`]), so CLI reports, scenario
     /// goldens and the bench JSONs all diff against each other.
     pub fn fingerprint(&self) -> String {

@@ -11,7 +11,7 @@
 //! with a component-split, propagating branch-and-prune search; this module
 //! keeps the slow-but-obviously-faithful enumeration around as an oracle —
 //! the same pattern as `gdlog-core`'s `naive` grounding module. Property
-//! tests and the `bench_stable` tracker assert that the two agree (model sets
+//! tests and the `bench stable` suite assert that the two agree (model sets
 //! and error behaviour) on random and benchmark programs.
 //!
 //! The only change from the seed implementation is the backtracking

@@ -1,5 +1,5 @@
 //! A typed client for the wire protocol — used by the integration tests,
-//! `bench_serve`, and CI's corpus replay.
+//! `bench serve`, and CI's corpus replay.
 //!
 //! With a [`RetryPolicy`] armed, transient failures — `overloaded`
 //! rejections and transport errors (the server dropped, truncated or

@@ -1,7 +1,7 @@
 //! Smoke test for the experiment harness: the fast experiments must all
 //! report "ok" (i.e. match the paper) when run through the public API of
 //! `gdlog-bench`. The heavier experiments (`e4`, `e6`, `e9`, `e10`) are
-//! exercised by the `experiments` binary.
+//! exercised by `bench experiments`.
 
 use gdlog_bench::{run_experiment, ExperimentOutcome};
 
