@@ -259,8 +259,10 @@ impl Solver {
                             .with_seed(mc.seed),
                     )
                     .with_cancel(cancel.clone());
+                // `heads(G(Σ) ∪ Σ)`, tested in place: no program copy.
                 let stats = estimator.estimate(mc.samples, |outcome| {
-                    outcome.full_program().heads().contains(atom)
+                    outcome.rules.heads().contains(atom)
+                        || outcome.atr.iter().any(|choice| choice.result == *atom)
                 })?;
                 mc_reports.push(McReport {
                     atom: atom.to_string(),

@@ -181,7 +181,12 @@ impl AtrSet {
 
     /// The outcome chosen for an `Active` atom, if any.
     pub fn outcome_of(&self, active: &GroundAtom) -> Option<&Const> {
-        self.rules.get(active).map(|r| &r.outcome)
+        self.get(active).map(|r| &r.outcome)
+    }
+
+    /// The choice made for an `Active` atom, if any.
+    pub fn get(&self, active: &GroundAtom) -> Option<&AtrRule> {
+        self.rules.get(active)
     }
 
     /// Number of choices.
@@ -297,9 +302,7 @@ pub trait Grounder: Send + Sync {
     /// Is `AtR_Σ` compatible with `rules` (`AtR_Σ ↩→ rules`): defined on every
     /// `Active` atom occurring in `heads(rules)`?
     fn is_compatible(&self, atr: &AtrSet, rules: &GroundRuleSet) -> bool {
-        self.active_heads(rules)
-            .iter()
-            .all(|a| atr.is_defined_on(a))
+        active_atoms(self.sigma(), rules).all(|a| atr.is_defined_on(a))
     }
 
     /// Is `Σ` a terminal of this grounder (`Σ ∈ terminals(G)`)?
@@ -308,30 +311,23 @@ pub trait Grounder: Send + Sync {
         self.is_compatible(atr, &rules)
     }
 
-    /// The `Active` atoms occurring in `heads(rules)`. Reads the head set's
-    /// per-predicate relations directly instead of scanning every head atom.
+    /// The `Active` atoms occurring in `heads(rules)`, cloned. The default
+    /// [`Grounder::is_compatible`] and [`Grounder::triggers`] borrow them
+    /// instead and clone only the triggers they return.
     fn active_heads(&self, rules: &GroundRuleSet) -> Vec<GroundAtom> {
-        let heads = rules.heads();
-        self.sigma()
-            .atr_schemas
-            .iter()
-            .flat_map(|schema| heads.atoms_of(&schema.active))
-            .cloned()
-            .collect()
+        active_atoms(self.sigma(), rules).cloned().collect()
     }
 
     /// The triggers for `rules` on `Σ` (Definition 4.1): `Active` atoms in
     /// `heads(rules)` on which `AtR_Σ` is not yet defined, in a canonical
     /// order.
     fn triggers(&self, atr: &AtrSet, rules: &GroundRuleSet) -> Vec<GroundAtom> {
-        let mut out: Vec<GroundAtom> = self
-            .active_heads(rules)
-            .into_iter()
+        let mut out: Vec<&GroundAtom> = active_atoms(self.sigma(), rules)
             .filter(|a| !atr.is_defined_on(a))
             .collect();
         out.sort();
         out.dedup();
-        out
+        out.into_iter().cloned().collect()
     }
 
     /// The full ground program `G(Σ) ∪ Σ` whose stable models define the
@@ -341,6 +337,19 @@ pub trait Grounder: Send + Sync {
         program.extend(atr.to_ground_rules());
         program
     }
+}
+
+/// The `Active` atoms in `heads(rules)`, borrowed: read from the head set's
+/// per-predicate relations instead of scanning every head atom.
+fn active_atoms<'a>(
+    sigma: &'a SigmaPi,
+    rules: &'a GroundRuleSet,
+) -> impl Iterator<Item = &'a GroundAtom> {
+    let heads = rules.heads();
+    sigma
+        .atr_schemas
+        .iter()
+        .flat_map(move |schema| heads.atoms_of(&schema.active))
 }
 
 #[cfg(test)]

@@ -201,23 +201,17 @@ impl Grounder for PerfectGrounder {
         let mut derived = snapshot.into_rules();
 
         // Re-saturate the stratum the parent was stuck in, semi-naively:
-        // only the freshly activated Result atoms form the delta, and the
-        // parent's head set (frozen, shared) is the fixed negative
+        // only the Result atoms of the choices new to `atr` form the delta,
+        // and the parent's head set (frozen, shared) is the fixed negative
         // reference.
         let resume = parent_cursor - 1;
         let neg_reference = derived.heads_snapshot();
-        let old_results = Database::from_atoms(
-            parent_atr
-                .iter()
-                .filter(|r| neg_reference.contains(&r.active))
-                .map(|r| r.result.clone()),
-        );
         derived = saturate_extending_cancellable(
             &self.stratum_rules(resume),
             atr,
             derived,
             Some(&neg_reference),
-            &old_results,
+            parent_atr,
             &self.cancel,
         );
 

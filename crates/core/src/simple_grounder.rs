@@ -8,11 +8,10 @@
 //! arbitrary programs (Proposition 3.5) at the price of producing superfluous
 //! rules for stratified ones (Section 5).
 
-use crate::grounding::{AtrSet, GroundRuleSet, Grounder};
+use crate::grounding::{AtrRule, AtrSet, GroundRuleSet, Grounder};
 use crate::translate::{SigmaPi, TgdRule};
 use gdlog_data::{match_atoms_delta, match_atoms_indexed, Database, GroundAtom, Substitution};
 use gdlog_engine::{CancelToken, GroundRule};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The simple grounder.
@@ -46,32 +45,23 @@ impl SimpleGrounder {
     /// snapshot of `self.ground(parent_atr)` with `parent_atr ⊆ atr`. By
     /// monotonicity of the simple grounder the result equals
     /// `self.ground(atr)`, but saturation starts from the parent's rules
-    /// (shared structurally, not copied) with only the `Result` atoms the
-    /// parent had *not* already activated as the initial delta, so the work
-    /// is proportional to what the new choices unlock.
+    /// (shared structurally, not copied), whose head set already holds the
+    /// `Result` atoms of the parent's activated choices; only the choices
+    /// `parent_atr` does not define can seed the first delta, so the work is
+    /// proportional to what the new choices unlock.
     pub fn ground_extending(
         &self,
         atr: &AtrSet,
         parent_atr: &AtrSet,
         parent_rules: GroundRuleSet,
     ) -> GroundRuleSet {
-        // The parent's saturation activated exactly the parent choices whose
-        // Active atom it derived; their Result atoms seeded the parent's
-        // matching already and must not re-seed the child's delta.
-        let parent_heads = parent_rules.heads();
-        let old_results = Database::from_atoms(
-            parent_atr
-                .iter()
-                .filter(|r| parent_heads.contains(&r.active))
-                .map(|r| r.result.clone()),
-        );
         let rules: Vec<&TgdRule> = self.sigma.rules.iter().collect();
         saturate_impl(
             &rules,
             atr,
             parent_rules,
             None,
-            Some(&old_results),
+            Some(parent_atr),
             Some(&self.cancel),
         )
     }
@@ -162,7 +152,11 @@ fn instantiate(
 /// occurs in `db` (the `Perfect` operator), otherwise negative literals are
 /// ignored (the `Simple` operator). Ground AtR rules of `atr` contribute
 /// their `Result` head as soon as their `Active` body has been derived; the
-/// activation check is itself delta-driven.
+/// activation is delta-driven too: each new head atom is looked up in `atr`.
+/// Activated `Result` atoms join the head set itself (see
+/// [`GroundRuleSet::insert_head`]), so `initial` must be empty or the output
+/// of an earlier saturation under `atr` (the perfect grounder's lower
+/// strata): its activated choices then already carry their `Result` atoms.
 ///
 /// The retained naive formulation lives in [`crate::naive`]; property tests
 /// assert both produce identical [`GroundRuleSet`]s.
@@ -182,17 +176,17 @@ pub(crate) fn saturate_cancellable(
 }
 
 /// [`saturate_cancellable`] for an `initial` set that is already saturated
-/// under a sub-configuration of `atr` whose activated `Result` atoms are
-/// `old_results`: the full round 0 is skipped and only the newly activated
-/// `Result` atoms form the first delta. Only sound when every rule
-/// instantiation over `initial`'s heads plus `old_results` is already
-/// present in `initial`.
+/// under `parent_atr ⊆ atr`, with the `Result` atoms of the choices it
+/// activated in its head set (as every saturation leaves them): the full
+/// round 0 is skipped and only the `Result` atoms of the choices
+/// `parent_atr` does not define, activated by `initial`'s heads, form the
+/// first delta.
 pub(crate) fn saturate_extending_cancellable(
     rules: &[&TgdRule],
     atr: &AtrSet,
     initial: GroundRuleSet,
     neg_reference: Option<&Database>,
-    old_results: &Database,
+    parent_atr: &AtrSet,
     cancel: &CancelToken,
 ) -> GroundRuleSet {
     saturate_impl(
@@ -200,7 +194,7 @@ pub(crate) fn saturate_extending_cancellable(
         atr,
         initial,
         neg_reference,
-        Some(old_results),
+        Some(parent_atr),
         Some(cancel),
     )
 }
@@ -210,48 +204,40 @@ fn saturate_impl(
     atr: &AtrSet,
     initial: GroundRuleSet,
     neg_reference: Option<&Database>,
-    saturated_with_results: Option<&Database>,
+    parent_atr: Option<&AtrSet>,
     cancel: Option<&CancelToken>,
 ) -> GroundRuleSet {
     let mut derived = initial;
-    let mut heads: Database = derived.heads().clone();
-    let mut included_atr: HashSet<GroundAtom> = HashSet::new();
 
-    // Seed: activate AtR rules whose Active atom is already derivable from
-    // `initial` (relevant for the perfect grounder's later strata). Round 0
-    // then matches every rule fully against the seeded head set, and round
-    // `k > 0` only matches through the delta of round `k - 1`.
-    //
-    // In extending mode the full round 0 is skipped: the initial rules are
-    // known saturated (including the parent's activated results), so
-    // everything derivable from their heads alone is already present and the
-    // genuinely new seed results are the whole round-0 delta.
-    let mut delta: Option<Database> = saturated_with_results.map(|_| Database::new());
-    for atr_rule in atr.iter() {
-        if heads.contains(&atr_rule.active)
-            && included_atr.insert(atr_rule.active.clone())
-            && heads.insert(atr_rule.result.clone())
-        {
-            if let (Some(seed), Some(old)) = (&mut delta, saturated_with_results) {
-                // Results the parent had already activated seeded the
-                // parent's matching and stay out of the delta.
-                if !old.contains(&atr_rule.result) {
-                    seed.insert(atr_rule.result.clone());
-                }
+    // Round 0 matches every rule fully against the head set, and round
+    // `k > 0` only through the delta of round `k - 1`. In extending mode the
+    // full round 0 is skipped: the initial rules are saturated under
+    // `parent_atr`, whose activated Result atoms are already heads, so only
+    // the choices it does not define can activate here, and their Result
+    // atoms are the whole round-0 delta.
+    let mut delta: Option<Database> = parent_atr.map(|parent| {
+        let mut seed = Database::new();
+        for choice in atr.iter().filter(|c| !parent.is_defined_on(&c.active)) {
+            if derived.heads().contains(&choice.active)
+                && derived.insert_head(choice.result.clone())
+            {
+                seed.insert(choice.result.clone());
             }
         }
-    }
+        seed
+    });
     loop {
         // A saturation round is the grounding checkpoint: break out with the
         // partial rule set; the chase re-checks the token and cuts the node.
         if cancel.is_some_and(CancelToken::is_cancelled) {
             break;
         }
+        let heads = derived.heads();
         let mut new_rules: Vec<GroundRule> = Vec::new();
         match &delta {
             None => {
                 for rule in rules {
-                    for h in match_atoms_indexed(&rule.pos, &heads) {
+                    for h in match_atoms_indexed(&rule.pos, heads) {
                         instantiate(rule, &h, neg_reference, &mut new_rules);
                     }
                 }
@@ -262,7 +248,7 @@ fn saturate_impl(
                     // atom in some positive body position; enumerate each
                     // position as the delta-constrained one.
                     for delta_idx in 0..rule.pos.len() {
-                        for h in match_atoms_delta(&rule.pos, delta_idx, &heads, delta) {
+                        for h in match_atoms_delta(&rule.pos, delta_idx, heads, delta) {
                             instantiate(rule, &h, neg_reference, &mut new_rules);
                         }
                     }
@@ -270,21 +256,25 @@ fn saturate_impl(
             }
         }
 
-        // Integrate the round: new head atoms form the next delta, and any
-        // AtR rule whose Active atom just appeared contributes its Result.
+        // Integrate the round: new head atoms form the next delta, and the
+        // choices whose Active atom just appeared (one lookup each) add their
+        // Result atoms, in Active-atom order.
         let mut next_delta = Database::new();
+        let mut activated: Vec<&AtrRule> = Vec::new();
         for rule in new_rules {
-            let head = rule.head.clone();
-            if derived.push(rule) && heads.insert(head.clone()) {
-                next_delta.insert(head);
+            if derived.heads().contains(&rule.head) {
+                derived.push(rule);
+                continue;
             }
+            let head = rule.head.clone();
+            derived.push(rule);
+            activated.extend(atr.get(&head));
+            next_delta.insert(head);
         }
-        for atr_rule in atr.iter() {
-            if next_delta.contains(&atr_rule.active)
-                && included_atr.insert(atr_rule.active.clone())
-                && heads.insert(atr_rule.result.clone())
-            {
-                next_delta.insert(atr_rule.result.clone());
+        activated.sort();
+        for choice in activated {
+            if derived.insert_head(choice.result.clone()) {
+                next_delta.insert(choice.result.clone());
             }
         }
 
@@ -299,7 +289,6 @@ fn saturate_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grounding::AtrRule;
     use crate::program::{coin_program, network_resilience_program};
     use crate::translate::SigmaPi;
     use gdlog_data::{Const, Predicate};

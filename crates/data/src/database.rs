@@ -8,9 +8,10 @@
 //! Storage is one [`Relation`] per predicate: each atom is kept exactly once
 //! (the old layout cloned every atom into both a `HashSet` and a
 //! per-predicate `Vec`, doubling resident memory), and every argument
-//! position carries a hash index from constants to rows. The index powers
-//! [`Database::candidates_bound`], the lookup the grounders use to join rule
-//! bodies without scanning whole relations.
+//! position of a relation past a handful of atoms carries a hash index from
+//! constants to rows. The index powers [`Database::candidates_bound`], the
+//! lookup the grounders use to join rule bodies without scanning whole
+//! relations.
 //!
 //! # Snapshots
 //!

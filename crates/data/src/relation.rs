@@ -10,6 +10,11 @@
 //! * one hash index per argument position, mapping a constant to the rows
 //!   holding it at that position.
 //!
+//! Both maps are only built once the relation outgrows `SCAN_ROWS` atoms.
+//! Below that, membership and lookups scan the table: a chase node's layer
+//! of the head set holds a handful of atoms per predicate, and there the
+//! maps would cost more memory than the atoms and more time than the scan.
+//!
 //! [`Relation::select`] is the index-aware lookup used by the grounders: for
 //! a pattern atom and a partial substitution it inspects every argument
 //! position that is already determined (a constant in the pattern, or a
@@ -24,14 +29,22 @@ use crate::value::Const;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
+/// Relations with at most this many atoms are scanned, not indexed (at most
+/// 64: [`Candidates::Masked`] holds a row set as a `u64`).
+const SCAN_ROWS: usize = 8;
+const _: () = assert!(SCAN_ROWS < 64);
+
 /// The atoms of a single predicate, stored once and indexed by argument
 /// position.
 #[derive(Clone, Debug, Default)]
 pub struct Relation {
+    arity: usize,
     atoms: Vec<GroundAtom>,
-    /// Argument-tuple hash → rows with that hash (collision chain).
+    /// Argument-tuple hash → rows with that hash (collision chain). Empty
+    /// while the relation is scanned.
     buckets: HashMap<u64, Vec<u32>>,
-    /// `index[i]`: constant at position `i` → rows holding it there.
+    /// `index[i]`: constant at position `i` → rows holding it there. Empty
+    /// while the relation is scanned.
     index: Vec<HashMap<Const, Vec<u32>>>,
 }
 
@@ -45,36 +58,68 @@ impl Relation {
     /// An empty relation for a predicate of the given arity.
     pub fn new(arity: usize) -> Self {
         Relation {
-            atoms: Vec::new(),
-            buckets: HashMap::new(),
-            index: vec![HashMap::new(); arity],
+            arity,
+            ..Relation::default()
         }
+    }
+
+    /// Is the relation past `SCAN_ROWS`, with its maps built?
+    fn is_indexed(&self) -> bool {
+        !self.buckets.is_empty()
     }
 
     /// Insert an atom; returns `true` if it was not already present.
     pub fn insert(&mut self, atom: GroundAtom) -> bool {
-        debug_assert_eq!(atom.args.len(), self.index.len());
+        debug_assert_eq!(atom.args.len(), self.arity);
+        if !self.is_indexed() {
+            if self.atoms.contains(&atom) {
+                return false;
+            }
+            self.atoms.push(atom);
+            if self.atoms.len() > SCAN_ROWS {
+                self.index = vec![HashMap::new(); self.arity];
+                for row in 0..self.atoms.len() {
+                    self.index_row(row, hash_args(&self.atoms[row].args));
+                }
+            }
+            return true;
+        }
         let h = hash_args(&atom.args);
-        let rows = self.buckets.entry(h).or_default();
         // Compare whole atoms: a standalone Relation may legitimately be fed
         // several same-arity predicates (the Database wrapper never does).
-        if rows.iter().any(|&r| self.atoms[r as usize] == atom) {
+        if self.bucket_contains(h, &atom) {
             return false;
         }
-        let row = self.atoms.len() as u32;
-        rows.push(row);
-        for (position, constant) in atom.args.iter().enumerate() {
-            self.index[position].entry(*constant).or_default().push(row);
-        }
         self.atoms.push(atom);
+        self.index_row(self.atoms.len() - 1, h);
         true
     }
 
-    /// Membership test (hash lookup plus a collision-chain scan).
-    pub fn contains(&self, atom: &GroundAtom) -> bool {
+    /// Record row `row`, whose arguments hash to `hash`, in both maps.
+    fn index_row(&mut self, row: usize, hash: u64) {
+        self.buckets.entry(hash).or_default().push(row as u32);
+        for (position, constant) in self.atoms[row].args.iter().enumerate() {
+            self.index[position]
+                .entry(*constant)
+                .or_default()
+                .push(row as u32);
+        }
+    }
+
+    fn bucket_contains(&self, hash: u64, atom: &GroundAtom) -> bool {
         self.buckets
-            .get(&hash_args(&atom.args))
+            .get(&hash)
             .is_some_and(|rows| rows.iter().any(|&r| &self.atoms[r as usize] == atom))
+    }
+
+    /// Membership test (a scan of a small relation, otherwise a hash lookup
+    /// plus a collision-chain scan).
+    pub fn contains(&self, atom: &GroundAtom) -> bool {
+        if self.is_indexed() {
+            self.bucket_contains(hash_args(&atom.args), atom)
+        } else {
+            self.atoms.contains(atom)
+        }
     }
 
     /// Number of atoms.
@@ -107,22 +152,44 @@ impl Relation {
     /// the shortest posting list among the argument positions that are
     /// already determined, or the whole relation when none is. Returns an
     /// empty iterator as soon as some determined position has a constant that
-    /// occurs nowhere in the relation at that position.
+    /// occurs nowhere in the relation at that position. A scanned relation
+    /// returns exactly its rows that agree on every determined position.
     pub fn select<'a>(&'a self, pattern: &Atom, subst: &Substitution) -> Candidates<'a> {
-        debug_assert_eq!(pattern.args.len(), self.index.len());
-        let mut best: Option<&'a [u32]> = None;
-        for (position, term) in pattern.args.iter().enumerate() {
-            let constant = match term {
-                Term::Const(c) => Some(*c),
-                Term::Var(v) => subst.get(v).copied(),
+        debug_assert_eq!(pattern.args.len(), self.arity);
+        let determined =
+            pattern
+                .args
+                .iter()
+                .enumerate()
+                .filter_map(|(position, term)| match term {
+                    Term::Const(c) => Some((position, *c)),
+                    Term::Var(v) => subst.get(v).map(|c| (position, *c)),
+                });
+        if !self.is_indexed() {
+            // Scan: keep the rows that agree on every determined position.
+            let mut mask = (1u64 << self.atoms.len()) - 1;
+            for (position, c) in determined {
+                for (row, atom) in self.atoms.iter().enumerate() {
+                    if atom.args[position] != c {
+                        mask &= !(1 << row);
+                    }
+                }
+            }
+            return match mask {
+                0 => Candidates::Empty,
+                _ => Candidates::Masked {
+                    atoms: &self.atoms,
+                    mask,
+                },
             };
-            if let Some(c) = constant {
-                match self.index[position].get(&c) {
-                    None => return Candidates::Empty,
-                    Some(rows) => {
-                        if best.is_none_or(|b| rows.len() < b.len()) {
-                            best = Some(rows);
-                        }
+        }
+        let mut best: Option<&'a [u32]> = None;
+        for (position, c) in determined {
+            match self.index[position].get(&c) {
+                None => return Candidates::Empty,
+                Some(rows) => {
+                    if best.is_none_or(|b| rows.len() < b.len()) {
+                        best = Some(rows);
                     }
                 }
             }
@@ -152,6 +219,14 @@ pub enum Candidates<'a> {
         /// Row ids to yield.
         rows: std::slice::Iter<'a, u32>,
     },
+    /// The rows of a scanned relation that agree on every determined
+    /// position, as a bit set over its rows (yielded in row order).
+    Masked {
+        /// The relation's dense atom table.
+        atoms: &'a [GroundAtom],
+        /// Bit `r` set: row `r` is yielded.
+        mask: u64,
+    },
     /// Candidates drawn from several snapshot layers of a
     /// [`crate::Database`], yielded in order (oldest layer first). The parts
     /// are exhausted back to front.
@@ -166,6 +241,11 @@ impl<'a> Iterator for Candidates<'a> {
             Candidates::Empty => None,
             Candidates::All(iter) => iter.next(),
             Candidates::Rows { atoms, rows } => rows.next().map(|&r| &atoms[r as usize]),
+            Candidates::Masked { atoms, mask } => {
+                let row = (*mask != 0).then(|| mask.trailing_zeros() as usize)?;
+                *mask &= *mask - 1;
+                Some(&atoms[row])
+            }
             Candidates::Chain(parts) => loop {
                 let part = parts.last_mut()?;
                 match part.next() {
@@ -183,6 +263,10 @@ impl<'a> Iterator for Candidates<'a> {
             Candidates::Empty => (0, Some(0)),
             Candidates::All(iter) => iter.size_hint(),
             Candidates::Rows { rows, .. } => (0, Some(rows.len())),
+            Candidates::Masked { mask, .. } => {
+                let n = mask.count_ones() as usize;
+                (n, Some(n))
+            }
             Candidates::Chain(parts) => parts.iter().fold((0, Some(0)), |(lo, hi), p| {
                 let (plo, phi) = p.size_hint();
                 (lo + plo, hi.zip(phi).map(|(a, b)| a + b))
@@ -252,6 +336,24 @@ mod tests {
         let candidates = r.select(&pattern, &Substitution::new());
         assert!(matches!(&candidates, Candidates::Rows { rows, .. } if rows.len() == 1));
         assert_eq!(candidates.count(), 1);
+    }
+
+    #[test]
+    fn scanned_and_indexed_relations_answer_alike() {
+        // Grow one relation past SCAN_ROWS: at every size, a lookup on one
+        // determined position yields exactly the matching rows, in order.
+        let mut r = Relation::new(2);
+        for i in 0..2 * SCAN_ROWS as i64 {
+            assert!(r.insert(edge(i % 3, i)));
+            assert!(!r.insert(edge(i % 3, i)));
+            assert!(r.contains(&edge(0, 0)) && !r.contains(&edge(1, 0)));
+            for a in 0..3 {
+                let pattern = Atom::make("E", vec![Term::int(a), Term::var("y")]);
+                let hits: Vec<_> = r.select(&pattern, &Substitution::new()).collect();
+                let expected: Vec<_> = r.iter().filter(|e| e.args[0] == Const::Int(a)).collect();
+                assert_eq!(hits, expected);
+            }
+        }
     }
 
     #[test]

@@ -320,10 +320,19 @@ impl GroundProgram {
         self.iter().all(GroundRule::is_positive)
     }
 
-    /// The set of head atoms, `heads(Σ)` in the paper (maintained
-    /// incrementally; this is a borrow, not a rebuild).
+    /// The set of head atoms, `heads(Σ)` in the paper, plus any atom added
+    /// with [`GroundProgram::insert_head`] (maintained incrementally; this is
+    /// a borrow, not a rebuild).
     pub fn heads(&self) -> &Database {
         &self.heads
+    }
+
+    /// Add `atom` to the head set without a rule; returns whether it was new.
+    /// The grounders record here the `Result` atoms of the choices their
+    /// saturation activated, so a snapshot hands those to the next
+    /// saturation along with the rules.
+    pub fn insert_head(&mut self, atom: GroundAtom) -> bool {
+        self.heads.insert(atom)
     }
 
     /// All atoms mentioned anywhere in the program (its Herbrand base

@@ -10,9 +10,9 @@
 use gdlog::core::{
     coin_program, dime_quarter_program, enumerate_outcomes, enumerate_outcomes_with,
     network_resilience_program, AtrRule, AtrSet, CancelToken, ChaseBudget, CoreError, Executor,
-    Grounder, ModelSetCache, ModelSetKey, MonteCarlo, NaivePerfectGrounder, NaiveSimpleGrounder,
-    OutputSpace, PerfectGrounder, Pipeline, PossibleOutcome, SigmaPi, SimpleGrounder,
-    StaticComponents, TriggerOrder,
+    Grounder, GrounderChoice, McParams, ModelSetCache, ModelSetKey, MonteCarlo,
+    NaivePerfectGrounder, NaiveSimpleGrounder, OutputSpace, PerfectGrounder, Pipeline,
+    PossibleOutcome, SigmaPi, SimpleGrounder, StaticComponents, TriggerOrder,
 };
 use gdlog::prelude::*;
 use gdlog_engine::{
@@ -237,6 +237,74 @@ proptest! {
         let seminaive = grounder.ground(&atr);
         let naive = grounder.ground_naive(&atr);
         prop_assert_eq!(seminaive.canonical_rules(), naive.canonical_rules());
+    }
+
+    /// Deep descents on the simple grounder: five cascade diamonds offer 20
+    /// triggers once every flip comes up 1 (the picks' high bit), so each
+    /// descent takes 17–20 `ground_from` steps — past the 16-layer snapshot
+    /// flatten of the rule log and head set. `random_atr` checks
+    /// `ground_from` ≡ `ground` at every step.
+    #[test]
+    fn simple_ground_from_matches_ground_past_the_snapshot_flatten(
+        picks in prop::collection::vec(128u8..=255, 17..=24),
+    ) {
+        let (program, db) = gdlog_bench::workloads::cascade_copies(5);
+        let sigma = Arc::new(SigmaPi::translate(&program, &db).unwrap());
+        let grounder = SimpleGrounder::new(sigma);
+        let atr = random_atr(&grounder, &picks);
+        prop_assert!(atr.len() >= 17);
+        let seminaive = grounder.ground(&atr);
+        let naive = grounder.ground_naive(&atr);
+        prop_assert_eq!(seminaive.canonical_rules(), naive.canonical_rules());
+    }
+}
+
+/// A choice made early must still join with atoms derived after it: `Mark`'s
+/// trigger only binds `x`, so once the coin adds `Link(1, 3)` the grounding
+/// needs the instance of the `Mark` rule over the earlier `Result` atom and
+/// the new link. Both trigger orders, both grounders, `ground_from` ≡
+/// `ground` at every step.
+#[test]
+fn ground_from_joins_new_atoms_with_earlier_choices() {
+    let (program, db) = gdlog_parser::parse_program(
+        "-> Coin(Flip<0.5>).\nCoin(1) -> Link(1, 3).\nNode(x), Link(x, y) -> Mark(x, Flip<0.5>[x]).\nNode(1).\nLink(1, 2).\n",
+    )
+    .unwrap();
+    let sigma = Arc::new(SigmaPi::translate(&program, &db).unwrap());
+    let grounders: [Box<dyn Grounder>; 2] = [
+        Box::new(SimpleGrounder::new(sigma.clone())),
+        Box::new(PerfectGrounder::new(sigma).unwrap()),
+    ];
+    for grounder in &grounders {
+        for first in [0x80u8, 0x81] {
+            let atr = random_atr(grounder.as_ref(), &[first, 0x80]);
+            assert_eq!(atr.len(), 2);
+            let rules = grounder.ground(&atr);
+            let marks = rules
+                .iter()
+                .filter(|r| r.head == GroundAtom::make("Mark", vec![Const::Int(1), Const::Int(1)]))
+                .count();
+            assert_eq!(marks, 2, "{} grounder, first pick {first}", grounder.name());
+        }
+    }
+}
+
+/// A deep Monte-Carlo walk pinned to its estimate: 300 walks over ten
+/// cascade diamonds (up to 40 triggers each), under both grounders. Any
+/// change to trigger order, to the seeding of incremental grounding or to the
+/// walk RNG moves the hit count (289 of 300 walks reach the sink).
+#[test]
+fn deep_monte_carlo_estimate_is_pinned() {
+    let (program, db) = gdlog_bench::workloads::cascade_copies(10);
+    let sink = GroundAtom::make("Reach", vec![Const::Int(54), Const::Int(1)]);
+    for choice in [GrounderChoice::Simple, GrounderChoice::Perfect] {
+        let pipeline = Pipeline::with_grounder(&program, &db, choice).unwrap();
+        let stats = pipeline
+            .sampler_with(McParams::new().with_max_triggers(128).with_seed(20231))
+            .estimate(300, |outcome| outcome.rules.heads().contains(&sink))
+            .unwrap();
+        assert_eq!((stats.samples, stats.abandoned), (300, 0), "{choice:?}");
+        assert_eq!(stats.estimate.mean, 0.9633333333333334, "{choice:?}");
     }
 }
 
