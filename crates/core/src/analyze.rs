@@ -31,7 +31,7 @@
 //! 4. **Static independence prediction** ([`StaticComponents`]): connected
 //!    components of the predicate-level dependency graph of `Σ_Π[D]`,
 //!    extended with `Active — Result` edges. Every ground star edge of the
-//!    dynamic analysis (`factor::analyze`) projects onto a predicate-level
+//!    dynamic analysis (`factor::analyze_with`) projects onto a predicate-level
 //!    edge of this graph, so every dynamic chase component lies inside one
 //!    static component: the static partition *over-approximates*
 //!    dependence. [`crate::Pipeline::solve_factored`] uses it two ways —
@@ -698,17 +698,17 @@ impl StaticComponents {
         let vertices: Vec<Predicate> = vertex_set.into_iter().collect();
         let index: BTreeMap<Predicate, usize> =
             vertices.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); vertices.len()];
-        for rule in &sigma.rules {
+        let index = &index;
+        let rule_edges = sigma.rules.iter().flat_map(|rule| {
             let hub = index[&rule.head.predicate];
-            for a in rule.pos.iter().chain(rule.neg.iter()) {
-                adj[hub].push(index[&a.predicate]);
-            }
-        }
-        for schema in &sigma.atr_schemas {
-            adj[index[&schema.active]].push(index[&schema.result]);
-        }
-        let comps = connected_components(vertices.len(), &adj);
+            let body = rule.pos.iter().chain(&rule.neg);
+            body.map(move |a| (hub, index[&a.predicate]))
+        });
+        let atr_edges = sigma
+            .atr_schemas
+            .iter()
+            .map(|schema| (index[&schema.active], index[&schema.result]));
+        let comps = connected_components(vertices.len(), rule_edges.chain(atr_edges));
         let mut component_of = BTreeMap::new();
         for (c, comp) in comps.iter().enumerate() {
             for &v in comp {

@@ -11,13 +11,14 @@
 //!
 //! The analysis proceeds in three steps:
 //!
-//! 1. **Universe saturation** (`saturate_universe`): a least fixpoint over
+//! 1. **Universe saturation** (`universe_of_group`): a least fixpoint over
 //!    `Σ∄_Π[D]` that over-approximates every ground atom derivable in *any*
-//!    chase branch. Negative literals are ignored (deriving more atoms only
-//!    merges components — always sound) and every reachable `Active` atom is
-//!    expanded to all of its budget-capped outcomes, exactly the branches
-//!    the real chase would explore.
-//! 2. **Component partition** ([`analyze`]): every ground rule instance
+//!    chase branch, run on the grounders' own semi-naive loop. Negative
+//!    literals are ignored (deriving more atoms only merges components —
+//!    always sound) and every reachable `Active` atom is expanded to all of
+//!    its budget-capped outcomes, exactly the branches the real chase would
+//!    explore.
+//! 2. **Component partition** ([`analyze_with`]): every ground rule instance
 //!    contributes star edges `head — body atom` (negative atoms only when
 //!    they are derivable, i.e. in the universe; underivable negative
 //!    literals are vacuously true everywhere and carry no dependency), and
@@ -49,11 +50,12 @@ use crate::error::CoreError;
 use crate::grounding::{AtrSet, GroundRuleSet, Grounder, Grounding};
 use crate::outcome::ModelSetKey;
 use crate::semantics::OutputSpace;
+use crate::simple_grounder::saturate_impl;
 use crate::translate::{AtrSchema, SigmaPi, TgdRule};
-use gdlog_data::{match_atoms, Database, GroundAtom};
-use gdlog_engine::{connected_components, CancelToken, GroundProgram, GroundRule};
+use gdlog_data::GroundAtom;
+use gdlog_engine::{connected_components, CancelToken};
 use gdlog_prob::{DiscreteSpace, FactoredSpace, Prob};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::OnceLock;
 
 /// Safety valve for the universe fixpoint: programs whose over-approximated
@@ -76,19 +78,17 @@ pub struct ChaseComponent {
     pub triggers: BTreeSet<GroundAtom>,
 }
 
-/// The over-approximated derivable universe: all atoms, all deduplicated
-/// ground rule instances, and all `active → results` expansions.
-struct Universe {
-    heads: Database,
-    instances: Vec<GroundRule>,
-    atr_pairs: Vec<(GroundAtom, Vec<GroundAtom>)>,
-}
+/// The `active → results` expansions recorded while saturating a universe.
+type AtrPairs = Vec<(GroundAtom, Vec<GroundAtom>)>;
 
-/// Least fixpoint over a group of `sigma.rules` (facts are bodyless rules,
-/// so they are covered), ignoring negative bodies and expanding every
-/// reachable `Active` atom to its first `budget.max_branching` outcomes —
-/// the same truncation the chase applies, so the universe covers every
-/// explored branch.
+/// The over-approximated derivable universe of a group of `sigma.rules`
+/// (facts are bodyless rules, so they are covered): the `Simple` operator's
+/// fixpoint on the shared semi-naive loop [`saturate_impl`], ignoring
+/// negative bodies and expanding every reachable `Active` atom to its first
+/// `budget.max_branching` outcomes — the same truncation the chase applies,
+/// so the universe covers every explored branch. Returns the saturated rule
+/// set (its heads are the universe's atoms) and the recorded
+/// `active → results` pairs.
 ///
 /// The caller passes the rules and AtR schemas of one *static* predicate
 /// component (see [`StaticComponents`]); a rule can only match and derive
@@ -97,126 +97,75 @@ struct Universe {
 /// analysis *seeds* the dynamic one.
 ///
 /// Returns `Ok(None)` (flat fallback) when a distribution errors (the flat
-/// path will surface it) or the universe exceeds `cap` atoms.
-fn saturate_group(
+/// path will surface it) or the universe passes `cap` atoms; the cap is
+/// checked once per round. Saturation rounds are cancellation checkpoints; a
+/// cancelled analysis cannot fall back to the flat path (the flat chase
+/// would just burn the rest of the deadline), so it surfaces as a typed
+/// interruption.
+fn universe_of_group(
     rules: &[&TgdRule],
     schemas: &[&AtrSchema],
     budget: &ChaseBudget,
     cap: usize,
     cancel: &CancelToken,
-) -> Result<Option<Universe>, CoreError> {
-    let mut derived = GroundProgram::new();
-    let mut heads = Database::new();
-    let mut expanded: BTreeSet<GroundAtom> = BTreeSet::new();
-    let mut atr_pairs: Vec<(GroundAtom, Vec<GroundAtom>)> = Vec::new();
-
-    loop {
-        // Factor saturation rounds are cancellation checkpoints; a cancelled
-        // analysis cannot fall back to the flat path (the flat chase would
-        // just burn the rest of the deadline), so it surfaces as a typed
-        // interruption.
-        if cancel.is_cancelled() {
-            return Err(CoreError::Interrupted("factor analysis".into()));
-        }
-        let mut changed = false;
-
-        // Expand every newly derived Active atom to all its outcomes.
-        for schema in schemas {
-            let actives: Vec<GroundAtom> = heads
-                .atoms_of(&schema.active)
-                .filter(|a| !expanded.contains(*a))
-                .cloned()
-                .collect();
-            for active in actives {
-                let outcomes = match schema.outcomes(&active, budget.max_branching) {
-                    Ok(o) => o,
-                    Err(_) => return Ok(None),
-                };
-                let mut results = Vec::with_capacity(outcomes.len());
-                for (outcome, _) in outcomes {
-                    let result = schema.result_atom(&active, outcome);
-                    heads.insert(result.clone());
-                    results.push(result);
+) -> Result<Option<(GroundRuleSet, AtrPairs)>, CoreError> {
+    let mut pairs: AtrPairs = Vec::new();
+    let mut complete = true;
+    let universe = saturate_impl(
+        rules,
+        GroundRuleSet::new(),
+        None,
+        None,
+        cancel,
+        |heads, new_heads, results| {
+            if heads.len() > cap {
+                complete = false;
+                return false;
+            }
+            for schema in schemas {
+                for active in new_heads.atoms_of(&schema.active) {
+                    let Ok(outcomes) = schema.outcomes(active, budget.max_branching) else {
+                        complete = false;
+                        return false;
+                    };
+                    let first = results.len();
+                    results.extend(
+                        outcomes
+                            .into_iter()
+                            .map(|(outcome, _)| schema.result_atom(active, outcome)),
+                    );
+                    pairs.push((active.clone(), results[first..].to_vec()));
                 }
-                expanded.insert(active.clone());
-                atr_pairs.push((active, results));
-                changed = true;
             }
-        }
-
-        // One naive pass of every rule against all heads; negative literals
-        // are ignored (over-approximation).
-        let mut new_rules: Vec<GroundRule> = Vec::new();
-        for rule in rules {
-            for h in match_atoms(&rule.pos, |pattern| heads.candidates(pattern)) {
-                let head = rule
-                    .head
-                    .apply_ground(&h)
-                    .expect("safety guarantees the head grounds");
-                let pos: Vec<GroundAtom> = rule
-                    .pos
-                    .iter()
-                    .map(|a| a.apply_ground(&h).expect("matched atoms are ground"))
-                    .collect();
-                let neg: Vec<GroundAtom> = rule
-                    .neg
-                    .iter()
-                    .map(|a| {
-                        a.apply_ground(&h)
-                            .expect("safety grounds negative literals")
-                    })
-                    .collect();
-                new_rules.push(GroundRule::new(head, pos, neg));
-            }
-        }
-        for rule in new_rules {
-            let head = rule.head.clone();
-            if derived.push(rule) {
-                heads.insert(head);
-                changed = true;
-            }
-        }
-
-        if heads.len() > cap {
-            return Ok(None);
-        }
-        if !changed {
-            break;
-        }
+            true
+        },
+    );
+    if cancel.is_cancelled() {
+        return Err(CoreError::Interrupted("factor analysis".into()));
     }
-
-    Ok(Some(Universe {
-        instances: derived.iter().cloned().collect(),
-        heads,
-        atr_pairs,
-    }))
+    Ok(complete.then_some((universe, pairs)))
 }
 
-/// Partition the universe into connected components of the dependency
+/// Partition a universe into connected components of the dependency
 /// graph: star edges `head — footprint atom` per rule instance plus
 /// `active — result` edges per AtR expansion.
-fn partition(sigma: &SigmaPi, universe: &Universe) -> Vec<ChaseComponent> {
-    let atoms: Vec<GroundAtom> = universe.heads.canonical_atoms();
-    let index: BTreeMap<&GroundAtom, usize> =
+fn partition(sigma: &SigmaPi, universe: &GroundRuleSet, pairs: &AtrPairs) -> Vec<ChaseComponent> {
+    let atoms: Vec<GroundAtom> = universe.heads().canonical_atoms();
+    let index: HashMap<&GroundAtom, usize> =
         atoms.iter().enumerate().map(|(i, a)| (a, i)).collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); atoms.len()];
-    for rule in &universe.instances {
+    let index = &index;
+    // Negative atoms outside the universe can never be derived: the literal
+    // is vacuously true in every component, no dependency.
+    let rule_edges = universe.iter().flat_map(|rule| {
         let hub = index[&rule.head];
-        for atom in rule.pos.iter().chain(rule.neg.iter()) {
-            // Negative atoms outside the universe can never be derived: the
-            // literal is vacuously true in every component, no dependency.
-            if let Some(&i) = index.get(atom) {
-                adj[hub].push(i);
-            }
-        }
-    }
-    for (active, results) in &universe.atr_pairs {
+        let footprint = rule.pos.iter().chain(&rule.neg);
+        footprint.filter_map(move |atom| index.get(atom).map(|&i| (hub, i)))
+    });
+    let pair_edges = pairs.iter().flat_map(|(active, results)| {
         let hub = index[active];
-        for result in results {
-            adj[hub].push(index[result]);
-        }
-    }
-    connected_components(atoms.len(), &adj)
+        results.iter().map(move |result| (hub, index[result]))
+    });
+    connected_components(atoms.len(), rule_edges.chain(pair_edges))
         .into_iter()
         .map(|vs| {
             let set: BTreeSet<GroundAtom> = vs.iter().map(|&v| atoms[v].clone()).collect();
@@ -259,20 +208,12 @@ impl FactorAnalysis {
 /// per-component chase would run, or `None` when the program should take
 /// the flat path — fewer than two trigger-bearing components, a positive
 /// `min_path_probability` (joint-mass cuts do not factorize), a
-/// distribution error, or a universe beyond the analysis cap.
+/// distribution error, or a universe beyond the analysis cap — plus the
+/// [`FactorAnalysis`] verdict describing how it was reached.
 ///
 /// Trigger-free components (the deterministic skeleton: facts and atoms
 /// derivable without any choice) are merged into one final factor so that
 /// every rule of every outcome lands in exactly one factor.
-pub fn analyze(
-    sigma: &SigmaPi,
-    budget: &ChaseBudget,
-) -> Result<Option<Vec<ChaseComponent>>, CoreError> {
-    analyze_cancellable(sigma, budget, &CancelToken::never()).map(|(components, _)| components)
-}
-
-/// [`analyze`] plus the [`FactorAnalysis`] verdict describing how it was
-/// reached.
 ///
 /// Static short-circuits (no saturation): a positive `min_path_probability`
 /// (joint-mass cuts never factorize) or the [`certainly_single_trigger`]
@@ -330,11 +271,12 @@ pub fn analyze_cancellable(
     let mut raw: Vec<ChaseComponent> = Vec::new();
     let mut cap = UNIVERSE_ATOM_CAP;
     for (rules, schemas) in groups.values() {
-        let Some(universe) = saturate_group(rules, schemas, budget, cap, cancel)? else {
+        let Some((universe, pairs)) = universe_of_group(rules, schemas, budget, cap, cancel)?
+        else {
             return Ok((None, FactorAnalysis::Dynamic));
         };
-        cap = cap.saturating_sub(universe.heads.len());
-        raw.extend(partition(sigma, &universe));
+        cap = cap.saturating_sub(universe.heads().len());
+        raw.extend(partition(sigma, &universe, &pairs));
     }
     // Canonical order: by smallest atom, as the global partition produces.
     raw.sort_by(|a, b| a.atoms.first().cmp(&b.atoms.first()));
@@ -814,7 +756,8 @@ mod tests {
     fn independent_coins_split_into_one_component_each() {
         let (program, db) = coin_farm(4, true);
         let pipeline = Pipeline::new(&program, &db).unwrap();
-        let components = analyze(pipeline.sigma(), &ChaseBudget::default())
+        let components = pipeline
+            .factor_components()
             .unwrap()
             .expect("four independent coins must factor");
         assert_eq!(components.len(), 4);
@@ -835,9 +778,7 @@ mod tests {
     fn coupled_programs_fall_back_to_flat() {
         // The coin program has a single choice: nothing to factor.
         let pipeline = Pipeline::new(&coin_program(), &Database::new()).unwrap();
-        assert!(analyze(pipeline.sigma(), &ChaseBudget::default())
-            .unwrap()
-            .is_none());
+        assert!(pipeline.factor_components().unwrap().is_none());
 
         // A zero-arity coupler welds all coins into one component.
         let half = Term::Const(Const::real(0.5).expect("finite"));
@@ -862,9 +803,7 @@ mod tests {
             db.insert_fact("Coin", [Const::Int(i)]);
         }
         let pipeline = Pipeline::new(&program, &db).unwrap();
-        assert!(analyze(pipeline.sigma(), &ChaseBudget::default())
-            .unwrap()
-            .is_none());
+        assert!(pipeline.factor_components().unwrap().is_none());
 
         // Joint-mass cuts do not factorize.
         let (program, db) = coin_farm(3, true);
@@ -873,7 +812,11 @@ mod tests {
             min_path_probability: 0.01,
             ..ChaseBudget::default()
         };
-        assert!(analyze(pipeline.sigma(), &budget).unwrap().is_none());
+        assert!(pipeline
+            .budget(budget)
+            .factor_components()
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -905,6 +848,82 @@ mod tests {
         let (components, verdict) = analyze_with(pipeline.sigma(), &budget).unwrap();
         assert!(components.is_none());
         assert_eq!(verdict, FactorAnalysis::Static);
+    }
+
+    #[test]
+    fn cancelled_analysis_is_interrupted_not_flat() {
+        let (program, db) = coin_farm(4, true);
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let pipeline = Pipeline::new(&program, &db).unwrap().with_cancel(cancel);
+        match pipeline.factor_analysis() {
+            Err(CoreError::Interrupted(what)) => assert_eq!(what, "factor analysis"),
+            other => panic!("expected an interruption, got {:?}", other.map(|r| r.1)),
+        }
+        // The component listing and count poll the same token.
+        assert!(matches!(
+            pipeline.factor_components(),
+            Err(CoreError::Interrupted(_))
+        ));
+        assert!(matches!(
+            pipeline.factor_count(),
+            Err(CoreError::Interrupted(_))
+        ));
+    }
+
+    #[test]
+    fn data_driven_distribution_error_falls_back_to_flat() {
+        // `Flip⟨p⟩` with p read from the data: 2 and 3 are out of range, which
+        // only the universe expansion discovers.
+        let program = ProgramBuilder::new()
+            .rule(|r| {
+                r.body("Coin", vec![Term::var("x"), Term::var("p")])
+                    .head_with_delta(
+                        "Toss",
+                        vec![Term::var("x")],
+                        "Flip",
+                        vec![Term::var("p")],
+                        vec![Term::var("x")],
+                    )
+            })
+            .build()
+            .unwrap();
+        let mut db = Database::new();
+        db.insert_fact("Coin", [Const::Int(1), Const::Int(2)]);
+        db.insert_fact("Coin", [Const::Int(2), Const::Int(3)]);
+        let pipeline = Pipeline::new(&program, &db).unwrap();
+        let (components, verdict) = pipeline.factor_analysis().unwrap();
+        assert!(components.is_none());
+        assert_eq!(verdict, FactorAnalysis::Dynamic);
+
+        let Err(flat) = pipeline.solve() else {
+            panic!("the flat chase must fail");
+        };
+        let Err(factored) = pipeline.solve_with(crate::api::SolveStrategy::Factored) else {
+            panic!("the factored solve must fail");
+        };
+        assert!(
+            flat.to_string().contains("Flip: invalid parameter"),
+            "{flat}"
+        );
+        assert_eq!(factored.to_string(), flat.to_string());
+    }
+
+    #[test]
+    fn universe_past_the_cap_falls_back_to_flat() {
+        let (program, db) = coin_farm(4, true);
+        let pipeline = Pipeline::new(&program, &db).unwrap();
+        let sigma = pipeline.sigma();
+        let rules: Vec<&TgdRule> = sigma.rules.iter().collect();
+        let schemas: Vec<&AtrSchema> = sigma.atr_schemas.iter().collect();
+        let budget = ChaseBudget::default();
+        let never = CancelToken::never();
+        assert!(universe_of_group(&rules, &schemas, &budget, 5, &never)
+            .unwrap()
+            .is_none());
+        assert!(universe_of_group(&rules, &schemas, &budget, 1_000, &never)
+            .unwrap()
+            .is_some());
     }
 
     #[test]

@@ -256,9 +256,10 @@ impl Pipeline {
 
     /// The chase-independence analysis for this pipeline's program and
     /// budget: the components an independent per-component chase would run,
-    /// or `None` when the program should take the flat path.
+    /// or `None` when the program should take the flat path. Like
+    /// [`Pipeline::factor_analysis`], it polls the pipeline's cancel token.
     pub fn factor_components(&self) -> Result<Option<Vec<ChaseComponent>>, CoreError> {
-        factor::analyze(&self.sigma, &self.budget)
+        self.factor_analysis().map(|(components, _)| components)
     }
 
     /// [`Pipeline::factor_components`] plus the [`FactorAnalysis`] verdict:

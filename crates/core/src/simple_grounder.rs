@@ -56,14 +56,7 @@ impl SimpleGrounder {
         parent_rules: GroundRuleSet,
     ) -> GroundRuleSet {
         let rules: Vec<&TgdRule> = self.sigma.rules.iter().collect();
-        saturate_impl(
-            &rules,
-            atr,
-            parent_rules,
-            None,
-            Some(parent_atr),
-            Some(&self.cancel),
-        )
+        saturate_extending_cancellable(&rules, atr, parent_rules, None, parent_atr, &self.cancel)
     }
 }
 
@@ -82,14 +75,7 @@ impl Grounder for SimpleGrounder {
 
     fn ground(&self, atr: &AtrSet) -> GroundRuleSet {
         let rules: Vec<&TgdRule> = self.sigma.rules.iter().collect();
-        saturate_impl(
-            &rules,
-            atr,
-            GroundRuleSet::new(),
-            None,
-            None,
-            Some(&self.cancel),
-        )
+        saturate_cancellable(&rules, atr, GroundRuleSet::new(), None, &self.cancel)
     }
 
     fn ground_from(
@@ -137,34 +123,10 @@ fn instantiate(
     new_rules.push(GroundRule::new(head, pos, neg));
 }
 
-/// The shared saturation loop used by both grounders, evaluated
-/// **semi-naively**: after an initial full round, a rule is only re-matched
-/// through body positions that can consume an atom derived in the previous
-/// round (the *delta*), with the remaining positions answered by the indexed
-/// head set. Instantiations whose body atoms are all old are never
-/// re-derived, so the total matching work is proportional to the newly
-/// derived facts rather than `rounds × rules × |heads|^arity`.
-///
-/// Starting from `initial` (already-derived ground rules), repeatedly add
-/// every ground instance `h(σ)` of a rule in `rules` whose positive body is
-/// contained in the current head set; when `neg_reference` is `Some(db)` a
-/// rule instance is only added if none of its (ground) negative body atoms
-/// occurs in `db` (the `Perfect` operator), otherwise negative literals are
-/// ignored (the `Simple` operator). Ground AtR rules of `atr` contribute
-/// their `Result` head as soon as their `Active` body has been derived; the
-/// activation is delta-driven too: each new head atom is looked up in `atr`.
-/// Activated `Result` atoms join the head set itself (see
-/// [`GroundRuleSet::insert_head`]), so `initial` must be empty or the output
-/// of an earlier saturation under `atr` (the perfect grounder's lower
-/// strata): its activated choices then already carry their `Result` atoms.
-///
-/// The retained naive formulation lives in [`crate::naive`]; property tests
-/// assert both produce identical [`GroundRuleSet`]s.
-///
-/// The loop polls the [`CancelToken`] once per round; a cancelled saturation
-/// breaks out early and returns whatever it derived so far, so callers (the
-/// chase) must re-check the token before trusting the result. Pass
-/// [`CancelToken::never`] for an uninterruptible saturation.
+/// Saturate `initial` under the choices of `atr` with the shared loop
+/// [`saturate_impl`]; `initial` must be empty or the output of an earlier
+/// saturation under `atr` (the perfect grounder's lower strata), whose
+/// activated choices then already carry their `Result` atoms.
 pub(crate) fn saturate_cancellable(
     rules: &[&TgdRule],
     atr: &AtrSet,
@@ -172,7 +134,7 @@ pub(crate) fn saturate_cancellable(
     neg_reference: Option<&Database>,
     cancel: &CancelToken,
 ) -> GroundRuleSet {
-    saturate_impl(rules, atr, initial, neg_reference, None, Some(cancel))
+    saturate_impl(rules, initial, neg_reference, None, cancel, choices_of(atr))
 }
 
 /// [`saturate_cancellable`] for an `initial` set that is already saturated
@@ -184,52 +146,88 @@ pub(crate) fn saturate_cancellable(
 pub(crate) fn saturate_extending_cancellable(
     rules: &[&TgdRule],
     atr: &AtrSet,
-    initial: GroundRuleSet,
+    mut initial: GroundRuleSet,
     neg_reference: Option<&Database>,
     parent_atr: &AtrSet,
     cancel: &CancelToken,
 ) -> GroundRuleSet {
+    let mut seed = Database::new();
+    for choice in atr.iter().filter(|c| !parent_atr.is_defined_on(&c.active)) {
+        if initial.heads().contains(&choice.active) && initial.insert_head(choice.result.clone()) {
+            seed.insert(choice.result.clone());
+        }
+    }
     saturate_impl(
         rules,
-        atr,
         initial,
         neg_reference,
-        Some(parent_atr),
-        Some(cancel),
+        Some(seed),
+        cancel,
+        choices_of(atr),
     )
 }
 
-fn saturate_impl(
+/// The grounders' activation step: each new head atom is looked up in `atr`
+/// (one lookup each), and the `Result` atoms of the choices found join in
+/// `Active`-atom order.
+fn choices_of(atr: &AtrSet) -> impl FnMut(&Database, &Database, &mut Vec<GroundAtom>) -> bool + '_ {
+    move |_, new_heads, results| {
+        let mut activated: Vec<&AtrRule> = new_heads.iter().filter_map(|h| atr.get(h)).collect();
+        activated.sort();
+        results.extend(activated.into_iter().map(|choice| choice.result.clone()));
+        true
+    }
+}
+
+/// The one saturation loop, shared by both grounders and by the factor
+/// analysis's universe, evaluated **semi-naively**: after an initial full
+/// round, a rule is only re-matched through body positions that can consume
+/// an atom derived in the previous round (the *delta*), with the remaining
+/// positions answered by the indexed head set. Instantiations whose body
+/// atoms are all old are never re-derived, so the total matching work is
+/// proportional to the newly derived facts rather than
+/// `rounds × rules × |heads|^arity`.
+///
+/// Starting from `initial` (already-derived ground rules), repeatedly add
+/// every ground instance `h(σ)` of a rule in `rules` whose positive body is
+/// contained in the current head set; when `neg_reference` is `Some(db)` a
+/// rule instance is only added if none of its (ground) negative body atoms
+/// occurs in `db` (the `Perfect` operator), otherwise negative literals are
+/// ignored (the `Simple` operator). A `Some(delta)` skips the full round 0:
+/// `initial` is then already saturated apart from the atoms of `delta`.
+///
+/// Once per round, `activate(heads, new_heads, results)` sees the head set
+/// and the round's new head atoms and appends to `results` the `Result`
+/// atoms that the new `Active` atoms activate; those join the head set
+/// itself (see [`GroundRuleSet::insert_head`]) and the next delta. The
+/// grounders activate the choices of Σ ([`saturate_cancellable`]); the
+/// factor analysis expands every `Active` atom to its outcomes. Returning
+/// `false` stops the saturation with what it derived so far.
+///
+/// The retained naive formulation lives in [`crate::naive`]; property tests
+/// assert both produce identical [`GroundRuleSet`]s.
+///
+/// The loop polls the [`CancelToken`] once per round; a cancelled saturation
+/// breaks out early and returns whatever it derived so far, so callers (the
+/// chase) must re-check the token before trusting the result. Pass
+/// [`CancelToken::never`] for an uninterruptible saturation.
+pub(crate) fn saturate_impl<A>(
     rules: &[&TgdRule],
-    atr: &AtrSet,
     initial: GroundRuleSet,
     neg_reference: Option<&Database>,
-    parent_atr: Option<&AtrSet>,
-    cancel: Option<&CancelToken>,
-) -> GroundRuleSet {
+    mut delta: Option<Database>,
+    cancel: &CancelToken,
+    mut activate: A,
+) -> GroundRuleSet
+where
+    A: FnMut(&Database, &Database, &mut Vec<GroundAtom>) -> bool,
+{
     let mut derived = initial;
-
-    // Round 0 matches every rule fully against the head set, and round
-    // `k > 0` only through the delta of round `k - 1`. In extending mode the
-    // full round 0 is skipped: the initial rules are saturated under
-    // `parent_atr`, whose activated Result atoms are already heads, so only
-    // the choices it does not define can activate here, and their Result
-    // atoms are the whole round-0 delta.
-    let mut delta: Option<Database> = parent_atr.map(|parent| {
-        let mut seed = Database::new();
-        for choice in atr.iter().filter(|c| !parent.is_defined_on(&c.active)) {
-            if derived.heads().contains(&choice.active)
-                && derived.insert_head(choice.result.clone())
-            {
-                seed.insert(choice.result.clone());
-            }
-        }
-        seed
-    });
+    let mut results: Vec<GroundAtom> = Vec::new();
     loop {
         // A saturation round is the grounding checkpoint: break out with the
         // partial rule set; the chase re-checks the token and cuts the node.
-        if cancel.is_some_and(CancelToken::is_cancelled) {
+        if cancel.is_cancelled() {
             break;
         }
         let heads = derived.heads();
@@ -256,25 +254,21 @@ fn saturate_impl(
             }
         }
 
-        // Integrate the round: new head atoms form the next delta, and the
-        // choices whose Active atom just appeared (one lookup each) add their
-        // Result atoms, in Active-atom order.
+        // Integrate the round: new head atoms form the next delta, together
+        // with the Result atoms they activate.
         let mut next_delta = Database::new();
-        let mut activated: Vec<&AtrRule> = Vec::new();
         for rule in new_rules {
-            if derived.heads().contains(&rule.head) {
-                derived.push(rule);
-                continue;
+            if !derived.heads().contains(&rule.head) {
+                next_delta.insert(rule.head.clone());
             }
-            let head = rule.head.clone();
             derived.push(rule);
-            activated.extend(atr.get(&head));
-            next_delta.insert(head);
         }
-        activated.sort();
-        for choice in activated {
-            if derived.insert_head(choice.result.clone()) {
-                next_delta.insert(choice.result.clone());
+        if !activate(derived.heads(), &next_delta, &mut results) {
+            break;
+        }
+        for result in results.drain(..) {
+            if derived.insert_head(result.clone()) {
+                next_delta.insert(result);
             }
         }
 

@@ -200,10 +200,10 @@ impl fmt::Display for DependencyGraph {
 ///
 /// Computed with an iterative Tarjan algorithm (which yields the reverse
 /// order) followed by a reversal. This is the graph kernel shared by the
-/// predicate-level [`DependencyGraph::sccs`] (stratification, Section 5) and
-/// the ground-atom-level residual decomposition of the stable-model search
-/// ([`crate::stable`]): callers map their vertices to `0..n` and pass
-/// deduplicated adjacency lists.
+/// predicate-level [`DependencyGraph::sccs`] (stratification, Section 5),
+/// the branch order of the stable-model search ([`crate::stable`]) and the
+/// static analysis's weak-cycle check: callers map their vertices to `0..n`
+/// and pass deduplicated adjacency lists.
 pub fn sccs_of(n: usize, succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
     debug_assert_eq!(succ.len(), n);
     #[derive(Clone, Copy)]
@@ -271,33 +271,44 @@ pub fn sccs_of(n: usize, succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
     out
 }
 
-/// The connected components of an index-based *undirected* graph (given as a
-/// directed adjacency that is symmetrized internally), each sorted, ordered
-/// by smallest member.
+/// The connected components of the undirected graph on `0..n` given by an
+/// edge list (each edge read in both directions), each sorted, ordered by
+/// smallest member.
 ///
-/// This is the independence kernel shared with the chase-factorization
-/// analysis (`gdlog-core::factor`): two vertices land in the same component
-/// exactly when some chain of edges connects them in either direction, so
-/// distinct components share no dependencies at all. Implemented as
-/// [`sccs_of`] over the symmetrized adjacency — in an undirected graph the
-/// strongly connected components *are* the connected components.
-pub fn connected_components(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    debug_assert_eq!(adj.len(), n);
-    let mut sym: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (v, next) in adj.iter().enumerate() {
-        for &w in next {
-            sym[v].push(w);
-            sym[w].push(v);
+/// This is the one independence kernel: the stable-model search splits each
+/// residual program with it, and the chase-factorization analysis
+/// (`gdlog-core::factor`) and its static prediction partition atoms and
+/// predicates with it. Two vertices land in the same component exactly when
+/// some chain of edges connects them, so distinct components share no
+/// dependencies at all. Union-find with path halving; the larger root joins
+/// the smaller, so every root is its component's smallest member.
+pub fn connected_components(
+    n: usize,
+    edges: impl IntoIterator<Item = (usize, usize)>,
+) -> Vec<Vec<usize>> {
+    fn find(parent: &mut [usize], mut v: usize) -> usize {
+        while parent[v] != v {
+            parent[v] = parent[parent[v]];
+            v = parent[v];
         }
+        v
     }
-    for s in &mut sym {
-        s.sort_unstable();
-        s.dedup();
+    let mut parent: Vec<usize> = (0..n).collect();
+    for (a, b) in edges {
+        let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+        parent[ra.max(rb)] = ra.min(rb);
     }
-    let mut comps = sccs_of(n, &sym);
-    // `sccs_of` sorts each component internally; order the components
-    // themselves canonically by their smallest member.
-    comps.sort_by_key(|c| c.first().copied().unwrap_or(usize::MAX));
+    // Ascending scan: a root is met before the rest of its component.
+    let mut slot = vec![0usize; n];
+    let mut comps: Vec<Vec<usize>> = Vec::new();
+    for v in 0..n {
+        let root = find(&mut parent, v);
+        if root == v {
+            slot[v] = comps.len();
+            comps.push(Vec::new());
+        }
+        comps[slot[root]].push(v);
+    }
     comps
 }
 
@@ -475,17 +486,23 @@ mod tests {
 
     #[test]
     fn connected_components_symmetrize_and_order() {
-        // Directed edges 0→1, 3→2, isolated 4: components {0,1}, {2,3}, {4}
+        // Edges 0→1, 3→2, isolated 4: components {0,1}, {2,3}, {4}
         // regardless of edge direction, ordered by smallest member.
-        let adj = vec![vec![1], vec![], vec![], vec![2], vec![]];
         assert_eq!(
-            connected_components(5, &adj),
+            connected_components(5, [(0, 1), (3, 2)]),
             vec![vec![0, 1], vec![2, 3], vec![4]]
         );
         // A chain through both directions collapses into one component.
-        let chain = vec![vec![1], vec![], vec![1], vec![2]];
-        assert_eq!(connected_components(4, &chain), vec![vec![0, 1, 2, 3]]);
-        assert!(connected_components(0, &[]).is_empty());
+        assert_eq!(
+            connected_components(4, [(0, 1), (2, 1), (3, 2)]),
+            vec![vec![0, 1, 2, 3]]
+        );
+        // Members stay ascending when a later edge merges two roots.
+        assert_eq!(
+            connected_components(6, [(4, 5), (1, 3), (5, 1), (2, 0)]),
+            vec![vec![0, 2], vec![1, 3, 4, 5]]
+        );
+        assert!(connected_components(0, []).is_empty());
     }
 
     #[test]

@@ -18,8 +18,6 @@
 //!   retained as the equivalence oracle for the search above,
 //! * [`well_founded`] — the well-founded (alternating fixpoint) approximation
 //!   used to prune the stable-model search,
-//! * [`stratified`] — the linear-time evaluation of stratified programs,
-//!   which have exactly one stable model (used by Proposition 5.2),
 //! * [`DependencyGraph`] — predicate-level dependency graphs, strongly
 //!   connected components and topological strata (Figure 1 / Section 5).
 
@@ -33,7 +31,6 @@ pub mod least_model;
 pub mod naive_stable;
 pub mod reduct;
 pub mod stable;
-pub mod stratified;
 pub mod wellfounded;
 
 pub use cancel::{CancelToken, DeadlineGuard};
@@ -46,7 +43,6 @@ pub use stable::{
     is_stable_model, stable_model_atoms, stable_models, stable_models_with_cancel, RuleParts,
     StableError, StableModelLimits,
 };
-pub use stratified::{stratified_model, StratifiedError};
 pub use wellfounded::{well_founded, WellFounded};
 
 #[cfg(test)]

@@ -24,15 +24,15 @@
 //!    [`reduct`] and [`least_model`] stay off this path: they remain the
 //!    `Database`-level reference that [`crate::naive_stable`],
 //!    [`is_stable_model`] and the tests compare against.
-//! 2. **Component split.** The residual's ground-atom dependency graph is
-//!    decomposed into strongly connected components
-//!    ([`crate::depgraph::sccs_of`], the same Tarjan kernel as
-//!    stratification); SCCs whose condensation is connected are grouped into
+//! 2. **Component split.** The connected components of the residual's
+//!    ground-atom dependency graph ([`crate::depgraph::connected_components`],
+//!    the union-find kernel the factor analysis partitions with too) are
 //!    independent *solve units* that share no atoms. The stable models of the
 //!    residual are exactly the cross products of the units' stable models, so
 //!    one `2^k` search becomes a product of `2^kᵢ` searches.
 //! 3. **Propagating search.** Within a unit, the search branches on the
-//!    negative signature in bottom-up SCC order and, after every decision,
+//!    negative signature in bottom-up SCC order ([`crate::depgraph::sccs_of`],
+//!    the same Tarjan kernel as stratification) and, after every decision,
 //!    runs Fitting/unit propagation to fixpoint: a rule whose body is
 //!    certainly satisfied forces its head true, an atom all of whose rules
 //!    are blocked is forced false, and contradictions prune the subtree
@@ -55,7 +55,7 @@
 //! large (that is the point of the split).
 
 use crate::cancel::CancelToken;
-use crate::depgraph::sccs_of;
+use crate::depgraph::{connected_components, sccs_of};
 use crate::ground::{GroundProgram, GroundRule};
 use crate::least_model::least_model;
 use crate::reduct::reduct;
@@ -493,25 +493,20 @@ impl<'p> Residual<'p> {
     /// Split into independent solve units: the connected components of the
     /// SCC condensation of the atom dependency graph (equivalently, of its
     /// undirected view). Units share no atoms, so `sms` factors as their
-    /// cross product.
+    /// cross product. They come ordered by smallest atom, each with its
+    /// atoms ascending, so the split is fully deterministic.
     fn split(&self) -> Vec<Component<'p>> {
         let n = self.atoms.len();
-        let mut uf = UnionFind::new(n);
-        for rule in &self.rules {
-            for &b in rule.pos.iter().chain(rule.neg.iter()) {
-                uf.union(rule.head as usize, b as usize);
-            }
-        }
-
-        // Group atoms by representative; iterating in ascending order keeps
-        // each group's members sorted and lets us order the groups by their
-        // smallest atom — fully deterministic.
-        let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-        for a in 0..n {
-            groups.entry(uf.find(a)).or_default().push(a);
-        }
-        let mut members: Vec<Vec<usize>> = groups.into_values().collect();
-        members.sort_by_key(|g| g[0]);
+        let members = connected_components(
+            n,
+            self.rules.iter().flat_map(|rule| {
+                let head = rule.head as usize;
+                rule.pos
+                    .iter()
+                    .chain(&rule.neg)
+                    .map(move |&b| (head, b as usize))
+            }),
+        );
 
         let mut local_of = vec![(0u32, 0u32); n]; // (component, local index)
         for (ci, group) in members.iter().enumerate() {
@@ -923,38 +918,6 @@ impl<'a> Solver<'a> {
     }
 }
 
-/// Plain union-find with path halving; union by attaching the larger root to
-/// the smaller keeps representatives deterministic (always the minimum).
-struct UnionFind {
-    parent: Vec<usize>,
-}
-
-impl UnionFind {
-    fn new(n: usize) -> Self {
-        UnionFind {
-            parent: (0..n).collect(),
-        }
-    }
-
-    fn find(&mut self, mut a: usize) -> usize {
-        while self.parent[a] != a {
-            self.parent[a] = self.parent[self.parent[a]];
-            a = self.parent[a];
-        }
-        a
-    }
-
-    fn union(&mut self, a: usize, b: usize) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra < rb {
-            self.parent[rb] = ra;
-        } else if rb < ra {
-            self.parent[ra] = rb;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -969,6 +932,10 @@ mod tests {
 
     fn atom1(name: &str, arg: i64) -> GroundAtom {
         GroundAtom::make(name, vec![Const::Int(arg)])
+    }
+
+    fn atom2(name: &str, a: i64, b: i64) -> GroundAtom {
+        GroundAtom::make(name, vec![Const::Int(a), Const::Int(b)])
     }
 
     fn models(p: &GroundProgram) -> Vec<Database> {
@@ -1367,5 +1334,102 @@ mod tests {
             Err(StableError::Interrupted)
         );
         assert!(started.elapsed() < Duration::from_secs(2));
+    }
+
+    // Stratified programs have exactly one stable model (Corollary 1 of
+    // Gelfond & Lifschitz, used by Proposition 5.2 of the paper).
+
+    #[test]
+    fn two_strata_with_negation() {
+        // Reachable/unreachable: U(x) ← V(x), ¬R(x).
+        let mut p = GroundProgram::new();
+        for i in 1..=3 {
+            p.push(GroundRule::fact(atom1("V", i)));
+        }
+        p.push(GroundRule::fact(atom2("E", 1, 2)));
+        p.push(GroundRule::fact(atom1("R", 1)));
+        for i in 1..=3 {
+            for j in 1..=3 {
+                p.push(GroundRule::new(
+                    atom1("R", j),
+                    vec![atom1("R", i), atom2("E", i, j)],
+                    vec![],
+                ));
+            }
+        }
+        for i in 1..=3 {
+            p.push(GroundRule::new(
+                atom1("U", i),
+                vec![atom1("V", i)],
+                vec![atom1("R", i)],
+            ));
+        }
+        let expected = Database::from_atoms([
+            atom1("V", 1),
+            atom1("V", 2),
+            atom1("V", 3),
+            atom2("E", 1, 2),
+            atom1("R", 1),
+            atom1("R", 2),
+            atom1("U", 3),
+        ]);
+        assert_eq!(models(&p), vec![expected]);
+    }
+
+    #[test]
+    fn three_strata_chain() {
+        // C ← ¬B. B ← ¬A. A is a fact ⇒ B false, C true.
+        let p = GroundProgram::from_rules(vec![
+            GroundRule::fact(atom("A")),
+            GroundRule::new(atom("B"), vec![], vec![atom("A")]),
+            GroundRule::new(atom("C"), vec![], vec![atom("B")]),
+        ]);
+        let expected = Database::from_atoms([atom("A"), atom("C")]);
+        assert_eq!(models(&p), vec![expected]);
+    }
+
+    #[test]
+    fn dime_quarter_scenario_from_appendix_e() {
+        // Ground instance of the Appendix E example for the configuration
+        // "dime 1 tails, dime 2 heads": the quarter is not tossed.
+        let facts = [
+            atom1("Dime", 1),
+            atom1("Dime", 2),
+            atom1("Quarter", 3),
+            atom2("DimeTail", 1, 1),
+            atom2("DimeTail", 2, 0),
+        ];
+        let mut p = GroundProgram::from_rules(facts.iter().cloned().map(GroundRule::fact));
+        p.extend([
+            GroundRule::new(atom("SomeDimeTail"), vec![atom2("DimeTail", 1, 1)], vec![]),
+            GroundRule::new(atom("SomeDimeTail"), vec![atom2("DimeTail", 2, 1)], vec![]),
+            GroundRule::new(
+                atom1("TossQuarter", 3),
+                vec![atom1("Quarter", 3)],
+                vec![atom("SomeDimeTail")],
+            ),
+        ]);
+        let expected = Database::from_atoms(facts.into_iter().chain([atom("SomeDimeTail")]));
+        assert_eq!(models(&p), vec![expected]);
+    }
+
+    #[test]
+    fn small_stratified_programs_have_one_stable_model() {
+        let p = GroundProgram::from_rules(vec![
+            GroundRule::fact(atom1("P", 1)),
+            GroundRule::new(atom1("Q", 1), vec![atom1("P", 1)], vec![atom1("R", 1)]),
+            GroundRule::new(atom1("S", 1), vec![atom1("Q", 1)], vec![]),
+        ]);
+        let expected = Database::from_atoms([atom1("P", 1), atom1("Q", 1), atom1("S", 1)]);
+        assert_eq!(models(&p), vec![expected]);
+
+        let p = GroundProgram::from_rules(vec![
+            GroundRule::new(atom("X"), vec![], vec![atom("Y")]),
+            GroundRule::new(atom("Z"), vec![atom("X")], vec![]),
+        ]);
+        assert_eq!(
+            models(&p),
+            vec![Database::from_atoms([atom("X"), atom("Z")])]
+        );
     }
 }
