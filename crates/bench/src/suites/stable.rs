@@ -37,7 +37,8 @@ use gdlog_core::{
     TriggerOrder,
 };
 use gdlog_engine::{naive_stable_models, StableModelLimits};
-use gdlog_prob::{EventPartition, Prob};
+use gdlog_prob::Prob;
+use std::collections::HashMap;
 
 struct Row {
     name: String,
@@ -63,18 +64,16 @@ impl Row {
 /// The seed back-end, reproduced end to end: naive per-outcome stable-model
 /// enumeration, event partition, mass-sorted listing.
 fn naive_events(chase: &ChaseResult, limits: &StableModelLimits) -> Vec<(ModelSetKey, Prob)> {
-    let keyed: Vec<(ModelSetKey, Prob)> = chase
-        .outcomes
-        .iter()
-        .map(|o| {
-            let models = naive_stable_models(&o.full_program(), limits)
-                .expect("naive search stays in limits");
-            (ModelSetKey::from_models(&models), o.probability)
-        })
-        .collect();
-    let partition = EventPartition::from_weighted_keys(keyed, chase.residual_mass);
-    let mut events: Vec<(ModelSetKey, Prob)> =
-        partition.iter().map(|(k, m)| (k.clone(), m.mass)).collect();
+    let mut partition: HashMap<ModelSetKey, Prob> = HashMap::new();
+    for o in &chase.outcomes {
+        let models =
+            naive_stable_models(&o.full_program(), limits).expect("naive search stays in limits");
+        let mass = partition
+            .entry(ModelSetKey::from_models(&models))
+            .or_insert(Prob::ZERO);
+        *mass = mass.add(&o.probability);
+    }
+    let mut events: Vec<(ModelSetKey, Prob)> = partition.into_iter().collect();
     events.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     events
 }

@@ -54,8 +54,9 @@ use crate::simple_grounder::saturate_impl;
 use crate::translate::{AtrSchema, SigmaPi, TgdRule};
 use gdlog_data::GroundAtom;
 use gdlog_engine::{connected_components, CancelToken};
-use gdlog_prob::{DiscreteSpace, FactoredSpace, Prob};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use gdlog_prob::Prob;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::sync::OnceLock;
 
 /// Safety valve for the universe fixpoint: programs whose over-approximated
@@ -395,10 +396,10 @@ pub struct FactoredOutputSpace {
     explored: Vec<Prob>,
     /// Per factor: does the "no stable model" event occur?
     has_empty: Vec<bool>,
-    /// Input of the lazy top-k merge, built on first use: per factor, the
-    /// indices of its nonempty events in its
-    /// [`OutputSpace::events_by_mass`] listing.
-    nonempty_events: OnceLock<FactoredSpace<usize>>,
+    /// Input of the lazy top-k merge ([`top_k_tuples`]), built on first
+    /// use: per factor, the `(index, mass)` pairs of its nonempty events in
+    /// its [`OutputSpace::events_by_mass`] listing order.
+    nonempty_events: OnceLock<Vec<Vec<(usize, Prob)>>>,
     /// Computed on first use, then shared by every query.
     fingerprint: OnceLock<String>,
 }
@@ -597,9 +598,9 @@ impl FactoredOutputSpace {
 
     /// The `k` heaviest joint events in the flat (mass-descending,
     /// key-ascending) order: a one-factor product lists its factor's
-    /// events; otherwise the lazy k-way product merge of [`FactoredSpace`]
-    /// runs over the per-factor *nonempty* events, plus the single
-    /// collapsed "no stable model" event with its closed-form mass.
+    /// events; otherwise a lazy k-way product merge runs over the
+    /// per-factor *nonempty* events, plus the single collapsed "no stable
+    /// model" event with its closed-form mass.
     ///
     /// Equal-mass ties are normalized by fetching `TOP_K_TIE_SLACK` extra
     /// candidates and re-sorting; the listing matches the flat
@@ -613,34 +614,32 @@ impl FactoredOutputSpace {
             return Vec::new();
         }
         let nonempty_events = self.nonempty_events.get_or_init(|| {
-            FactoredSpace::from_factors(
-                self.factors
-                    .iter()
-                    .map(|f| {
-                        let mut s = DiscreteSpace::new();
-                        for (i, (key, mass)) in f.space.events_by_mass().iter().enumerate() {
-                            if !key.is_empty() {
-                                s.push(i, *mass);
-                            }
-                        }
-                        s
-                    })
-                    .collect(),
-            )
+            self.factors
+                .iter()
+                .map(|f| {
+                    f.space
+                        .events_by_mass()
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, (key, _))| !key.is_empty())
+                        .map(|(i, (_, mass))| (i, *mass))
+                        .collect()
+                })
+                .collect()
         });
-        let mut out: Vec<(ModelSetKey, Prob)> = nonempty_events
-            .top_k(k.saturating_add(TOP_K_TIE_SLACK))
-            .into_iter()
-            .map(|(indices, mass)| {
-                let parts: Vec<&ModelSetKey> = self
-                    .factors
-                    .iter()
-                    .zip(indices)
-                    .map(|(f, &i)| &f.space.events_by_mass()[i].0)
-                    .collect();
-                (ModelSetKey::product(&parts), mass)
-            })
-            .collect();
+        let mut out: Vec<(ModelSetKey, Prob)> =
+            top_k_tuples(nonempty_events, k.saturating_add(TOP_K_TIE_SLACK))
+                .into_iter()
+                .map(|(indices, mass)| {
+                    let parts: Vec<&ModelSetKey> = self
+                        .factors
+                        .iter()
+                        .zip(indices)
+                        .map(|(f, i)| &f.space.events_by_mass()[i].0)
+                        .collect();
+                    (ModelSetKey::product(&parts), mass)
+                })
+                .collect();
         let empty_mass = self.event_probability(&ModelSetKey::empty());
         if empty_mass.is_positive() {
             out.push((ModelSetKey::empty(), empty_mass));
@@ -694,6 +693,141 @@ fn clamp_at_zero(p: Prob) -> Prob {
     } else {
         p
     }
+}
+
+/// A heap entry of the lazy product merge: a joint position tuple and its
+/// mass. Ordered by mass (descending pops first), ties broken toward the
+/// lexicographically smallest tuple so the listing is deterministic.
+struct Candidate {
+    mass: Prob,
+    /// The tuple's nonzero coordinates as `(factor, position)` pairs in
+    /// ascending factor order; every other coordinate is zero.
+    nonzero: Vec<(usize, usize)>,
+    /// The masses of the coordinates before the last nonzero one, folded
+    /// in factor order (`Prob::ONE` for the all-zeros tuple).
+    head: Prob,
+}
+
+impl PartialEq for Candidate {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Candidate {}
+
+impl PartialOrd for Candidate {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Candidate {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // BinaryHeap is a max-heap: larger mass wins; among equal masses the
+        // smaller position tuple must pop first, so reverse the tuple order.
+        self.mass
+            .total_cmp(&other.mass)
+            .then_with(|| tuple_cmp(&other.nonzero, &self.nonzero))
+    }
+}
+
+/// Lexicographic order of two position tuples given by their nonzero
+/// coordinates. At the first differing entry, the tuple whose nonzero
+/// coordinate sits at the smaller factor is larger there (the other tuple
+/// holds a zero); a tuple that runs out first has zeros where the other
+/// still has nonzero coordinates.
+fn tuple_cmp(a: &[(usize, usize)], b: &[(usize, usize)]) -> Ordering {
+    for (&(fa, ia), &(fb, ib)) in a.iter().zip(b) {
+        match fb.cmp(&fa).then(ia.cmp(&ib)) {
+            Ordering::Equal => {}
+            unequal => return unequal,
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
+/// The `k` heaviest joint tuples of a product of independent mass
+/// listings, without materializing the cross product. Each listing holds
+/// one factor's `(index, mass)` pairs sorted by descending mass (ties in
+/// ascending index order), as [`OutputSpace::events_by_mass`] lists them.
+/// A joint tuple comes back as one index per factor with the product mass
+/// folded in factor order, in (mass-descending, position-tuple-ascending)
+/// order. Returns fewer than `k` tuples only when the whole product has
+/// fewer; an empty listing makes the product empty.
+///
+/// A lazy best-first merge over per-factor position tuples (a k-way
+/// generalization of pairwise merge). The listings are sorted, so the
+/// all-zeros tuple is the joint maximum. Every other tuple has one
+/// *canonical parent*: the tuple with its last nonzero coordinate
+/// decremented. That parent is at least as heavy and lexicographically
+/// smaller, so it precedes the child in the listing order. A pop therefore
+/// pushes only its canonical children — `t + e_f` for every factor `f` at
+/// or after its last nonzero coordinate — and the heap still pops exactly
+/// that order: each tuple is pushed once, by its parent, and no visited
+/// set is needed. A child's mass extends its parent's folded prefix
+/// instead of refolding all `m` factors, so a pop costs at most `m`
+/// pushes, however large the full product is.
+fn top_k_tuples(listings: &[Vec<(usize, Prob)>], k: usize) -> Vec<(Vec<usize>, Prob)> {
+    if k == 0 || listings.iter().any(|l| l.is_empty()) {
+        return Vec::new();
+    }
+    // The mass of a tuple whose coordinates from `from` on are all zero,
+    // given the fold of the ones before: `prefix` folded on through each
+    // later factor's heaviest entry, in the order `Prob::product` over the
+    // whole tuple would use.
+    let zeros: Vec<Prob> = listings.iter().map(|l| l[0].1).collect();
+    let fold_zeros =
+        |prefix: Prob, from: usize| zeros[from..].iter().fold(prefix, |acc, z| acc.mul(z));
+
+    let mut heap = BinaryHeap::new();
+    heap.push(Candidate {
+        mass: fold_zeros(Prob::ONE, 0),
+        nonzero: Vec::new(),
+        head: Prob::ONE,
+    });
+    let size = listings
+        .iter()
+        .fold(1usize, |acc, l| acc.saturating_mul(l.len()));
+    let mut out = Vec::with_capacity(k.min(size));
+    while out.len() < k {
+        let Some(Candidate {
+            mass,
+            nonzero,
+            head,
+        }) = heap.pop()
+        else {
+            break;
+        };
+        // The canonical children: bump the last nonzero coordinate
+        // (coordinate 0 for the all-zeros tuple), or set a later one to 1.
+        // `prefix` is the fold of the coordinates before `f`.
+        let (last, at) = nonzero.last().copied().unwrap_or((0, 0));
+        let mut prefix = head;
+        for (f, l) in listings.iter().enumerate().skip(last) {
+            let i = if f == last { at } else { 0 };
+            if let Some(next) = l.get(i + 1) {
+                let mut child = Vec::with_capacity(nonzero.len() + 1);
+                child.extend_from_slice(&nonzero);
+                match child.last_mut() {
+                    Some(entry) if f == last => entry.1 += 1,
+                    _ => child.push((f, 1)),
+                }
+                heap.push(Candidate {
+                    mass: fold_zeros(prefix.mul(&next.1), f + 1),
+                    nonzero: child,
+                    head: prefix,
+                });
+            }
+            prefix = prefix.mul(&l[i].1);
+        }
+        let mut indices: Vec<usize> = listings.iter().map(|l| l[0].0).collect();
+        for &(f, i) in &nonzero {
+            indices[f] = listings[f][i].0;
+        }
+        out.push((indices, mass));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -984,6 +1118,66 @@ mod tests {
     }
 
     #[test]
+    fn factored_top_k_is_the_flat_prefix_at_every_cut() {
+        // Four coins of unequal bias, each its own factor; a constraint
+        // forbids coin 1's tails, so that factor has a "no stable model"
+        // event and the closed-form ∅ mass (1/10) lands mid-listing. The
+        // fair coin's even loop gives its tails event two stable models.
+        let program = ProgramBuilder::new()
+            .rule(|r| {
+                r.body("Coin", vec![Term::var("x"), Term::var("p")])
+                    .head_with_delta(
+                        "Toss",
+                        vec![Term::var("x")],
+                        "Flip",
+                        vec![Term::var("p")],
+                        vec![Term::var("x")],
+                    )
+            })
+            .rule(|r| {
+                r.body("Toss", vec![Term::var("x"), Term::int(1)])
+                    .head("Tails", vec![Term::var("x")])
+            })
+            .constraint(|c| c.body("Toss", vec![Term::int(1), Term::int(1)]))
+            .rule(|r| {
+                r.body("Tails", vec![Term::int(4)])
+                    .not_body("Odd", vec![])
+                    .head("Even", vec![])
+            })
+            .rule(|r| {
+                r.body("Tails", vec![Term::int(4)])
+                    .not_body("Even", vec![])
+                    .head("Odd", vec![])
+            })
+            .build()
+            .expect("valid program");
+        let mut db = Database::new();
+        for (i, p) in [(1, 0.1), (2, 0.3), (3, 0.4), (4, 0.5)] {
+            db.insert_fact("Coin", [Const::Int(i), Const::real(p).expect("finite")]);
+        }
+        let pipeline = Pipeline::new(&program, &db).unwrap();
+        let flat = pipeline.solve().unwrap();
+        let factored = pipeline.solve_factored().unwrap();
+        assert_eq!(factored.factor_count(), 4);
+        let flat_events = flat.events_by_mass();
+        let empty = ModelSetKey::empty();
+        let empty_rank = flat_events.iter().position(|(k, _)| *k == empty);
+        assert!(
+            matches!(empty_rank, Some(r) if r > 0 && r + 1 < flat_events.len()),
+            "the ∅ event must sit strictly inside the listing: {empty_rank:?}"
+        );
+        let size = factored.combined_events() as usize;
+        assert!(size >= flat_events.len());
+        for k in 0..=size + 1 {
+            assert_eq!(
+                factored.events_by_mass_top(k),
+                flat_events[..k.min(flat_events.len())],
+                "top {k}"
+            );
+        }
+    }
+
+    #[test]
     fn single_component_is_byte_for_byte_flat() {
         let pipeline = Pipeline::new(&coin_program(), &Database::new()).unwrap();
         let flat = pipeline.solve().unwrap();
@@ -1177,5 +1371,172 @@ mod tests {
         let flat = pipeline.solve().unwrap();
         assert_eq!(flat.brave_probability(&atom("Reach", &[8])), Prob::ONE);
         assert_eq!(factored.events_by_mass_top(16), flat.events_by_mass());
+    }
+
+    /// A factor's mass listing in [`OutputSpace::events_by_mass`] order:
+    /// entry `i` of `masses` gets index `i`, sorted by descending mass with
+    /// ties in ascending index order.
+    fn listing(masses: &[Prob]) -> Vec<(usize, Prob)> {
+        let mut listing: Vec<(usize, Prob)> = masses.iter().copied().enumerate().collect();
+        listing.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        listing
+    }
+
+    const H: usize = 0;
+    const T: usize = 1;
+
+    /// A coin's listing: heads has index `H`, tails index `T`.
+    fn coin(head_mass: Prob) -> Vec<(usize, Prob)> {
+        listing(&[head_mass, head_mass.complement()])
+    }
+
+    #[test]
+    fn top_k_is_the_lazy_joint_maximum_walk() {
+        // Listed T 3/4, H 1/4 and T 9/10, H 1/10.
+        let listings = [coin(Prob::ratio(1, 4)), coin(Prob::ratio(1, 10))];
+        let top = top_k_tuples(&listings, 4);
+        assert_eq!(
+            top,
+            vec![
+                (vec![T, T], Prob::ratio(27, 40)),
+                (vec![H, T], Prob::ratio(9, 40)),
+                (vec![T, H], Prob::ratio(3, 40)),
+                (vec![H, H], Prob::ratio(1, 40)),
+            ]
+        );
+    }
+
+    #[test]
+    fn top_k_stops_at_the_product_size_and_handles_empties() {
+        let one = [coin(Prob::ratio(1, 2))];
+        assert_eq!(top_k_tuples(&one, 10).len(), 2);
+        assert!(top_k_tuples(&one, 0).is_empty());
+        let empty = [coin(Prob::ratio(1, 2)), Vec::new()];
+        assert!(top_k_tuples(&empty, 3).is_empty());
+    }
+
+    #[test]
+    fn huge_products_never_materialize() {
+        // 100 fair coins: 2^100 joint tuples; the top 5 must answer
+        // instantly with exact dyadic masses.
+        let listings: Vec<_> = (0..100).map(|_| coin(Prob::ratio(1, 2))).collect();
+        let top = top_k_tuples(&listings, 5);
+        assert_eq!(top.len(), 5);
+        for (_, mass) in &top {
+            assert!(mass.is_exact(), "dyadic product degraded to float");
+        }
+        // All 2^100 joint tuples are equally likely: each mass is 1/2^100.
+        assert_eq!(top[0].1, top[4].1);
+    }
+
+    #[test]
+    fn ties_resolve_toward_the_smaller_index_tuple() {
+        // Two identical fair coins: four equal-mass joint tuples; the
+        // listing must be in index order, deterministically.
+        let listings = [coin(Prob::ratio(1, 2)), coin(Prob::ratio(1, 2))];
+        let tuples: Vec<Vec<usize>> = top_k_tuples(&listings, 4)
+            .into_iter()
+            .map(|(t, _)| t)
+            .collect();
+        assert_eq!(tuples, vec![vec![H, H], vec![H, T], vec![T, H], vec![T, T]]);
+    }
+
+    #[test]
+    fn top_k_past_the_product_size_returns_the_whole_product() {
+        let listings = [
+            coin(Prob::ratio(1, 3)),
+            coin(Prob::ratio(1, 2)),
+            coin(Prob::ratio(1, 5)),
+        ];
+        let all = top_k_tuples(&listings, usize::MAX);
+        assert_eq!(all.len(), 8);
+        assert_eq!(all, top_k_tuples(&listings, 8));
+        assert_eq!(Prob::sum(all.iter().map(|(_, m)| *m)), Prob::ONE);
+    }
+
+    /// Every joint tuple of the product, sorted by (mass descending,
+    /// position tuple ascending) with each mass folded in factor order: the
+    /// listing `top_k_tuples` must reproduce prefix by prefix.
+    fn brute_force(listings: &[Vec<(usize, Prob)>]) -> Vec<(Vec<usize>, Prob)> {
+        let mut tuples: Vec<Vec<usize>> = vec![Vec::new()];
+        for l in listings {
+            tuples = tuples
+                .into_iter()
+                .flat_map(|t| {
+                    (0..l.len()).map(move |i| {
+                        let mut t = t.clone();
+                        t.push(i);
+                        t
+                    })
+                })
+                .collect();
+        }
+        let mut joint: Vec<(Vec<usize>, Prob)> = tuples
+            .into_iter()
+            .map(|t| {
+                let mass = Prob::product(t.iter().enumerate().map(|(f, &i)| listings[f][i].1));
+                (t, mass)
+            })
+            .collect();
+        joint.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        joint
+            .into_iter()
+            .map(|(t, mass)| {
+                let indices = t.iter().enumerate().map(|(f, &i)| listings[f][i].0);
+                (indices.collect(), mass)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn top_k_matches_the_sorted_cross_product() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Few distinct masses, so equal-mass ties are common; two of them
+        // are not short decimals and stay approximate.
+        let masses = [
+            Prob::ratio(1, 2),
+            Prob::ratio(1, 4),
+            Prob::ratio(1, 4),
+            Prob::ratio(3, 10),
+            Prob::ratio(1, 5),
+            Prob::from_f64(1.0 / 3.0),
+            Prob::from_f64(std::f64::consts::FRAC_1_SQRT_2),
+        ];
+        assert!(!masses[5].is_exact() && !masses[6].is_exact());
+        let mut rng = StdRng::seed_from_u64(14);
+        for case in 0..300 {
+            let listings: Vec<Vec<(usize, Prob)>> = (0..rng.gen_range(1..=6))
+                .map(|_| {
+                    let n = rng.gen_range(1..=4);
+                    let drawn: Vec<Prob> = (0..n)
+                        .map(|_| masses[rng.gen_range(0..masses.len())])
+                        .collect();
+                    listing(&drawn)
+                })
+                .collect();
+            let expected = brute_force(&listings);
+            let size = expected.len();
+            // Every prefix up to the product size; past a few hundred
+            // tuples a stride keeps the sweep fast.
+            let step = if size <= 256 { 1 } else { 37 };
+            let ks = (0..=size).step_by(step).chain([size, size + 1, usize::MAX]);
+            for k in ks {
+                let top = top_k_tuples(&listings, k);
+                let want = &expected[..k.min(size)];
+                assert_eq!(top.len(), want.len(), "case {case}, k = {k}");
+                for (j, (got, want)) in top.iter().zip(want).enumerate() {
+                    assert_eq!(got.0, want.0, "case {case}, k = {k}, rank {j}");
+                    // `Prob`'s `==` compares an exact and an approximate
+                    // value by rounding; the fold must match variant too.
+                    assert_eq!(
+                        (got.1.is_exact(), got.1),
+                        (want.1.is_exact(), want.1),
+                        "case {case}, k = {k}, rank {j}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -52,12 +52,6 @@ impl Grounding {
         &self.rules
     }
 
-    /// Mutable access to the rule set (used by grounders to freeze snapshot
-    /// frames; the rule *contents* never change once produced).
-    pub fn rules_mut(&mut self) -> &mut GroundRuleSet {
-        &mut self.rules
-    }
-
     /// The grounder-specific resumption cursor.
     pub fn cursor(&self) -> usize {
         self.cursor

@@ -91,11 +91,8 @@ impl PerfectGrounder {
     /// Ground with the retained naive saturation — the reference oracle kept
     /// for property tests and benchmarks; see [`crate::naive`].
     pub fn ground_naive(&self, atr: &AtrSet) -> GroundRuleSet {
-        self.ground_with(atr, &crate::naive::saturate_naive)
-    }
-
-    fn ground_with(&self, atr: &AtrSet, saturate_fn: &SaturateFn<'_>) -> GroundRuleSet {
-        self.ground_with_cursor(atr, saturate_fn).into_rules()
+        self.ground_strata(atr, GroundRuleSet::new(), 0, &crate::naive::saturate_naive)
+            .into_rules()
     }
 
     /// The semi-naive per-stratum saturation, polling the grounder's cancel
@@ -110,14 +107,20 @@ impl PerfectGrounder {
         saturate_cancellable(rules, atr, initial, neg_reference, &self.cancel)
     }
 
-    /// The stratum-by-stratum grounding loop, returning the rules together
-    /// with the *stratum cursor*: the number of strata whose saturation
-    /// completed before `AtR_Σ` stopped being compatible (equal to the
-    /// stratum count when the whole program was grounded).
-    fn ground_with_cursor(&self, atr: &AtrSet, saturate_fn: &SaturateFn<'_>) -> Grounding {
-        let mut derived = GroundRuleSet::new();
-        let mut cursor = 0usize;
-        for (i, stratum_rules) in self.rules_by_stratum.iter().enumerate() {
+    /// The stratum-by-stratum grounding loop from stratum `from` on, over
+    /// the rules `derived` of the strata below it. Returns the rules
+    /// together with the *stratum cursor*: the number of strata whose
+    /// saturation completed before `AtR_Σ` stopped being compatible (equal
+    /// to the stratum count when the whole program was grounded).
+    fn ground_strata(
+        &self,
+        atr: &AtrSet,
+        mut derived: GroundRuleSet,
+        from: usize,
+        saturate_fn: &SaturateFn<'_>,
+    ) -> Grounding {
+        let mut cursor = from;
+        for i in from..self.rules_by_stratum.len() {
             // Stratum boundaries are cancellation checkpoints too: stop with
             // the strata grounded so far (the chase re-checks the token).
             if self.cancel.is_cancelled() {
@@ -130,15 +133,14 @@ impl PerfectGrounder {
                 break;
             }
             cursor = i + 1;
-            if stratum_rules.is_empty() {
+            if self.rules_by_stratum[i].is_empty() {
                 continue;
             }
-            let rules = self.stratum_rules(i);
             // Negative literals refer to strictly lower strata, whose
             // extension (the heads derived so far) is final. The snapshot is
             // an O(1) freeze, not a copy.
             let neg_reference = derived.heads_snapshot();
-            derived = saturate_fn(&rules, atr, derived, Some(&neg_reference));
+            derived = saturate_fn(&self.stratum_rules(i), atr, derived, Some(&neg_reference));
         }
         Grounding::with_cursor(derived, cursor)
     }
@@ -165,11 +167,13 @@ impl Grounder for PerfectGrounder {
     }
 
     fn ground(&self, atr: &AtrSet) -> GroundRuleSet {
-        self.ground_with(atr, &|r, a, i, n| self.saturate_stratum(r, a, i, n))
+        self.ground_node(atr).into_rules()
     }
 
     fn ground_node(&self, atr: &AtrSet) -> Grounding {
-        self.ground_with_cursor(atr, &|r, a, i, n| self.saturate_stratum(r, a, i, n))
+        self.ground_strata(atr, GroundRuleSet::new(), 0, &|r, a, i, n| {
+            self.saturate_stratum(r, a, i, n)
+        })
     }
 
     /// Incremental chase descent via the stratum cursor.
@@ -216,23 +220,9 @@ impl Grounder for PerfectGrounder {
         );
 
         // Continue the normal stratum loop from where the parent stopped.
-        let mut cursor = parent_cursor;
-        for i in parent_cursor..self.rules_by_stratum.len() {
-            if self.cancel.is_cancelled() {
-                break;
-            }
-            if !self.is_compatible(atr, &derived) {
-                break;
-            }
-            cursor = i + 1;
-            if self.rules_by_stratum[i].is_empty() {
-                continue;
-            }
-            let neg_reference = derived.heads_snapshot();
-            derived =
-                self.saturate_stratum(&self.stratum_rules(i), atr, derived, Some(&neg_reference));
-        }
-        Grounding::with_cursor(derived, cursor)
+        self.ground_strata(atr, derived, parent_cursor, &|r, a, i, n| {
+            self.saturate_stratum(r, a, i, n)
+        })
     }
 }
 

@@ -208,11 +208,6 @@ impl Pipeline {
         self
     }
 
-    /// The pipeline's cancellation token.
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// The execution policy in use.
     pub fn executor(&self) -> &Executor {
         &self.executor

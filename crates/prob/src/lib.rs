@@ -11,27 +11,22 @@
 //!   distributions `δ⟨p̄⟩` of the paper (Flip, the biased Die of Appendix B,
 //!   Categorical, UniformInt, Geometric),
 //! * [`DeltaRegistry`] — the finite set Δ of distributions a program may use,
-//! * [`DiscreteSpace`] — discrete probability spaces `(Ω, P)` and event
-//!   partitions used to build the output space of a program,
-//! * [`FactoredSpace`] — products of independent discrete spaces that are
-//!   never materialized into a flat cross product,
 //! * [`sampler`] — random sampling from parameterized distributions.
+//!
+//! A program's output probability space (Definition 3.8) and its factored
+//! product are built in `gdlog-core` on top of these values.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod distribution;
-pub mod factored;
 pub mod probability;
 pub mod rational;
 pub mod registry;
 pub mod sampler;
-pub mod space;
 
 pub use distribution::{DistError, Distribution, Support};
-pub use factored::FactoredSpace;
 pub use probability::Prob;
 pub use rational::Rational;
 pub use registry::DeltaRegistry;
 pub use sampler::sample_distribution;
-pub use space::{DiscreteSpace, EventPartition};
