@@ -490,7 +490,7 @@ fn e9_grounding_sizes() -> Report {
         // Ground the all-heads configuration (no dime shows tails), the case
         // where the difference is largest because the quarters must be
         // tossed by both grounders.
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         let mut atr = gdlog_core::AtrSet::new();
         for d in 1..=dimes as i64 {
             let active = GroundAtom {

@@ -12,7 +12,11 @@
 //!   stable-model pass per joint outcome (`null` for past-the-wall
 //!   workloads whose joint outcome count exceeds the default chase budget);
 //! * `factored_ms` — `Pipeline::solve_factored`: independence analysis,
-//!   one chase + stable-model pass per component, product arithmetic.
+//!   one chase + stable-model pass per component, product arithmetic;
+//! * `mc_ms` — `Pipeline::estimate_atoms`: a fixed-seed factor-aware
+//!   Monte-Carlo estimate of the workload's probe atom, whose walks cover
+//!   only the atom's factor. Before it is timed the estimate must lie within
+//!   4σ of the atom's exact brave probability, with no walk abandoned.
 //!
 //! Before anything is timed the two paths must agree **exactly** wherever
 //! both run: total mass accounting, joint outcome counts, the mass-sorted
@@ -35,11 +39,18 @@ use crate::harness::{int, num, time_min_ms, two_reach, Config, Outcome};
 use crate::workloads::{factor_workload_suite, FactorWorkload};
 use gdlog_core::api::Json;
 use gdlog_core::fingerprint::fnv1a_fingerprint;
-use gdlog_core::{ModelSetKey, Pipeline};
+use gdlog_core::{CancelToken, McParams, ModelSetKey, Pipeline, SampleStats};
 use gdlog_prob::Prob;
 
 /// Events hashed into the fingerprint and compared flat-vs-factored.
 const PROBE_EVENTS: usize = 512;
+
+/// Walks behind each probe atom's Monte-Carlo estimate.
+const MC_SAMPLES: usize = 1000;
+
+/// The fixed seed of the probe estimate, so `mc_ms` times the same walks on
+/// every run.
+const MC_SEED: u64 = 7;
 
 struct Row {
     name: String,
@@ -51,6 +62,7 @@ struct Row {
     fingerprint: String,
     flat_ms: Option<f64>,
     factored_ms: f64,
+    mc_ms: f64,
 }
 
 impl Row {
@@ -242,6 +254,33 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
             .factor_count()
     });
 
+    let estimate = || -> SampleStats {
+        let params = McParams::new().with_seed(MC_SEED);
+        let atom = std::slice::from_ref(&w.mc_atom);
+        let never = CancelToken::never();
+        let mut stats = pipeline
+            .estimate_atoms(&solve, atom, MC_SAMPLES, params, &never)
+            .expect("factor-aware estimate succeeds");
+        stats.pop().expect("one atom, one estimate")
+    };
+    let stats = estimate();
+    let exact = solve.brave_probability(&w.mc_atom).to_f64();
+    assert!(
+        exact > 0.0 && exact < 1.0,
+        "{}: probe atom {} is not uncertain",
+        w.name,
+        w.mc_atom
+    );
+    assert_eq!(stats.abandoned, 0, "{}: abandoned walks", w.name);
+    assert!(
+        stats.estimate.consistent_with(exact, 4.0),
+        "{}: estimate {:?} of {} is not within 4σ of {exact}",
+        w.name,
+        stats.estimate,
+        w.mc_atom
+    );
+    let mc_ms = time_min_ms(reps, || estimate().samples);
+
     let row = Row {
         name: w.name.clone(),
         factors: solve.factor_count(),
@@ -252,6 +291,7 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
         fingerprint: fingerprint(&top, combined_outcomes),
         flat_ms,
         factored_ms,
+        mc_ms,
     };
     match row.speedup() {
         Some(s) => eprintln!(
@@ -303,6 +343,7 @@ pub fn run(config: &Config) -> Outcome {
                             ("fingerprint", Json::str(&r.fingerprint)),
                             ("flat_ms", optional(r.flat_ms)),
                             ("factored_ms", num(r.factored_ms)),
+                            ("mc_ms", num(r.mc_ms)),
                             ("speedup", optional(r.speedup())),
                         ])
                     })
@@ -342,6 +383,7 @@ mod tests {
             fingerprint: String::new(),
             flat_ms: speedup,
             factored_ms: 1.0,
+            mc_ms: 1.0,
         }
     }
 

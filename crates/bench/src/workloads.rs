@@ -9,7 +9,7 @@ use gdlog_core::{
     dime_quarter_program, network_resilience_program, AtrRule, AtrSet, GroundRuleSet, Grounder,
     PerfectGrounder, Program, ProgramBuilder, SigmaPi, SimpleGrounder,
 };
-use gdlog_data::{Const, Database, Term};
+use gdlog_data::{Const, Database, GroundAtom, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -216,6 +216,10 @@ pub struct FactorWorkload {
     pub database: Database,
     /// Number of chase components the independence analysis should find.
     pub expected_factors: usize,
+    /// The probe atom `bench factor` estimates by factor-aware
+    /// Monte-Carlo: a sink of the last factor, derived positively, so its
+    /// probability of lying in `heads(G(Σ))` is its exact brave probability.
+    pub mc_atom: GroundAtom,
     /// Can the flat path enumerate this exactly within the default chase
     /// budget? `false` marks the past-the-wall workloads (flat outcome count
     /// above `ChaseBudget::default().max_outcomes`) that only the factored
@@ -237,12 +241,17 @@ pub fn factor_workload_suite(full: bool) -> Vec<FactorWorkload> {
     let wall_farm = if full { 100 } else { 24 };
     let wall_cascade = if full { 10 } else { 7 };
 
+    // The sink of the last of `k` cascade diamonds.
+    let sink =
+        |k: usize| GroundAtom::make("Reach", vec![Const::Int(10 * k as i64 - 6), Const::Int(1)]);
+
     let mut suite = Vec::new();
     let (program, database) = coin_farm(farm, 0.5);
     suite.push(FactorWorkload {
         name: format!("coin_farm_n{farm}"),
         program,
         database,
+        mc_atom: GroundAtom::make("Tails", vec![Const::Int(farm as i64)]),
         expected_factors: farm,
         flat_feasible: true,
     });
@@ -251,6 +260,7 @@ pub fn factor_workload_suite(full: bool) -> Vec<FactorWorkload> {
         name: format!("coin_game_n{game}"),
         program,
         database,
+        mc_atom: GroundAtom::make("Aux1", vec![Const::Int(game as i64)]),
         expected_factors: game,
         flat_feasible: true,
     });
@@ -259,6 +269,7 @@ pub fn factor_workload_suite(full: bool) -> Vec<FactorWorkload> {
         name: format!("cascade_x{cascade}"),
         program,
         database,
+        mc_atom: sink(cascade),
         expected_factors: cascade,
         flat_feasible: true,
     });
@@ -267,6 +278,10 @@ pub fn factor_workload_suite(full: bool) -> Vec<FactorWorkload> {
         name: format!("epidemic_x{epidemic}"),
         program,
         database,
+        mc_atom: GroundAtom::make(
+            "Sick",
+            vec![Const::Int(10 * epidemic as i64 - 7), Const::Int(1)],
+        ),
         expected_factors: epidemic,
         flat_feasible: true,
     });
@@ -275,6 +290,7 @@ pub fn factor_workload_suite(full: bool) -> Vec<FactorWorkload> {
         name: format!("coin_farm_n{wall_farm}"),
         program,
         database,
+        mc_atom: GroundAtom::make("Tails", vec![Const::Int(wall_farm as i64)]),
         expected_factors: wall_farm,
         flat_feasible: false,
     });
@@ -283,6 +299,7 @@ pub fn factor_workload_suite(full: bool) -> Vec<FactorWorkload> {
         name: format!("cascade_x{wall_cascade}"),
         program,
         database,
+        mc_atom: sink(wall_cascade),
         expected_factors: wall_cascade,
         flat_feasible: false,
     });

@@ -691,7 +691,7 @@ impl StaticComponents {
                 vertex_set.insert(a.predicate);
             }
         }
-        for schema in &sigma.atr_schemas {
+        for schema in sigma.atr_schemas() {
             vertex_set.insert(schema.active);
             vertex_set.insert(schema.result);
         }
@@ -705,7 +705,7 @@ impl StaticComponents {
             body.map(move |a| (hub, index[&a.predicate]))
         });
         let atr_edges = sigma
-            .atr_schemas
+            .atr_schemas()
             .iter()
             .map(|schema| (index[&schema.active], index[&schema.result]));
         let comps = connected_components(vertices.len(), rule_edges.chain(atr_edges));

@@ -45,11 +45,14 @@ impl SolveStrategy {
 /// (backed by [`crate::pipeline::McParams`] on the pipeline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct McRequest {
-    /// Number of sampled walks per queried atom.
+    /// Number of sampled walks behind each queried atom's estimate (drawn
+    /// once per factor that holds a queried atom).
     pub samples: usize,
     /// Root seed of the per-walk RNG streams.
     pub seed: u64,
-    /// Per-walk trigger budget (walks beyond it count as abandoned).
+    /// Per-walk trigger budget (walks beyond it count as abandoned); on a
+    /// factored solve it bounds each factor's walk (unless a support was
+    /// cut, when walks cover the whole program).
     pub max_triggers: usize,
 }
 

@@ -43,11 +43,18 @@ pub struct EventReport {
 }
 
 /// Monte-Carlo estimate for one queried atom.
+///
+/// On a factored solve the walks cover only the factor that holds the atom,
+/// so the trigger budget applies per factor; atoms sharing a factor share
+/// its walks. When the chase's `max_branching` cut some distribution's
+/// support, walks (which draw from the whole support) cover the whole
+/// program instead, as on a flat solve.
 #[derive(Clone, Debug)]
 pub struct McReport {
     /// The queried atom, in display form.
     pub atom: String,
-    /// Sample mean.
+    /// Sample mean: the estimate of `P(atom ∈ heads(G(Σ)))` over finite
+    /// walks (abandoned walks count as misses).
     pub mean: f64,
     /// Standard error of the mean.
     pub std_error: f64,

@@ -247,23 +247,17 @@ impl Solver {
 
         let mut mc_reports = Vec::new();
         if let Some(mc) = &request.mc {
-            for atom in &request.queries {
-                // The entry's pipeline carries the token of the query that
-                // solved it; a warm-served MC must observe *this* call's
-                // deadline, so the fresh token is attached explicitly.
-                let mut estimator = entry
-                    .pipeline
-                    .sampler_with(
-                        McParams::new()
-                            .with_max_triggers(mc.max_triggers)
-                            .with_seed(mc.seed),
-                    )
-                    .with_cancel(cancel.clone());
-                // `heads(G(Σ) ∪ Σ)`, tested in place: no program copy.
-                let stats = estimator.estimate(mc.samples, |outcome| {
-                    outcome.rules.heads().contains(atom)
-                        || outcome.atr.iter().any(|choice| choice.result == *atom)
-                })?;
+            // The entry's pipeline carries the token of the query that
+            // solved it; a warm-served MC must observe *this* call's
+            // deadline, so the fresh token is passed explicitly.
+            let estimates = entry.pipeline.estimate_atoms(
+                space,
+                &request.queries,
+                mc.samples,
+                McParams::from(*mc),
+                cancel,
+            )?;
+            for (atom, stats) in request.queries.iter().zip(estimates) {
                 mc_reports.push(McReport {
                     atom: atom.to_string(),
                     mean: stats.estimate.mean,
@@ -435,6 +429,17 @@ mod tests {
             .expect_err("mc without queries");
         assert!(matches!(err, CoreError::Request(_)));
         assert!(err.to_string().contains("--query"));
+        // Zero samples estimate nothing: a request error, not a panic.
+        let atom = GroundAtom::make("Uninfected", vec![Const::Int(2)]);
+        let err = solver
+            .query(
+                &QueryRequest::new()
+                    .query(atom)
+                    .monte_carlo(McRequest::samples(0)),
+            )
+            .expect_err("mc with zero samples");
+        assert!(matches!(err, CoreError::Request(_)));
+        assert!(err.to_string().contains("at least one sample"));
     }
 
     #[test]
@@ -517,6 +522,259 @@ mod tests {
             gdlog_prob::Prob::ONE
         );
         assert_eq!(solver.warm_solves(), 0);
+    }
+
+    /// The solver's Monte-Carlo event, as one whole-program walk tests it.
+    fn in_heads(atom: &GroundAtom) -> impl Fn(&crate::PossibleOutcome) -> bool + Sync + '_ {
+        move |outcome| {
+            outcome.rules.heads().contains(atom)
+                || outcome.atr.iter().any(|choice| choice.result == *atom)
+        }
+    }
+
+    fn reach(x: i64) -> GroundAtom {
+        GroundAtom::make("Reach", vec![Const::Int(x), Const::Int(1)])
+    }
+
+    /// `k` disjoint reachability diamonds `10c+1 → {10c+2, 10c+3} →
+    /// 10c+4`, each edge kept with probability 0.9: one factor per diamond,
+    /// whose sink is reached with probability 1 − 0.19² = 0.9639.
+    fn cascade(k: i64) -> (Program, Database) {
+        use crate::builder::ProgramBuilder;
+        use gdlog_data::Term;
+        let program = ProgramBuilder::new()
+            .rule(|r| {
+                r.body("Source", vec![Term::var("x")])
+                    .head("Reach", vec![Term::var("x"), Term::int(1)])
+            })
+            .rule(|r| {
+                r.body("Reach", vec![Term::var("x"), Term::int(1)])
+                    .body("Edge", vec![Term::var("x"), Term::var("y")])
+                    .head_with_delta(
+                        "Reach",
+                        vec![Term::var("y")],
+                        "Flip",
+                        vec![Term::Const(Const::real(0.9).unwrap())],
+                        vec![Term::var("x"), Term::var("y")],
+                    )
+            })
+            .build()
+            .unwrap();
+        let mut db = Database::new();
+        for c in 0..k {
+            let b = 10 * c;
+            db.insert_fact("Source", [Const::Int(b + 1)]);
+            for (x, y) in [(1, 2), (1, 3), (2, 4), (3, 4)] {
+                db.insert_fact("Edge", [Const::Int(b + x), Const::Int(b + y)]);
+            }
+        }
+        (program, db)
+    }
+
+    #[test]
+    fn factored_monte_carlo_walks_only_the_atoms_factor() {
+        let (program, db) = cascade(10);
+        let solver = Solver::compile("cascade", &program, &db, Arc::new(Executor::sequential()))
+            .expect("compile");
+        let mc = McRequest::samples(2000).with_max_triggers(8);
+        let request = QueryRequest::new()
+            .with_strategy(SolveStrategy::Factored)
+            .query(reach(54))
+            .monte_carlo(mc);
+        let response = solver.query(&request).expect("factored mc");
+        assert_eq!(response.factors, 10);
+        assert_eq!(
+            response.queries[0].brave,
+            gdlog_prob::Prob::ratio(9639, 10000)
+        );
+        // One diamond's walk applies at most four triggers; a walk of the
+        // whole program needs 20 to 40.
+        let report = &response.mc[0];
+        assert_eq!((report.samples, report.abandoned), (2000, 0));
+        let estimate = gdlog_prob::sampler::Estimate {
+            mean: report.mean,
+            std_error: report.std_error,
+            samples: report.samples,
+        };
+        assert!(estimate.consistent_with(0.9639, 4.0), "{estimate:?}");
+        let whole = Pipeline::new(&program, &db)
+            .unwrap()
+            .sampler_with(McParams::from(mc))
+            .estimate(200, in_heads(&reach(54)))
+            .unwrap();
+        assert_eq!(whole.abandoned, 200, "every whole-program walk runs out");
+    }
+
+    #[test]
+    fn atoms_no_factor_holds_are_zero_without_walking() {
+        let (program, db) = cascade(3);
+        let solver = Solver::compile("cascade", &program, &db, Arc::new(Executor::sequential()))
+            .expect("compile");
+        let request = QueryRequest::new()
+            .with_strategy(SolveStrategy::Factored)
+            .query(reach(99))
+            .monte_carlo(McRequest::samples(500));
+        solver.query(&request).expect("warm-up");
+        // A fired token fails any walk, so a clean answer proves none ran.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let response = solver
+            .query_with_cancel(&request, &cancel)
+            .expect("no walk, no interruption");
+        assert_eq!(response.factors, 3);
+        let report = &response.mc[0];
+        assert_eq!(
+            (
+                report.mean,
+                report.std_error,
+                report.samples,
+                report.abandoned
+            ),
+            (0.0, 0.0, 500, 0)
+        );
+    }
+
+    #[test]
+    fn one_factor_monte_carlo_is_the_whole_program_walk() {
+        let solver = Solver::compile(
+            "coin",
+            &coin_program(),
+            &Database::new(),
+            Arc::new(Executor::sequential()),
+        )
+        .expect("compile");
+        let atom = GroundAtom::make("Coin", vec![Const::Int(1)]);
+        let mc = McRequest::samples(700).with_seed(5).with_max_triggers(3);
+        let response = solver
+            .query(
+                &QueryRequest::new()
+                    .with_strategy(SolveStrategy::Factored)
+                    .query(atom.clone())
+                    .monte_carlo(mc),
+            )
+            .expect("factored mc");
+        assert_eq!(response.factors, 1);
+        let want = Pipeline::new(&coin_program(), &Database::new())
+            .unwrap()
+            .sampler_with(McParams::from(mc))
+            .estimate(700, in_heads(&atom))
+            .unwrap();
+        let got = &response.mc[0];
+        assert_eq!(got.mean.to_bits(), want.estimate.mean.to_bits());
+        assert_eq!(got.std_error.to_bits(), want.estimate.std_error.to_bits());
+        assert_eq!((got.samples, got.abandoned), (want.samples, want.abandoned));
+    }
+
+    #[test]
+    fn one_walk_set_serves_every_atom_of_a_factor() {
+        // Two atoms of one (flat) factor share one set of walks; each
+        // estimate is bit-identical to a per-atom estimator's.
+        let solver = network_solver();
+        let atoms = [
+            GroundAtom::make("Uninfected", vec![Const::Int(2)]),
+            GroundAtom::make("Infected", vec![Const::Int(3), Const::Int(1)]),
+        ];
+        let mc = McRequest::samples(600).with_seed(9);
+        let request = atoms
+            .iter()
+            .fold(QueryRequest::new(), |r, a| r.query(a.clone()))
+            .monte_carlo(mc);
+        let response = solver.query(&request).expect("mc");
+        let pipeline = Pipeline::new(&network_resilience_program(0.1), &network_db()).unwrap();
+        for (atom, got) in atoms.iter().zip(&response.mc) {
+            let want = pipeline
+                .sampler_with(McParams::from(mc))
+                .estimate(600, in_heads(atom))
+                .unwrap();
+            assert_eq!(got.atom, atom.to_string());
+            assert_eq!(got.mean.to_bits(), want.estimate.mean.to_bits(), "{atom}");
+            assert_eq!(got.std_error.to_bits(), want.estimate.std_error.to_bits());
+            assert_eq!((got.samples, got.abandoned), (want.samples, want.abandoned));
+        }
+        assert!(response.mc[0].mean > 0.0 && response.mc[1].mean > 0.0);
+    }
+
+    /// `-> N(UniformInt<1,100>)`, facts `Big(1..100)`, `N(x), Big(x) ->
+    /// Hit`, and an independent coin: two factors, `P(Hit) = 1`, and a
+    /// support past the default `max_branching` of 64.
+    fn wide_draw() -> (Program, Database) {
+        use crate::builder::ProgramBuilder;
+        use gdlog_data::Term;
+        let program = ProgramBuilder::new()
+            .rule(|r| {
+                r.head_with_delta(
+                    "N",
+                    vec![],
+                    "UniformInt",
+                    vec![Term::int(1), Term::int(100)],
+                    vec![],
+                )
+            })
+            .rule(|r| {
+                r.body("N", vec![Term::var("x")])
+                    .body("Big", vec![Term::var("x")])
+                    .head("Hit", vec![])
+            })
+            .rule(|r| {
+                r.head_with_delta(
+                    "Coin",
+                    vec![],
+                    "Flip",
+                    vec![Term::Const(Const::real(0.5).unwrap())],
+                    vec![],
+                )
+            })
+            .build()
+            .unwrap();
+        let mut db = Database::new();
+        for x in 1..=100 {
+            db.insert_fact("Big", [Const::Int(x)]);
+        }
+        (program, db)
+    }
+
+    #[test]
+    fn a_cut_support_samples_the_whole_program() {
+        // Walks draw N from all of 1..=100 while the universe holds only the
+        // first 64 values: a walk past the cut derives `N(70)`, which no
+        // factor holds, and needs `Big(70)`, which the base slice holds. So
+        // a cut product keeps no slices and walks the whole program.
+        let (program, db) = wide_draw();
+        let pipeline = Pipeline::new(&program, &db).unwrap();
+        let components = pipeline.factor_components().unwrap().expect("factored");
+        assert!(components.iter().all(|c| c.support_cut));
+        let wide = ChaseBudget {
+            max_branching: 100,
+            ..ChaseBudget::default()
+        };
+        let uncut = Pipeline::new(&program, &db).unwrap().budget(wide);
+        let components = uncut.factor_components().unwrap().expect("factored");
+        assert!(components.iter().all(|c| !c.support_cut));
+
+        let solver = Solver::compile("wide", &program, &db, Arc::new(Executor::sequential()))
+            .expect("compile");
+        let atoms = [
+            GroundAtom::make("Hit", vec![]),
+            GroundAtom::make("N", vec![Const::Int(70)]),
+        ];
+        let mc = McRequest::samples(800).with_seed(3);
+        let request = atoms
+            .iter()
+            .fold(QueryRequest::new(), |r, a| r.query(a.clone()))
+            .with_strategy(SolveStrategy::Factored)
+            .monte_carlo(mc);
+        let response = solver.query(&request).expect("factored mc");
+        assert_eq!(response.factors, 3);
+        for (atom, got) in atoms.iter().zip(&response.mc) {
+            let want = pipeline
+                .sampler_with(McParams::from(mc))
+                .estimate(800, in_heads(atom))
+                .unwrap();
+            assert_eq!(got.mean.to_bits(), want.estimate.mean.to_bits(), "{atom}");
+            assert_eq!((got.samples, got.abandoned), (want.samples, want.abandoned));
+        }
+        assert_eq!(response.mc[0].mean, 1.0);
+        assert!(response.mc[1].mean > 0.0, "N(70) is drawn past the cut");
     }
 
     #[test]

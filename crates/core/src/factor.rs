@@ -24,11 +24,18 @@
 //!    literals are vacuously true everywhere and carry no dependency), and
 //!    every AtR pair contributes `active — result` edges. Connected
 //!    components of this graph are chase-independent sub-programs.
-//! 3. **Per-component chase** ([`ComponentGrounder`]): each component is
-//!    chased independently — the grounder's triggers are filtered to the
-//!    component's `Active` atoms, so the chase branches only over this
-//!    component's choices — and the resulting outcomes are restricted to
-//!    rules whose heads live in the component.
+//! 3. **Per-component slices** ([`ChaseComponent::slice`]): one pass over
+//!    Σ routes every rule with an empty positive body (facts, the `Active`
+//!    rules of Δ-facts, constraints with only negative literals — all ground
+//!    by safety) to the component holding its head. A component's slice is
+//!    those rules plus every rule with a positive body, sharing the parent's
+//!    AtR schemas (`SigmaPi::slice`). Each factor is then chased, solved and
+//!    Monte-Carlo sampled as a program of its own, by a plain simple
+//!    grounder over its slice: seeded only with its own component's atoms,
+//!    the slice grounds exactly the component's share of every chase node,
+//!    and its triggers are exactly the component's. Walks draw from whole
+//!    supports, so when `max_branching` cut one in the universe
+//!    ([`ChaseComponent::support_cut`]) Monte-Carlo walks the whole program.
 //!
 //! Soundness of the product measure: every ground rule instance has its full
 //! footprint (head, positive body, derivable negative body) inside one
@@ -57,7 +64,7 @@ use gdlog_engine::{connected_components, CancelToken};
 use gdlog_prob::Prob;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Safety valve for the universe fixpoint: programs whose over-approximated
 /// atom universe exceeds this bound fall back to the flat path rather than
@@ -70,17 +77,38 @@ const UNIVERSE_ATOM_CAP: usize = 200_000;
 const TOP_K_TIE_SLACK: usize = 64;
 
 /// One chase-independent component: the ground atoms that can only be
-/// derived inside it, and the `Active` atoms (triggers) among them.
+/// derived inside it, the `Active` atoms (triggers) among them, and the
+/// slice of Σ_Π its chase runs on.
 #[derive(Clone, Debug)]
 pub struct ChaseComponent {
     /// Every universe atom of the component.
     pub atoms: BTreeSet<GroundAtom>,
     /// The component's `Active` atoms — the only triggers its chase applies.
     pub triggers: BTreeSet<GroundAtom>,
+    /// The component's share of Σ_Π: the bodiless rules whose heads lie in
+    /// the component, plus every rule with a positive body, in Σ's order.
+    pub slice: Arc<SigmaPi>,
+    /// Did `max_branching` cut the support of some `Active` atom of the
+    /// universe, in any component? The universe, and so every slice, covers
+    /// only the explored outcomes, while a Monte-Carlo walk draws from the
+    /// whole support and can leave it; only a whole-program walk is then
+    /// sound.
+    pub support_cut: bool,
 }
+
+/// A component before slicing: its atoms and triggers.
+type Part = (BTreeSet<GroundAtom>, BTreeSet<GroundAtom>);
 
 /// The `active → results` expansions recorded while saturating a universe.
 type AtrPairs = Vec<(GroundAtom, Vec<GroundAtom>)>;
+
+/// A saturated universe: its rule set, its AtR expansions, and whether
+/// `max_branching` cut the support of any expanded `Active` atom.
+struct Universe {
+    rules: GroundRuleSet,
+    pairs: AtrPairs,
+    support_cut: bool,
+}
 
 /// The over-approximated derivable universe of a group of `sigma.rules`
 /// (facts are bodyless rules, so they are covered): the `Simple` operator's
@@ -88,8 +116,9 @@ type AtrPairs = Vec<(GroundAtom, Vec<GroundAtom>)>;
 /// negative bodies and expanding every reachable `Active` atom to its first
 /// `budget.max_branching` outcomes — the same truncation the chase applies,
 /// so the universe covers every explored branch. Returns the saturated rule
-/// set (its heads are the universe's atoms) and the recorded
-/// `active → results` pairs.
+/// set (its heads are the universe's atoms), the recorded
+/// `active → results` pairs, and whether any support was cut (one outcome
+/// past the budget is enumerated to tell, as the chase does).
 ///
 /// The caller passes the rules and AtR schemas of one *static* predicate
 /// component (see [`StaticComponents`]); a rule can only match and derive
@@ -109,10 +138,12 @@ fn universe_of_group(
     budget: &ChaseBudget,
     cap: usize,
     cancel: &CancelToken,
-) -> Result<Option<(GroundRuleSet, AtrPairs)>, CoreError> {
+) -> Result<Option<Universe>, CoreError> {
     let mut pairs: AtrPairs = Vec::new();
     let mut complete = true;
-    let universe = saturate_impl(
+    let mut support_cut = false;
+    let max_branching = budget.max_branching;
+    let rules = saturate_impl(
         rules,
         GroundRuleSet::new(),
         None,
@@ -125,14 +156,17 @@ fn universe_of_group(
             }
             for schema in schemas {
                 for active in new_heads.atoms_of(&schema.active) {
-                    let Ok(outcomes) = schema.outcomes(active, budget.max_branching) else {
+                    let Ok(outcomes) = schema.outcomes(active, max_branching.saturating_add(1))
+                    else {
                         complete = false;
                         return false;
                     };
+                    support_cut |= outcomes.len() > max_branching;
                     let first = results.len();
                     results.extend(
                         outcomes
                             .into_iter()
+                            .take(max_branching)
                             .map(|(outcome, _)| schema.result_atom(active, outcome)),
                     );
                     pairs.push((active.clone(), results[first..].to_vec()));
@@ -144,13 +178,17 @@ fn universe_of_group(
     if cancel.is_cancelled() {
         return Err(CoreError::Interrupted("factor analysis".into()));
     }
-    Ok(complete.then_some((universe, pairs)))
+    Ok(complete.then_some(Universe {
+        rules,
+        pairs,
+        support_cut,
+    }))
 }
 
 /// Partition a universe into connected components of the dependency
 /// graph: star edges `head — footprint atom` per rule instance plus
 /// `active — result` edges per AtR expansion.
-fn partition(sigma: &SigmaPi, universe: &GroundRuleSet, pairs: &AtrPairs) -> Vec<ChaseComponent> {
+fn partition(sigma: &SigmaPi, universe: &GroundRuleSet, pairs: &AtrPairs) -> Vec<Part> {
     let atoms: Vec<GroundAtom> = universe.heads().canonical_atoms();
     let index: HashMap<&GroundAtom, usize> =
         atoms.iter().enumerate().map(|(i, a)| (a, i)).collect();
@@ -175,10 +213,43 @@ fn partition(sigma: &SigmaPi, universe: &GroundRuleSet, pairs: &AtrPairs) -> Vec
                 .filter(|a| sigma.is_active_predicate(&a.predicate))
                 .cloned()
                 .collect();
-            ChaseComponent {
-                atoms: set,
-                triggers,
-            }
+            (set, triggers)
+        })
+        .collect()
+}
+
+/// Cut Σ into one slice per part, in one pass over its rules. A rule with
+/// an empty positive body is ground by safety and fires unconditionally in
+/// the universe, so its head is an atom of exactly one part, whose slice
+/// gets it; every other rule goes to every slice. A slice's chase therefore
+/// starts from its own part's atoms only, and every rule instance it fires
+/// has its whole footprint in that part.
+fn slice(sigma: &SigmaPi, parts: Vec<Part>, support_cut: bool) -> Vec<ChaseComponent> {
+    let owner: HashMap<&GroundAtom, usize> = parts
+        .iter()
+        .enumerate()
+        .flat_map(|(i, (atoms, _))| atoms.iter().map(move |a| (a, i)))
+        .collect();
+    let mut rules: Vec<Vec<TgdRule>> = vec![Vec::new(); parts.len()];
+    for rule in &sigma.rules {
+        let head = if rule.pos.is_empty() {
+            rule.head.to_ground().ok()
+        } else {
+            None
+        };
+        match head {
+            Some(head) => rules[owner[&head]].push(rule.clone()),
+            None => rules.iter_mut().for_each(|r| r.push(rule.clone())),
+        }
+    }
+    parts
+        .into_iter()
+        .zip(rules)
+        .map(|((atoms, triggers), rules)| ChaseComponent {
+            atoms,
+            triggers,
+            slice: Arc::new(sigma.slice(rules)),
+            support_cut,
         })
         .collect()
 }
@@ -262,49 +333,54 @@ pub fn analyze_cancellable(
             .expect("every rule head is a static-graph vertex");
         groups.entry(c).or_default().0.push(rule);
     }
-    for schema in &sigma.atr_schemas {
+    for schema in sigma.atr_schemas() {
         let c = statics
             .component_of(&schema.active)
             .expect("every Active predicate is a static-graph vertex");
         groups.entry(c).or_default().1.push(schema);
     }
 
-    let mut raw: Vec<ChaseComponent> = Vec::new();
+    let mut raw: Vec<Part> = Vec::new();
     let mut cap = UNIVERSE_ATOM_CAP;
+    let mut support_cut = false;
     for (rules, schemas) in groups.values() {
-        let Some((universe, pairs)) = universe_of_group(rules, schemas, budget, cap, cancel)?
-        else {
+        let Some(universe) = universe_of_group(rules, schemas, budget, cap, cancel)? else {
             return Ok((None, FactorAnalysis::Dynamic));
         };
-        cap = cap.saturating_sub(universe.heads().len());
-        raw.extend(partition(sigma, &universe, &pairs));
+        cap = cap.saturating_sub(universe.rules.heads().len());
+        support_cut |= universe.support_cut;
+        raw.extend(partition(sigma, &universe.rules, &universe.pairs));
     }
     // Canonical order: by smallest atom, as the global partition produces.
-    raw.sort_by(|a, b| a.atoms.first().cmp(&b.atoms.first()));
+    raw.sort_by(|a, b| a.0.first().cmp(&b.0.first()));
 
-    let (with_triggers, without): (Vec<_>, Vec<_>) =
-        raw.into_iter().partition(|c| !c.triggers.is_empty());
+    let (with_triggers, without): (Vec<_>, Vec<_>) = raw
+        .into_iter()
+        .partition(|(_, triggers)| !triggers.is_empty());
     if with_triggers.len() <= 1 {
         return Ok((None, FactorAnalysis::Dynamic));
     }
-    let mut components = with_triggers;
+    let mut parts = with_triggers;
     if !without.is_empty() {
-        let mut base = ChaseComponent {
-            atoms: BTreeSet::new(),
-            triggers: BTreeSet::new(),
-        };
-        for c in without {
-            base.atoms.extend(c.atoms);
-        }
-        components.push(base);
+        let base = without.into_iter().flat_map(|(atoms, _)| atoms).collect();
+        parts.push((base, BTreeSet::new()));
     }
-    Ok((Some(components), FactorAnalysis::Dynamic))
+    Ok((
+        Some(slice(sigma, parts, support_cut)),
+        FactorAnalysis::Dynamic,
+    ))
 }
 
 /// A grounder restricted to one chase component: grounding delegates to the
 /// inner grounder unchanged, but only the component's own `Active` atoms
 /// count as triggers — the chase branches over this component's choices and
 /// terminates with every other component's `Active` atoms left undefined.
+///
+/// The solve path no longer uses it: each factor is chased over its own
+/// [`ChaseComponent::slice`]. It stays public only because the benchmark's
+/// layer-by-layer decomposition (`perfbench`) names it, and it is the
+/// whole-program reference the slice-equivalence tests compare against;
+/// it goes with that decomposition.
 pub struct ComponentGrounder<'a> {
     inner: &'a dyn Grounder,
     triggers: &'a BTreeSet<GroundAtom>,
@@ -352,25 +428,6 @@ impl Grounder for ComponentGrounder<'_> {
     }
 }
 
-/// Restrict every outcome of a per-component chase to the rules whose heads
-/// live in the component. Rule footprints never cross components, so this
-/// keeps exactly the component's share of each flat outcome's program.
-pub(crate) fn restrict_outcomes(
-    mut chase: crate::chase::ChaseResult,
-    atoms: &BTreeSet<GroundAtom>,
-) -> crate::chase::ChaseResult {
-    for outcome in &mut chase.outcomes {
-        outcome.rules = GroundRuleSet::from_rules(
-            outcome
-                .rules
-                .iter()
-                .filter(|r| atoms.contains(&r.head))
-                .cloned(),
-        );
-    }
-    chase
-}
-
 /// One solved factor: the component's atoms and its output space.
 pub struct Factor {
     /// The component's universe atoms, for routing query atoms to factors.
@@ -396,6 +453,10 @@ pub struct FactoredOutputSpace {
     explored: Vec<Prob>,
     /// Per factor: does the "no stable model" event occur?
     has_empty: Vec<bool>,
+    /// Per factor, the Σ_Π slice it was chased over, which Monte-Carlo
+    /// walks of its atoms sample; empty when the product keeps none (a
+    /// one-factor product, or a cut support: walks cover the whole program).
+    slices: Vec<Arc<SigmaPi>>,
     /// Input of the lazy top-k merge ([`top_k_tuples`]), built on first
     /// use: per factor, the `(index, mass)` pairs of its nonempty events in
     /// its [`OutputSpace::events_by_mass`] listing order.
@@ -422,9 +483,22 @@ impl FactoredOutputSpace {
             nonempty,
             explored,
             has_empty,
+            slices: Vec::new(),
             nonempty_events: OnceLock::new(),
             fingerprint: OnceLock::new(),
         }
+    }
+
+    /// Attach the slice each factor was chased over, one per factor.
+    pub(crate) fn with_slices(mut self, slices: Vec<Arc<SigmaPi>>) -> Self {
+        debug_assert_eq!(slices.len(), self.factors.len());
+        self.slices = slices;
+        self
+    }
+
+    /// The Σ_Π slice each factor was chased over, if the product keeps them.
+    pub(crate) fn slices(&self) -> Option<&[Arc<SigmaPi>]> {
+        (!self.slices.is_empty()).then_some(self.slices.as_slice())
     }
 
     /// The space of a product of one factor.
@@ -510,8 +584,8 @@ impl FactoredOutputSpace {
     }
 
     /// The factor whose atom set contains `atom`, if any; the only factor
-    /// of a one-factor product.
-    fn factor_of(&self, atom: &GroundAtom) -> Option<usize> {
+    /// of a one-factor product. An atom no factor holds is underivable.
+    pub(crate) fn factor_of(&self, atom: &GroundAtom) -> Option<usize> {
         if self.factors.len() == 1 {
             return Some(0);
         }
@@ -1049,7 +1123,7 @@ mod tests {
         let pipeline = Pipeline::new(&program, &db).unwrap();
         let sigma = pipeline.sigma();
         let rules: Vec<&TgdRule> = sigma.rules.iter().collect();
-        let schemas: Vec<&AtrSchema> = sigma.atr_schemas.iter().collect();
+        let schemas: Vec<&AtrSchema> = sigma.atr_schemas().iter().collect();
         let budget = ChaseBudget::default();
         let never = CancelToken::never();
         assert!(universe_of_group(&rules, &schemas, &budget, 5, &never)

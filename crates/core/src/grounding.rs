@@ -341,7 +341,7 @@ fn active_atoms<'a>(
 ) -> impl Iterator<Item = &'a GroundAtom> {
     let heads = rules.heads();
     sigma
-        .atr_schemas
+        .atr_schemas()
         .iter()
         .flat_map(move |schema| heads.atoms_of(&schema.active))
 }
@@ -357,7 +357,7 @@ mod tests {
     }
 
     fn coin_active(sigma: &SigmaPi) -> GroundAtom {
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         GroundAtom {
             predicate: schema.active,
             args: vec![Const::real(0.5).unwrap()],

@@ -197,6 +197,22 @@ impl<'a> MonteCarlo<'a> {
     where
         F: Fn(&PossibleOutcome) -> bool + Sync,
     {
+        let mut stats = self.estimate_each(samples, std::slice::from_ref(&event))?;
+        Ok(stats.pop().expect("one event, one estimate"))
+    }
+
+    /// [`MonteCarlo::estimate`] of several events over one set of walks:
+    /// each walk is drawn once and tested against every event. Estimate `i`
+    /// is bit-identical to `estimate(samples, events[i])` on an estimator in
+    /// the same state; the walks are drawn once instead of once per event.
+    pub(crate) fn estimate_each<F>(
+        &mut self,
+        samples: usize,
+        events: &[F],
+    ) -> Result<Vec<SampleStats>, CoreError>
+    where
+        F: Fn(&PossibleOutcome) -> bool + Sync,
+    {
         let first_walk = self.next_walk;
         self.next_walk += samples as u64;
         // Contiguous chunks of the walk range: one when sequential, several
@@ -219,33 +235,45 @@ impl<'a> MonteCarlo<'a> {
                 first_walk + start as u64..first_walk + (start + chunk).min(samples) as u64
             })
             .collect();
-        let (mut hits, mut abandoned) = (0usize, 0usize);
-        for tally in executor.map(&ranges, |walks| self.run_walks(walks.clone(), &event)) {
+        let (mut hits, mut abandoned) = (vec![0usize; events.len()], 0usize);
+        for tally in executor.map(&ranges, |walks| self.run_walks(walks.clone(), events)) {
             let (h, a) = tally?;
-            hits += h;
+            hits.iter_mut().zip(h).for_each(|(total, h)| *total += h);
             abandoned += a;
         }
-        Ok(SampleStats {
-            estimate: Estimate::from_bernoulli(hits, samples),
-            abandoned,
-            samples,
-        })
+        Ok(hits
+            .into_iter()
+            .map(|hits| SampleStats {
+                estimate: Estimate::from_bernoulli(hits, samples),
+                abandoned,
+                samples,
+            })
+            .collect())
     }
 
-    /// Run a contiguous range of walks, counting the finite paths on which
-    /// `event` holds and the abandoned ones; stop at the first failing walk.
-    fn run_walks<F>(&self, walks: Range<u64>, event: &F) -> Result<(usize, usize), CoreError>
+    /// Run a contiguous range of walks, counting per event the finite paths
+    /// on which it holds, and the abandoned paths; stop at the first failing
+    /// walk.
+    fn run_walks<F>(
+        &self,
+        walks: Range<u64>,
+        events: &[F],
+    ) -> Result<(Vec<usize>, usize), CoreError>
     where
         F: Fn(&PossibleOutcome) -> bool,
     {
-        let (mut hits, mut abandoned) = (0usize, 0usize);
+        let (mut hits, mut abandoned) = (vec![0usize; events.len()], 0usize);
         for walk in walks {
             if self.cancel.is_cancelled() {
                 return Err(CoreError::Interrupted("monte-carlo estimation".into()));
             }
             let mut rng = walk_rng(self.seed, walk);
             match sample_outcome(self.grounder, self.max_triggers, &mut rng)? {
-                SampledPath::Finite(outcome) => hits += usize::from(event(&outcome)),
+                SampledPath::Finite(outcome) => {
+                    for (hits, event) in hits.iter_mut().zip(events) {
+                        *hits += usize::from(event(&outcome));
+                    }
+                }
                 SampledPath::Abandoned { .. } => abandoned += 1,
             }
         }

@@ -165,7 +165,7 @@ mod tests {
         // Empty choice set and a cascading one.
         let mut atr = AtrSet::new();
         assert_eq!(grounder.ground(&atr), grounder.ground_naive(&atr));
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         let p = Const::real(0.1).unwrap();
         for i in [2i64, 3] {
             let active = GroundAtom {
@@ -187,7 +187,7 @@ mod tests {
         let sigma = Arc::new(SigmaPi::translate(&dime_quarter_program(), &db).unwrap());
         let grounder = PerfectGrounder::new(sigma.clone()).unwrap();
 
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         let mut atr = AtrSet::new();
         for (d, o) in [(1i64, 1i64), (2, 0)] {
             let active = GroundAtom {

@@ -250,7 +250,7 @@ mod tests {
     }
 
     fn flip_active(sigma: &SigmaPi, id: i64) -> GroundAtom {
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         GroundAtom {
             predicate: schema.active,
             args: vec![Const::real(0.5).unwrap(), Const::Int(id)],
@@ -282,7 +282,7 @@ mod tests {
         let quarter_active: Vec<_> = rules
             .iter()
             .filter(|r| {
-                r.head.predicate == sigma.atr_schemas[0].active && r.head.args[1] == Const::Int(3)
+                r.head.predicate == sigma.atr_schemas()[0].active && r.head.args[1] == Const::Int(3)
             })
             .collect();
         assert!(quarter_active.is_empty(), "quarter must not be tossed");

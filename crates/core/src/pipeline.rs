@@ -16,19 +16,19 @@ use crate::api::SolveStrategy;
 use crate::chase::{enumerate_outcomes_cancellable, ChaseBudget, ChaseResult, TriggerOrder};
 use crate::error::CoreError;
 use crate::exec::Executor;
-use crate::factor::{
-    self, ChaseComponent, ComponentGrounder, Factor, FactorAnalysis, FactoredOutputSpace,
-};
+use crate::factor::{self, ChaseComponent, Factor, FactorAnalysis, FactoredOutputSpace};
 use crate::grounding::Grounder;
-use crate::mc::MonteCarlo;
+use crate::mc::{MonteCarlo, SampleStats};
+use crate::outcome::PossibleOutcome;
 use crate::perfect_grounder::PerfectGrounder;
 use crate::program::Program;
 use crate::semantics::OutputSpace;
 use crate::simple_grounder::SimpleGrounder;
 use crate::translate::SigmaPi;
-use gdlog_data::Database;
+use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::{CancelToken, StableModelLimits};
-use std::collections::BTreeSet;
+use gdlog_prob::sampler::Estimate;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Which grounder the pipeline should use.
@@ -293,12 +293,12 @@ impl Pipeline {
     /// [`certainly_single_trigger`] certifies at most one trigger, factored
     /// otherwise.
     ///
-    /// Component chases always run on a fresh simple grounder regardless of
-    /// the pipeline's configured grounder: the perfect grounder's
-    /// stratum-cursor saturation intentionally stalls at the stratum of an
-    /// undefined trigger, and in a component chase every *other* component's
-    /// `Active` atoms stay undefined forever by design. Stable-model solving
-    /// per factor reuses the pipeline's executor and limits.
+    /// Each factor is chased by a simple grounder over its own Σ_Π slice
+    /// ([`ChaseComponent::slice`]), whatever grounder the pipeline is
+    /// configured with, and the product keeps the slices for Monte-Carlo
+    /// ([`Pipeline::estimate_atoms`]) unless `max_branching` cut a support
+    /// ([`ChaseComponent::support_cut`]). Stable-model solving per factor
+    /// reuses the pipeline's executor and limits.
     pub fn solve_with(
         &self,
         strategy: SolveStrategy,
@@ -317,11 +317,11 @@ impl Pipeline {
             };
             return Ok((FactoredOutputSpace::new(vec![factor]), analysis));
         };
-        let mut simple = SimpleGrounder::new(self.sigma.clone());
-        simple.set_cancel(self.cancel.clone());
         let mut factors = Vec::with_capacity(components.len());
+        let mut slices = Vec::with_capacity(components.len());
+        let mut support_cut = false;
         for component in components {
-            let grounder = ComponentGrounder::new(&simple, &component.triggers);
+            let grounder = slice_grounder(&component.slice, &self.cancel);
             let chase = enumerate_outcomes_cancellable(
                 &grounder,
                 &self.budget,
@@ -329,14 +329,18 @@ impl Pipeline {
                 &self.executor,
                 &self.cancel,
             )?;
-            let space =
-                self.space_from_chase(factor::restrict_outcomes(chase, &component.atoms))?;
             factors.push(Factor {
                 atoms: component.atoms,
-                space,
+                space: self.space_from_chase(chase)?,
             });
+            support_cut |= component.support_cut;
+            slices.push(component.slice);
         }
-        Ok((FactoredOutputSpace::new(factors), analysis))
+        let mut space = FactoredOutputSpace::new(factors);
+        if !support_cut {
+            space = space.with_slices(slices);
+        }
+        Ok((space, analysis))
     }
 
     /// A Monte-Carlo estimator over the same grounder (sharing the
@@ -351,6 +355,86 @@ impl Pipeline {
             .with_executor(&self.executor)
             .with_cancel(self.cancel.clone())
     }
+
+    /// Monte-Carlo estimates of `P(atom ∈ heads(G(Σ)))` over finite walks,
+    /// one per atom, for a `space` this pipeline solved, observing `cancel`
+    /// at every walk boundary. Zero `samples` is a request error.
+    ///
+    /// When the product keeps its factors' slices, atoms are grouped by the
+    /// factor that holds them (`FactoredOutputSpace::factor_of`) and each
+    /// group's `samples` walks are drawn once over its slice alone, every
+    /// walk counting a hit for each atom of the group: `params.max_triggers`
+    /// bounds each factor's walk, and the product measure makes an atom's
+    /// marginal the same as over the whole program. An atom no factor holds
+    /// is underivable: mean zero, no walk, none abandoned. Otherwise — a
+    /// one-factor product, or a support that `max_branching` cut, which
+    /// walks can leave the universe through ([`ChaseComponent::support_cut`])
+    /// — one set of walks covers the whole program with this pipeline's
+    /// grounder, exactly as [`Pipeline::sampler_with`] draws them.
+    pub fn estimate_atoms(
+        &self,
+        space: &FactoredOutputSpace,
+        atoms: &[GroundAtom],
+        samples: usize,
+        params: McParams,
+        cancel: &CancelToken,
+    ) -> Result<Vec<SampleStats>, CoreError> {
+        if samples == 0 {
+            return Err(CoreError::Request(
+                "`--mc` needs at least one sample".into(),
+            ));
+        }
+        // `heads(G(Σ) ∪ Σ)`, tested in place: no program copy.
+        let events = |group: &[usize]| -> Vec<_> {
+            group
+                .iter()
+                .map(|&i| {
+                    let atom = &atoms[i];
+                    move |outcome: &PossibleOutcome| {
+                        outcome.rules.heads().contains(atom)
+                            || outcome.atr.iter().any(|choice| choice.result == *atom)
+                    }
+                })
+                .collect()
+        };
+        let Some(slices) = space.slices() else {
+            let all: Vec<usize> = (0..atoms.len()).collect();
+            return self
+                .sampler_with(params)
+                .with_cancel(cancel.clone())
+                .estimate_each(samples, &events(&all));
+        };
+        let unwalked = SampleStats {
+            estimate: Estimate::from_bernoulli(0, samples),
+            abandoned: 0,
+            samples,
+        };
+        let mut stats = vec![unwalked; atoms.len()];
+        let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+        for (i, atom) in atoms.iter().enumerate() {
+            if let Some(j) = space.factor_of(atom) {
+                groups.entry(j).or_default().push(i);
+            }
+        }
+        for (j, group) in groups {
+            let grounder = slice_grounder(&slices[j], cancel);
+            let estimates = MonteCarlo::new(&grounder, params.max_triggers, params.seed)
+                .with_executor(&self.executor)
+                .with_cancel(cancel.clone())
+                .estimate_each(samples, &events(&group))?;
+            for (i, estimate) in group.into_iter().zip(estimates) {
+                stats[i] = estimate;
+            }
+        }
+        Ok(stats)
+    }
+}
+
+/// A simple grounder over one factor's slice, observing `cancel`.
+fn slice_grounder(slice: &Arc<SigmaPi>, cancel: &CancelToken) -> SimpleGrounder {
+    let mut grounder = SimpleGrounder::new(Arc::clone(slice));
+    grounder.set_cancel(cancel.clone());
+    grounder
 }
 
 /// Resolve [`SolveStrategy::Auto`] to a concrete strategy via the static
@@ -438,7 +522,7 @@ mod tests {
         assert_eq!(chase.outcomes.len(), 2);
         let space = pipeline.solve().unwrap();
         assert_eq!(space.has_stable_model_probability(), Prob::ratio(1, 2));
-        assert!(pipeline.sigma().atr_schemas.len() == 1);
+        assert!(pipeline.sigma().atr_schemas().len() == 1);
     }
 
     #[test]

@@ -311,7 +311,7 @@ mod tests {
         let grounder = network_grounder();
         let rules = grounder.ground(&AtrSet::new());
         let sigma = grounder.sigma();
-        let active_pred = sigma.atr_schemas[0].active;
+        let active_pred = sigma.atr_schemas()[0].active;
 
         // GSimple(∅) contains the two Active rules for router 1's neighbours
         // (Example 3.6) and no Result-consuming Infected rules yet.
@@ -344,7 +344,7 @@ mod tests {
     fn example_3_6_full_choice_set_is_terminal() {
         let grounder = network_grounder();
         let sigma = grounder.sigma();
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         let p = Const::real(0.1).unwrap();
 
         // Both neighbours stay uninfected (outcome 0) — the Σ of Example 3.6.
@@ -383,7 +383,7 @@ mod tests {
         // appear (monotonicity of the grounder).
         let grounder = network_grounder();
         let sigma = grounder.sigma();
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         let p = Const::real(0.1).unwrap();
 
         let active_12 = GroundAtom {
@@ -405,7 +405,7 @@ mod tests {
     fn grounder_is_monotone() {
         let grounder = network_grounder();
         let sigma = grounder.sigma();
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         let p = Const::real(0.1).unwrap();
         let active_12 = GroundAtom {
             predicate: schema.active,
@@ -434,7 +434,7 @@ mod tests {
         assert_eq!(grounder.triggers(&AtrSet::new(), &rules).len(), 1);
 
         let sigma = grounder.sigma();
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         let active = GroundAtom {
             predicate: schema.active,
             args: vec![Const::real(0.5).unwrap()],

@@ -25,6 +25,7 @@ use gdlog_data::{Atom, Const, Database, GroundAtom, Predicate, Term, Var};
 use gdlog_prob::{DeltaRegistry, DistError, Distribution, Prob};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// An existential-free TGD¬ of `Σ∄_Π[D]`.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -133,15 +134,24 @@ impl AtrSchema {
 /// The translated program `Σ_Π[D]`, split into its existential-free part
 /// `Σ∄` ([`SigmaPi::rules`]) and the schemas of its AtR TGDs `Σ∃`
 /// ([`SigmaPi::atr_schemas`]).
+///
+/// Everything but the rule list lives behind an `Arc`, so a
+/// slice — one chase component's share of the rules — shares
+/// the AtR schemas and the schema indexes with its parent.
 #[derive(Clone, Debug)]
 pub struct SigmaPi {
     /// The existential-free TGD¬ rules (including one fact rule per database
     /// atom).
     pub rules: Vec<TgdRule>,
+    choices: Arc<Choices>,
+}
+
+/// The parts of `Σ_Π[D]` besides its rules: fixed by the translation and
+/// shared by every slice.
+#[derive(Debug)]
+struct Choices {
     /// The AtR TGD schemas, one per distinct `(δ, |p̄|, |q̄|)` combination.
-    pub atr_schemas: Vec<AtrSchema>,
-    /// The distribution registry Δ of the program.
-    pub delta: DeltaRegistry,
+    atr_schemas: Vec<AtrSchema>,
     active_index: HashMap<Predicate, usize>,
     original_schema: BTreeSet<Predicate>,
 }
@@ -154,34 +164,108 @@ impl SigmaPi {
     /// relations are allowed and simply become facts).
     pub fn translate(program: &Program, database: &Database) -> Result<SigmaPi, CoreError> {
         program.validate()?;
-        let mut sigma = SigmaPi {
-            rules: Vec::new(),
+        let mut choices = Choices {
             atr_schemas: Vec::new(),
-            delta: program.delta().clone(),
             active_index: HashMap::new(),
             original_schema: program.schema().iter().copied().collect(),
         };
         for p in database.predicates() {
-            sigma.original_schema.insert(*p);
+            choices.original_schema.insert(*p);
         }
 
         // Σ[D]: one fact rule per database atom.
-        for fact in database.canonical_atoms() {
-            sigma.rules.push(TgdRule {
+        let mut rules: Vec<TgdRule> = database
+            .canonical_atoms()
+            .into_iter()
+            .map(|fact| TgdRule {
                 pos: Vec::new(),
                 neg: Vec::new(),
                 head: fact.to_atom(),
                 origin_head: fact.predicate,
-            });
-        }
+            })
+            .collect();
 
         for rule in program.rules() {
-            sigma.translate_rule(rule)?;
+            choices.translate_rule(rule, program.delta(), &mut rules)?;
         }
-        Ok(sigma)
+        Ok(SigmaPi {
+            rules,
+            choices: Arc::new(choices),
+        })
     }
 
-    fn translate_rule(&mut self, rule: &Rule) -> Result<(), CoreError> {
+    /// A program over `rules` that shares this one's AtR schemas and
+    /// original schema: the Σ_Π slice one chase component is chased and
+    /// sampled over.
+    pub(crate) fn slice(&self, rules: Vec<TgdRule>) -> SigmaPi {
+        SigmaPi {
+            rules,
+            choices: Arc::clone(&self.choices),
+        }
+    }
+
+    /// The AtR TGD schemas, one per distinct `(δ, |p̄|, |q̄|)` combination.
+    pub fn atr_schemas(&self) -> &[AtrSchema] {
+        &self.choices.atr_schemas
+    }
+
+    /// Is `p` one of the generated `Active` predicates?
+    pub fn is_active_predicate(&self, p: &Predicate) -> bool {
+        self.choices.active_index.contains_key(p)
+    }
+
+    /// The AtR schema whose `Active` predicate is `p`.
+    pub fn schema_for_active(&self, p: &Predicate) -> Option<&AtrSchema> {
+        let choices = &*self.choices;
+        choices
+            .active_index
+            .get(p)
+            .map(|&i| &choices.atr_schemas[i])
+    }
+
+    /// The AtR schema whose `Result` predicate is `p`.
+    pub fn schema_for_result(&self, p: &Predicate) -> Option<&AtrSchema> {
+        self.atr_schemas().iter().find(|s| s.result == *p)
+    }
+
+    /// The predicates of the original program and database (everything except
+    /// the generated `Active`/`Result` predicates).
+    pub fn original_schema(&self) -> &BTreeSet<Predicate> {
+        &self.choices.original_schema
+    }
+
+    /// Strip the generated `Active` and `Result` atoms from an instance —
+    /// "modulo active" in the terminology of Appendix C (we also drop Result
+    /// atoms, which Appendix C keeps, via [`SigmaPi::strip_active_only`] if
+    /// needed).
+    pub fn strip_generated(&self, instance: &Database) -> Database {
+        Database::from_atoms(
+            instance
+                .iter()
+                .filter(|a| self.original_schema().contains(&a.predicate))
+                .cloned(),
+        )
+    }
+
+    /// Drop only the `Active` atoms from an instance, keeping `Result` atoms
+    /// (the "modulo active" view used by Theorem C.4).
+    pub fn strip_active_only(&self, instance: &Database) -> Database {
+        Database::from_atoms(
+            instance
+                .iter()
+                .filter(|a| !self.is_active_predicate(&a.predicate))
+                .cloned(),
+        )
+    }
+}
+
+impl Choices {
+    fn translate_rule(
+        &mut self,
+        rule: &Rule,
+        delta_registry: &DeltaRegistry,
+        rules: &mut Vec<TgdRule>,
+    ) -> Result<(), CoreError> {
         let deltas = rule.head.delta_terms();
         let origin_head = rule.head.predicate;
         if deltas.is_empty() {
@@ -189,7 +273,7 @@ impl SigmaPi {
                 .head
                 .as_atom()
                 .expect("head without Δ-terms converts to an atom");
-            self.rules.push(TgdRule {
+            rules.push(TgdRule {
                 pos: rule.pos.clone(),
                 neg: rule.neg.clone(),
                 head,
@@ -207,7 +291,7 @@ impl SigmaPi {
         let mut result_atoms: Vec<Atom> = Vec::new();
         let mut fresh_vars: Vec<Var> = Vec::new();
         for (j, (_, delta)) in deltas.iter().enumerate() {
-            let distribution = self.delta.get(&delta.distribution)?;
+            let distribution = delta_registry.get(&delta.distribution)?;
             let schema_idx = self.ensure_schema(
                 &delta.distribution,
                 distribution,
@@ -223,7 +307,7 @@ impl SigmaPi {
                 predicate: schema.active,
                 args: active_args.clone(),
             };
-            self.rules.push(TgdRule {
+            rules.push(TgdRule {
                 pos: rule.pos.clone(),
                 neg: rule.neg.clone(),
                 head: active_atom,
@@ -255,7 +339,7 @@ impl SigmaPi {
         }
         let mut pos = result_atoms;
         pos.extend(rule.pos.iter().cloned());
-        self.rules.push(TgdRule {
+        rules.push(TgdRule {
             pos,
             neg: rule.neg.clone(),
             head: Atom {
@@ -292,51 +376,6 @@ impl SigmaPi {
         let idx = self.atr_schemas.len() - 1;
         self.active_index.insert(active, idx);
         idx
-    }
-
-    /// Is `p` one of the generated `Active` predicates?
-    pub fn is_active_predicate(&self, p: &Predicate) -> bool {
-        self.active_index.contains_key(p)
-    }
-
-    /// The AtR schema whose `Active` predicate is `p`.
-    pub fn schema_for_active(&self, p: &Predicate) -> Option<&AtrSchema> {
-        self.active_index.get(p).map(|&i| &self.atr_schemas[i])
-    }
-
-    /// The AtR schema whose `Result` predicate is `p`.
-    pub fn schema_for_result(&self, p: &Predicate) -> Option<&AtrSchema> {
-        self.atr_schemas.iter().find(|s| s.result == *p)
-    }
-
-    /// The predicates of the original program and database (everything except
-    /// the generated `Active`/`Result` predicates).
-    pub fn original_schema(&self) -> &BTreeSet<Predicate> {
-        &self.original_schema
-    }
-
-    /// Strip the generated `Active` and `Result` atoms from an instance —
-    /// "modulo active" in the terminology of Appendix C (we also drop Result
-    /// atoms, which Appendix C keeps, via [`SigmaPi::strip_active_only`] if
-    /// needed).
-    pub fn strip_generated(&self, instance: &Database) -> Database {
-        Database::from_atoms(
-            instance
-                .iter()
-                .filter(|a| self.original_schema.contains(&a.predicate))
-                .cloned(),
-        )
-    }
-
-    /// Drop only the `Active` atoms from an instance, keeping `Result` atoms
-    /// (the "modulo active" view used by Theorem C.4).
-    pub fn strip_active_only(&self, instance: &Database) -> Database {
-        Database::from_atoms(
-            instance
-                .iter()
-                .filter(|a| !self.is_active_predicate(&a.predicate))
-                .cloned(),
-        )
     }
 }
 
@@ -376,8 +415,8 @@ mod tests {
 
         // Exactly one AtR schema: Flip with one parameter and a two-place
         // event signature.
-        assert_eq!(sigma.atr_schemas.len(), 1);
-        let schema = &sigma.atr_schemas[0];
+        assert_eq!(sigma.atr_schemas().len(), 1);
+        let schema = &sigma.atr_schemas()[0];
         assert_eq!(schema.distribution_name, "Flip");
         assert_eq!(schema.param_len, 1);
         assert_eq!(schema.event_len, 2);
@@ -416,8 +455,8 @@ mod tests {
     fn coin_translation_creates_zero_event_schema() {
         let program = coin_program();
         let sigma = SigmaPi::translate(&program, &Database::new()).unwrap();
-        assert_eq!(sigma.atr_schemas.len(), 1);
-        let schema = &sigma.atr_schemas[0];
+        assert_eq!(sigma.atr_schemas().len(), 1);
+        let schema = &sigma.atr_schemas()[0];
         assert_eq!(schema.event_len, 0);
         assert_eq!(schema.active.arity(), 1);
         // → Coin(Flip⟨0.5⟩) becomes a bodyless rule deriving the Active atom.
@@ -433,7 +472,7 @@ mod tests {
         // one schema, shared.
         let program = dime_quarter_program();
         let sigma = SigmaPi::translate(&program, &Database::new()).unwrap();
-        assert_eq!(sigma.atr_schemas.len(), 1);
+        assert_eq!(sigma.atr_schemas().len(), 1);
         // Σ∄ rules: 2 per probabilistic rule + 1 plain rule = 5.
         assert_eq!(sigma.rules.len(), 5);
     }
@@ -442,7 +481,7 @@ mod tests {
     fn atr_schema_helpers() {
         let program = network_resilience_program(0.1);
         let sigma = SigmaPi::translate(&program, &network_db()).unwrap();
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         let active = GroundAtom {
             predicate: schema.active,
             args: vec![Const::real(0.1).unwrap(), Const::Int(1), Const::Int(2)],
@@ -465,7 +504,7 @@ mod tests {
     fn strip_generated_and_active_only() {
         let program = coin_program();
         let sigma = SigmaPi::translate(&program, &Database::new()).unwrap();
-        let schema = &sigma.atr_schemas[0];
+        let schema = &sigma.atr_schemas()[0];
         let active = GroundAtom {
             predicate: schema.active,
             args: vec![Const::real(0.5).unwrap()],

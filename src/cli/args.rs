@@ -124,9 +124,14 @@ RUN FLAGS:
     --marginal <Pred>          report marginals of every atom of a predicate
                                (repeatable)
     --top <K>                  report the K most probable events
-    --mc <N>                   Monte-Carlo estimate each --query with N samples
+    --mc <N>                   Monte-Carlo estimate of P(atom in heads(G))
+                               for each --query over N finite walks; on a
+                               factored solve a walk covers only the
+                               atom's factor, unless a support was cut at
+                               the chase's branching cap
     --seed <S>                 Monte-Carlo seed                (default 0)
-    --max-triggers <N>         Monte-Carlo per-walk trigger cap (default 64)
+    --max-triggers <N>         Monte-Carlo per-walk trigger cap (default 64);
+                               per factor on a factored solve
     --timeout-ms <N>           per-query deadline: degrade gracefully with
                                exact residual mass, or a typed interruption
 ";

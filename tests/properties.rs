@@ -9,10 +9,11 @@
 
 use gdlog::core::{
     coin_program, dime_quarter_program, enumerate_outcomes, enumerate_outcomes_with,
-    network_resilience_program, AtrRule, AtrSet, CancelToken, ChaseBudget, CoreError, Executor,
-    Grounder, GrounderChoice, McParams, ModelSetCache, ModelSetKey, MonteCarlo,
-    NaivePerfectGrounder, NaiveSimpleGrounder, OutputSpace, PerfectGrounder, Pipeline,
-    PossibleOutcome, SigmaPi, SimpleGrounder, StaticComponents, TriggerOrder,
+    network_resilience_program, AtrRule, AtrSet, CancelToken, ChaseBudget, ComponentGrounder,
+    CoreError, Executor, Factor, FactoredOutputSpace, GroundRuleSet, Grounder, GrounderChoice,
+    McParams, ModelSetCache, ModelSetKey, MonteCarlo, NaivePerfectGrounder, NaiveSimpleGrounder,
+    OutputSpace, PerfectGrounder, Pipeline, PossibleOutcome, SigmaPi, SimpleGrounder,
+    StaticComponents, TriggerOrder,
 };
 use gdlog::prelude::*;
 use gdlog_engine::{
@@ -1209,6 +1210,118 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// An island that exercises slicing: a ground Δ-fact, a constraint whose
+/// body is one negative literal (`not IdleI{i} -> false` becomes a ground
+/// `Fail` rule with an empty positive body, which must be routed to this
+/// island's slice), and a negative literal on `GhostI{i}`, which no rule
+/// derives and which therefore carries no dependency.
+fn guarded_island_text(i: usize, p: u32) -> String {
+    let p = f64::from(p) / 10.0;
+    format!(
+        "-> RichI{i}(Flip<{p}>[{i}]).\n\
+         RichI{i}(0) -> IdleI{i}.\n\
+         not IdleI{i} -> false.\n\
+         RichI{i}(0), not GhostI{i} -> LuckyI{i}.\n"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Each factor's chase over its Σ_Π slice is the whole-program chase
+    /// restricted to the factor: a `ComponentGrounder` over all of Σ
+    /// (triggers filtered to the component), its outcome rules filtered to
+    /// the component's heads. Both must visit the same nodes and reach the
+    /// same outcomes, with the same choices, probabilities and canonical
+    /// rules; every bodiless rule lands in exactly one slice; the product
+    /// built from the filtered chases has the sliced solve's fingerprint;
+    /// and the sliced solve still equals the flat one.
+    #[test]
+    fn slice_chase_equals_the_filtered_whole_program_chase(
+        islands in prop::collection::vec((any::<u8>(), 1u32..=9), 1..4),
+        guard in 1u32..=9,
+    ) {
+        let mut text: Vec<String> = islands
+            .iter()
+            .enumerate()
+            .map(|(i, &(shape, p))| island_text(shape, i, p))
+            .collect();
+        text.push(guarded_island_text(islands.len(), guard));
+        let text = text.join("\n");
+        let (program, db) = gdlog_parser::parse_program(&text)
+            .map_err(|e| TestCaseError::fail(format!("planted program failed to parse: {e}\n{text}")))?;
+        let pipeline = Pipeline::new(&program, &db).unwrap();
+        let components = pipeline
+            .factor_components()
+            .unwrap()
+            .expect("two or more islands with choices factor");
+
+        let bodiless = |sigma: &SigmaPi| sigma.rules.iter().filter(|r| r.pos.is_empty()).count();
+        prop_assert_eq!(
+            components.iter().map(|c| bodiless(&c.slice)).sum::<usize>(),
+            bodiless(pipeline.sigma())
+        );
+        let ghost = GroundAtom::make(&format!("GhostI{}", islands.len()), vec![]);
+        prop_assert!(components.iter().all(|c| !c.atoms.contains(&ghost)));
+        prop_assert!(
+            components.iter().any(|c| c.slice.rules.iter().any(|r| r.pos.is_empty() && !r.neg.is_empty())),
+            "the negative-body constraint reached no slice"
+        );
+
+        let whole = SimpleGrounder::new(Arc::new(pipeline.sigma().clone()));
+        let budget = ChaseBudget::default();
+        let limits = StableModelLimits::default();
+        let mut reference = Vec::with_capacity(components.len());
+        for component in &components {
+            let sliced = enumerate_outcomes(
+                &SimpleGrounder::new(Arc::clone(&component.slice)),
+                &budget,
+                TriggerOrder::First,
+            )
+            .unwrap();
+            let mut filtered = enumerate_outcomes(
+                &ComponentGrounder::new(&whole, &component.triggers),
+                &budget,
+                TriggerOrder::First,
+            )
+            .unwrap();
+            for outcome in &mut filtered.outcomes {
+                outcome.rules = GroundRuleSet::from_rules(
+                    outcome.rules.iter().filter(|r| component.atoms.contains(&r.head)).cloned(),
+                );
+            }
+            prop_assert_eq!(sliced.nodes_visited, filtered.nodes_visited);
+            prop_assert_eq!(sliced.outcomes.len(), filtered.outcomes.len());
+            for (s, f) in sliced.outcomes.iter().zip(&filtered.outcomes) {
+                prop_assert_eq!(s.atr.canonical(), f.atr.canonical());
+                prop_assert_eq!(s.probability, f.probability);
+                prop_assert_eq!(
+                    s.rules.canonical_rules(),
+                    f.rules.canonical_rules(),
+                    "slice chase diverged\n{}",
+                    text.clone()
+                );
+            }
+            reference.push(Factor {
+                atoms: component.atoms.clone(),
+                space: OutputSpace::from_chase(&filtered, &limits).unwrap(),
+            });
+        }
+
+        let solve = pipeline.solve_factored().unwrap();
+        prop_assert_eq!(solve.fingerprint(), FactoredOutputSpace::new(reference).fingerprint());
+        let flat = pipeline.solve().unwrap();
+        prop_assert_eq!(
+            canon_events(&solve.events_by_mass_top(flat.event_count())),
+            canon_events(flat.events_by_mass())
+        );
+        prop_assert_eq!(
+            solve.has_stable_model_probability(),
+            flat.has_stable_model_probability()
+        );
     }
 }
 
