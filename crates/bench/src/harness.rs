@@ -223,6 +223,20 @@ pub fn time_min_ms<F: FnMut() -> usize>(reps: usize, mut f: F) -> f64 {
     best
 }
 
+/// Median and interquartile range (nearest-rank quartiles) of the
+/// wall-clock of `f` over `reps` runs, in milliseconds.
+pub fn time_median_iqr_ms<F: FnMut() -> usize>(reps: usize, mut f: F) -> (f64, f64) {
+    let times: Vec<f64> = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            std::hint::black_box(f());
+            elapsed_ms(start)
+        })
+        .collect();
+    let iqr = percentile(&times, 75.0) - percentile(&times, 25.0);
+    (percentile(&times, 50.0), iqr)
+}
+
 /// Milliseconds since `start`.
 pub fn elapsed_ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1e3

@@ -11,6 +11,7 @@
 //! * `flat_ms` — `Pipeline::solve`: one chase over the joint space, one
 //!   stable-model pass per joint outcome (`null` for past-the-wall
 //!   workloads whose joint outcome count exceeds the default chase budget);
+//!   the fastest of 2 runs, as one run takes about 20 s at full scale;
 //! * `factored_ms` — `Pipeline::solve_factored`: independence analysis,
 //!   one chase + stable-model pass per component, product arithmetic;
 //! * `mc_ms` — `Pipeline::estimate_atoms`: a fixed-seed factor-aware
@@ -18,12 +19,18 @@
 //!   only the atom's factor. Before it is timed the estimate must lie within
 //!   4σ of the atom's exact brave probability, with no walk abandoned.
 //!
+//! `factored_ms` and `mc_ms` are the median of 5 runs, each with its
+//! interquartile range (`factored_iqr_ms`, `mc_iqr_ms`), so a row's spread
+//! shows next to it.
+//!
 //! Before anything is timed the two paths must agree **exactly** wherever
 //! both run: total mass accounting, joint outcome counts, the mass-sorted
-//! top-event listing (exact `Rational` masses included) and brave/cautious
-//! probabilities of probe atoms. Past-the-wall workloads instead assert the
-//! factored solve is exact (`explored = 1`, `residual = 0`, untruncated)
-//! where the flat path could only truncate. The JSON carries an
+//! top-event listing (the factored top events are the flat listing's
+//! prefix, equal-mass ties at the cut included, exact `Rational` masses
+//! included, and each listed mass is also the factored point lookup's)
+//! and brave/cautious probabilities of probe atoms. Past-the-wall
+//! workloads instead assert the factored solve is exact (`explored = 1`,
+//! `residual = 0`, untruncated) where the flat path could only truncate. The JSON carries an
 //! event-listing fingerprint computed from the factored top events so CI can
 //! diff it across its `GDLOG_THREADS` matrix legs *and* against the flat
 //! listing.
@@ -35,7 +42,7 @@
 //! threshold — 10× at full scale, 2× at smoke scale, where margins are
 //! tighter.
 
-use crate::harness::{int, num, time_min_ms, two_reach, Config, Outcome};
+use crate::harness::{int, num, time_median_iqr_ms, time_min_ms, two_reach, Config, Outcome};
 use crate::workloads::{factor_workload_suite, FactorWorkload};
 use gdlog_core::api::Json;
 use gdlog_core::fingerprint::fnv1a_fingerprint;
@@ -52,6 +59,12 @@ const MC_SAMPLES: usize = 1000;
 /// every run.
 const MC_SEED: u64 = 7;
 
+/// Runs behind the `flat_ms` minimum.
+const FLAT_RUNS: usize = 2;
+
+/// Runs behind the `factored_ms` and `mc_ms` medians.
+const TIMED_RUNS: usize = 5;
+
 struct Row {
     name: String,
     factors: usize,
@@ -62,7 +75,9 @@ struct Row {
     fingerprint: String,
     flat_ms: Option<f64>,
     factored_ms: f64,
+    factored_iqr_ms: f64,
     mc_ms: f64,
+    mc_iqr_ms: f64,
 }
 
 impl Row {
@@ -88,7 +103,7 @@ fn fingerprint(events: &[(ModelSetKey, Prob)], combined_outcomes: u128) -> Strin
     )
 }
 
-fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
+fn measure(w: &FactorWorkload, threads: usize) -> Row {
     let pipeline = Pipeline::new(&w.program, &w.database)
         .expect("workload pipeline builds")
         .threads(threads);
@@ -119,7 +134,9 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
     );
     assert_eq!(solve.residual_mass(), Prob::ZERO, "{}", w.name);
     let combined_outcomes = solve.combined_outcomes();
-    let top = solve.events_by_mass_top(PROBE_EVENTS);
+    let top = solve
+        .events_by_mass_top(PROBE_EVENTS)
+        .expect("factored top events are listed, not refused");
 
     let flat_ms = if w.flat_feasible {
         let flat_pipeline = Pipeline::new(&w.program, &w.database)
@@ -153,62 +170,19 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
             w.name
         );
         let flat_events = flat.events_by_mass();
-        let flat_top: Vec<(ModelSetKey, Prob)> =
-            flat_events.iter().take(PROBE_EVENTS).cloned().collect();
-        if flat_events.len() <= PROBE_EVENTS {
-            // The probe covers the whole space: the listings must be
-            // identical, order included.
+        let flat_top = &flat_events[..PROBE_EVENTS.min(flat_events.len())];
+        assert_eq!(
+            top, flat_top,
+            "{}: the factored top events are not the flat listing's prefix",
+            w.name
+        );
+        for (key, mass) in &top {
             assert_eq!(
-                flat_top, top,
-                "{}: flat and factored event listings diverge",
+                &solve.event_probability(key),
+                mass,
+                "{}: a listed event has another factored point mass",
                 w.name
             );
-        } else {
-            // The probe cuts the listing, and a tied group at the cut may
-            // be split differently by the two paths (the factored merge
-            // cannot enumerate an astronomically large tie group to find
-            // its key-ascending least members). Tie-normalize: the probed
-            // boundary mass must agree, every event strictly heavier than
-            // it must match exactly (order included), and every listed
-            // boundary-tied event must get its exact mass from the other
-            // path's point lookup.
-            use std::cmp::Ordering;
-            let boundary = flat_top.last().expect("probe is non-empty").1;
-            assert_eq!(
-                top.last().expect("probe is non-empty").1,
-                boundary,
-                "{}: probed boundary mass diverges",
-                w.name
-            );
-            let strictly_above = |listing: &[(ModelSetKey, Prob)]| -> Vec<(ModelSetKey, Prob)> {
-                listing
-                    .iter()
-                    .filter(|(_, m)| m.total_cmp(&boundary) == Ordering::Greater)
-                    .cloned()
-                    .collect()
-            };
-            assert_eq!(
-                strictly_above(&flat_top),
-                strictly_above(&top),
-                "{}: event listings diverge above the tie boundary",
-                w.name
-            );
-            for (key, mass) in top.iter().filter(|(_, m)| *m == boundary) {
-                assert_eq!(
-                    &flat.event_probability(key),
-                    mass,
-                    "{}: factored boundary event has the wrong flat mass",
-                    w.name
-                );
-            }
-            for (key, mass) in flat_top.iter().filter(|(_, m)| *m == boundary) {
-                assert_eq!(
-                    &solve.event_probability(key),
-                    mass,
-                    "{}: flat boundary event has the wrong factored mass",
-                    w.name
-                );
-            }
         }
         for atom in flat_top
             .iter()
@@ -229,7 +203,7 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
                 w.name
             );
         }
-        Some(time_min_ms(reps, || {
+        Some(time_min_ms(FLAT_RUNS, || {
             flat_pipeline
                 .solve()
                 .expect("flat solve succeeds")
@@ -247,7 +221,7 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
         None
     };
 
-    let factored_ms = time_min_ms(reps, || {
+    let (factored_ms, factored_iqr_ms) = time_median_iqr_ms(TIMED_RUNS, || {
         pipeline
             .solve_factored()
             .expect("factored solve succeeds")
@@ -279,7 +253,7 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
         stats.estimate,
         w.mc_atom
     );
-    let mc_ms = time_min_ms(reps, || estimate().samples);
+    let (mc_ms, mc_iqr_ms) = time_median_iqr_ms(TIMED_RUNS, || estimate().samples);
 
     let row = Row {
         name: w.name.clone(),
@@ -291,7 +265,9 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
         fingerprint: fingerprint(&top, combined_outcomes),
         flat_ms,
         factored_ms,
+        factored_iqr_ms,
         mc_ms,
+        mc_iqr_ms,
     };
     match row.speedup() {
         Some(s) => eprintln!(
@@ -315,7 +291,7 @@ fn measure(w: &FactorWorkload, reps: usize, threads: usize) -> Row {
 pub fn run(config: &Config) -> Outcome {
     let rows: Vec<Row> = factor_workload_suite(config.full)
         .iter()
-        .map(|w| measure(w, 2, config.threads))
+        .map(|w| measure(w, config.threads))
         .collect();
 
     let (best, best_speedup) = rows
@@ -343,7 +319,9 @@ pub fn run(config: &Config) -> Outcome {
                             ("fingerprint", Json::str(&r.fingerprint)),
                             ("flat_ms", optional(r.flat_ms)),
                             ("factored_ms", num(r.factored_ms)),
+                            ("factored_iqr_ms", num(r.factored_iqr_ms)),
                             ("mc_ms", num(r.mc_ms)),
+                            ("mc_iqr_ms", num(r.mc_iqr_ms)),
                             ("speedup", optional(r.speedup())),
                         ])
                     })
@@ -383,7 +361,9 @@ mod tests {
             fingerprint: String::new(),
             flat_ms: speedup,
             factored_ms: 1.0,
+            factored_iqr_ms: 0.0,
             mc_ms: 1.0,
+            mc_iqr_ms: 0.0,
         }
     }
 

@@ -234,7 +234,7 @@ impl Solver {
 
         let top_events = match request.top {
             Some(k) => space
-                .events_by_mass_top(k)
+                .events_by_mass_top(k)?
                 .into_iter()
                 .map(|(key, mass)| EventReport {
                     models: key.model_count(),

@@ -31,6 +31,12 @@ pub enum CoreError {
     /// search, factor analysis, Monte-Carlo estimation, space
     /// finalization). The payload names the interrupted phase.
     Interrupted(String),
+    /// The query asks for an answer the solver cannot produce exactly
+    /// within one of its fixed bounds, so it refuses rather than answer
+    /// approximately (e.g. a `--top` cut through a tie class of
+    /// multi-model events too large to order by key). The payload says
+    /// which bound was hit.
+    Refused(String),
 }
 
 impl fmt::Display for CoreError {
@@ -44,6 +50,7 @@ impl fmt::Display for CoreError {
             CoreError::Budget(msg) => write!(f, "chase budget: {msg}"),
             CoreError::Request(msg) => write!(f, "invalid request: {msg}"),
             CoreError::Interrupted(phase) => write!(f, "query interrupted during {phase}"),
+            CoreError::Refused(msg) => write!(f, "query refused: {msg}"),
         }
     }
 }
@@ -93,5 +100,7 @@ mod tests {
         assert!(e.to_string().contains("budget"));
         let e: CoreError = StableError::TooManyModels { limit: 1 }.into();
         assert!(e.to_string().contains("stable"));
+        let e = CoreError::Refused("tie class too large".into());
+        assert_eq!(e.to_string(), "query refused: tie class too large");
     }
 }

@@ -61,7 +61,7 @@ use crate::simple_grounder::saturate_impl;
 use crate::translate::{AtrSchema, SigmaPi, TgdRule};
 use gdlog_data::GroundAtom;
 use gdlog_engine::{connected_components, CancelToken};
-use gdlog_prob::Prob;
+use gdlog_prob::{Prob, Rational};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -71,10 +71,24 @@ use std::sync::{Arc, OnceLock};
 /// spend unbounded analysis time.
 const UNIVERSE_ATOM_CAP: usize = 200_000;
 
-/// Extra joint events fetched beyond `k` by [`FactoredOutputSpace::events_by_mass_top`]
-/// so equal-mass ties at the cut can be re-sorted into the flat
-/// (mass-descending, key-ascending) order.
-const TOP_K_TIE_SLACK: usize = 64;
+/// Largest tie class crossing a `--top` cut that
+/// [`FactoredOutputSpace::events_by_mass_top`] orders by building every
+/// member's joint key, which it must do when some candidate event has
+/// several stable models. It covers `bench factor`'s full-scale
+/// `coin_game_n10`, a class of 2^10 equally heavy events; a larger class of
+/// that kind is refused.
+const MULTI_MODEL_TIE_BOUND: usize = 1 << 10;
+
+/// Branch nodes the key-order search of one crossing tie class may visit
+/// before it gives up and the class is collected whole instead (see
+/// [`TieSearch`]).
+const TIE_SEARCH_NODES: usize = 1 << 18;
+
+/// Slack, in log2 units, of the tie search's floating-point mass pruning: a
+/// branch is cut only when its heaviest tuple is lighter than the cut mass
+/// by more than this, so float rounding never cuts a tuple of the class.
+/// Each listed tuple's mass is then checked exactly.
+const PRUNE_SLACK: f64 = 1e-6;
 
 /// One chase-independent component: the ground atoms that can only be
 /// derived inside it, the `Active` atoms (triggers) among them, and the
@@ -461,6 +475,8 @@ pub struct FactoredOutputSpace {
     /// use: per factor, the `(index, mass)` pairs of its nonempty events in
     /// its [`OutputSpace::events_by_mass`] listing order.
     nonempty_events: OnceLock<Vec<Vec<(usize, Prob)>>>,
+    /// Which factor holds each universe atom, built on first use.
+    factor_index: OnceLock<HashMap<GroundAtom, usize>>,
     /// Computed on first use, then shared by every query.
     fingerprint: OnceLock<String>,
 }
@@ -485,6 +501,7 @@ impl FactoredOutputSpace {
             has_empty,
             slices: Vec::new(),
             nonempty_events: OnceLock::new(),
+            factor_index: OnceLock::new(),
             fingerprint: OnceLock::new(),
         }
     }
@@ -589,7 +606,16 @@ impl FactoredOutputSpace {
         if self.factors.len() == 1 {
             return Some(0);
         }
-        self.factors.iter().position(|f| f.atoms.contains(atom))
+        let index = self.factor_index.get_or_init(|| {
+            let mut index = HashMap::new();
+            for (i, f) in self.factors.iter().enumerate() {
+                for atom in &f.atoms {
+                    index.entry(atom.clone()).or_insert(i);
+                }
+            }
+            index
+        });
+        index.get(atom).copied()
     }
 
     /// `P(every listed atom is brave in the joint key)`: a joint model is a
@@ -623,6 +649,8 @@ impl FactoredOutputSpace {
         for (i, f) in self.factors.iter().enumerate() {
             let factor_mass = match by_factor.get(&i) {
                 Some(group) => f.space.probability_where(|k| test(k, group)),
+                // x·1 = x bit for bit, exact or approximate.
+                None if self.nonempty[i].as_exact() == Some(Rational::ONE) => continue,
                 None => self.nonempty[i],
             };
             p = p.mul(&factor_mass);
@@ -670,24 +698,10 @@ impl FactoredOutputSpace {
         mass
     }
 
-    /// The `k` heaviest joint events in the flat (mass-descending,
-    /// key-ascending) order: a one-factor product lists its factor's
-    /// events; otherwise a lazy k-way product merge runs over the
-    /// per-factor *nonempty* events, plus the single collapsed "no stable
-    /// model" event with its closed-form mass.
-    ///
-    /// Equal-mass ties are normalized by fetching `TOP_K_TIE_SLACK` extra
-    /// candidates and re-sorting; the listing matches the flat
-    /// `events_by_mass` prefix exactly whenever the tie class crossing the
-    /// cut fits in the slack (always true when `k` covers all events).
-    pub fn events_by_mass_top(&self, k: usize) -> Vec<(ModelSetKey, Prob)> {
-        if let Some(space) = self.only() {
-            return space.events_by_mass().iter().take(k).cloned().collect();
-        }
-        if k == 0 {
-            return Vec::new();
-        }
-        let nonempty_events = self.nonempty_events.get_or_init(|| {
+    /// Per factor, the `(index, mass)` pairs of its nonempty events in
+    /// listing order, built on first use.
+    fn nonempty_events(&self) -> &[Vec<(usize, Prob)>] {
+        self.nonempty_events.get_or_init(|| {
             self.factors
                 .iter()
                 .map(|f| {
@@ -700,27 +714,134 @@ impl FactoredOutputSpace {
                         .collect()
                 })
                 .collect()
-        });
-        let mut out: Vec<(ModelSetKey, Prob)> =
-            top_k_tuples(nonempty_events, k.saturating_add(TOP_K_TIE_SLACK))
-                .into_iter()
-                .map(|(indices, mass)| {
-                    let parts: Vec<&ModelSetKey> = self
-                        .factors
-                        .iter()
-                        .zip(indices)
-                        .map(|(f, i)| &f.space.events_by_mass()[i].0)
-                        .collect();
-                    (ModelSetKey::product(&parts), mass)
-                })
-                .collect();
-        let empty_mass = self.event_probability(&ModelSetKey::empty());
-        if empty_mass.is_positive() {
-            out.push((ModelSetKey::empty(), empty_mass));
+        })
+    }
+
+    /// The joint key of a tuple of per-factor event indices.
+    fn joint_key(&self, indices: &[usize]) -> ModelSetKey {
+        let parts: Vec<&ModelSetKey> = self
+            .factors
+            .iter()
+            .zip(indices)
+            .map(|(f, &i)| &f.space.events_by_mass()[i].0)
+            .collect();
+        ModelSetKey::product(&parts)
+    }
+
+    /// The `k` heaviest joint events in the flat (mass-descending,
+    /// key-ascending) order, exactly the prefix of the flat
+    /// [`OutputSpace::events_by_mass`] listing. A one-factor product lists
+    /// its factor's events. Otherwise a lazy k-way merge runs over the
+    /// per-factor *nonempty* events; the single collapsed "no
+    /// stable model" event joins with its closed-form mass and, its key
+    /// being the smallest, leads its mass class.
+    ///
+    /// Let m\* be the k-th heaviest mass. The merge yields every tuple
+    /// heavier than m\* (fewer than `k`); their joint keys are built and
+    /// each mass class is sorted by key. Of the class of mass exactly m\*,
+    /// which may be astronomically large, only the key-smallest members that
+    /// fill the listing are wanted, and joint keys are built for those alone:
+    ///
+    /// * when every candidate event of the class has one stable model, a
+    ///   depth-first search (`TieSearch`) enumerates the class in key
+    ///   order without building any key;
+    /// * otherwise the class is collected whole through the merge and
+    ///   sorted by its built keys, if it has at most
+    ///   `MULTI_MODEL_TIE_BOUND` (1024) members, or no more than are listed
+    ///   (also the fallback should the search exhaust its node budget).
+    ///
+    /// A class past that bound is refused with [`CoreError::Refused`]
+    /// rather than listed in a wrong order.
+    pub fn events_by_mass_top(&self, k: usize) -> Result<Vec<(ModelSetKey, Prob)>, CoreError> {
+        if let Some(space) = self.only() {
+            return Ok(space.events_by_mass().iter().take(k).cloned().collect());
         }
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.truncate(k);
-        out
+        if k == 0 {
+            return Ok(Vec::new());
+        }
+        let listings = self.nonempty_events();
+        let empty_mass = self.event_probability(&ModelSetKey::empty());
+        let empty = empty_mass.is_positive().then_some(empty_mass);
+        let by_mass_then_key = |a: &(ModelSetKey, Prob), b: &(ModelSetKey, Prob)| {
+            b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0))
+        };
+        let tuples = top_k_tuples(listings, k);
+        if tuples.len() < k {
+            // The merge ran out: every event is listed, every class whole.
+            let mut out: Vec<(ModelSetKey, Prob)> = tuples
+                .iter()
+                .map(|(t, mass)| (self.joint_key(t), *mass))
+                .chain(empty.map(|mass| (ModelSetKey::empty(), mass)))
+                .collect();
+            out.sort_by(by_mass_then_key);
+            return Ok(out);
+        }
+        // The k-th mass of the merged listing, where ∅ precedes the tuples
+        // of its own mass.
+        let cut = match empty {
+            Some(e) => match tuples.partition_point(|(_, m)| m.total_cmp(&e).is_gt()) {
+                above if above >= k => tuples[k - 1].1,
+                above if above == k - 1 => e,
+                _ => tuples[k - 2].1,
+            },
+            None => tuples[k - 1].1,
+        };
+        let heavier = tuples.partition_point(|(_, m)| m.total_cmp(&cut).is_gt());
+        let mut out: Vec<(ModelSetKey, Prob)> = tuples[..heavier]
+            .iter()
+            .map(|(t, mass)| (self.joint_key(t), *mass))
+            .collect();
+        let empty_cmp = empty.map(|e| (e, e.total_cmp(&cut)));
+        if let Some((e, Ordering::Greater)) = empty_cmp {
+            out.push((ModelSetKey::empty(), e));
+        }
+        out.sort_by(by_mass_then_key);
+        if let Some((e, Ordering::Equal)) = empty_cmp {
+            out.push((ModelSetKey::empty(), e));
+        }
+        let want = k - out.len();
+        for key in self.tie_class_in_key_order(listings, cut, heavier, want, k)? {
+            out.push((key, cut));
+        }
+        Ok(out)
+    }
+
+    /// The `want` key-smallest joint keys among the nonempty tuples of mass
+    /// exactly `cut`, in key order, given that `heavier` tuples are heavier.
+    fn tie_class_in_key_order(
+        &self,
+        listings: &[Vec<(usize, Prob)>],
+        cut: Prob,
+        heavier: usize,
+        want: usize,
+        k: usize,
+    ) -> Result<Vec<ModelSetKey>, CoreError> {
+        if want == 0 {
+            return Ok(Vec::new());
+        }
+        let searched = TieSearch::new(self, listings, cut).and_then(|search| search.run(want));
+        if let Some(tuples) = searched {
+            return Ok(tuples.iter().map(|t| self.joint_key(t)).collect());
+        }
+        // A class no larger than `want` is listed whole, so its keys are
+        // built for the listing anyway.
+        let room = MULTI_MODEL_TIE_BOUND.max(want);
+        let class: Vec<Vec<usize>> = top_k_tuples(listings, heavier.saturating_add(room + 1))
+            .into_iter()
+            .skip(heavier)
+            .take_while(|(_, mass)| mass.total_cmp(&cut).is_eq())
+            .map(|(t, _)| t)
+            .collect();
+        if class.len() > room {
+            return Err(CoreError::Refused(format!(
+                "top {k}: more than {MULTI_MODEL_TIE_BOUND} events tie at mass {cut} across \
+                 the cut, and they cannot be put in key order without building every key"
+            )));
+        }
+        let mut keys: Vec<ModelSetKey> = class.iter().map(|t| self.joint_key(t)).collect();
+        keys.sort();
+        keys.truncate(want);
+        Ok(keys)
     }
 
     /// Every atom with the given predicate name occurring in any factor's
@@ -902,6 +1023,223 @@ fn top_k_tuples(listings: &[Vec<(usize, Prob)>], k: usize) -> Vec<(Vec<usize>, P
         out.push((indices, mass));
     }
     out
+}
+
+/// A branch the tie search has yet to take: restrict `factor` to `set`
+/// (the candidates without the atom of rank `rank`) once the trail is
+/// rewound to `trail` entries.
+struct Branch {
+    trail: usize,
+    rank: u32,
+    factor: usize,
+    set: Vec<u32>,
+    bound: f64,
+}
+
+/// The key-order enumeration of one tie class of a product whose candidate
+/// events each have a single stable model.
+///
+/// Such a joint key holds one model, the disjoint union of its parts, and
+/// keys compare as sorted atom lists. Every atom of a candidate model gets
+/// its rank in the global atom order. A search node holds a set of
+/// candidate events per factor, all agreeing on the atoms below the node's
+/// rank, so its tuples differ first at or after it. Walking up the ranks,
+/// an atom the owning factor's candidates all hold (or all lack) is shared
+/// by every tuple and passed; at the first atom they disagree on, the node
+/// branches: tuples with the atom come before tuples without it, save one.
+/// A sorted list that ends early sorts first, so the one tuple with no atom
+/// at or past the node's rank (the *end tuple*, if its factors all have
+/// such a candidate) precedes both branches. Chase-built spaces never have
+/// one: two outcomes always differ in a choice's result atom, so no model
+/// of one is a subset of another's.
+///
+/// A branch is pruned when the product of its factors' heaviest candidate
+/// masses falls below the cut (in log2 floats with [`PRUNE_SLACK`]); a
+/// listed tuple's mass is folded exactly, in factor order as the merge
+/// folds it, and must equal the cut.
+struct TieSearch<'a> {
+    listings: &'a [Vec<(usize, Prob)>],
+    cut: Prob,
+    /// `log2` of the cut mass, less [`PRUNE_SLACK`].
+    floor: f64,
+    /// Per factor, `log2` of each candidate's mass; the candidates are a
+    /// prefix of the factor's listing.
+    logs: Vec<Vec<f64>>,
+    /// Per factor, each candidate's model as ascending atom ranks.
+    models: Vec<Vec<Vec<u32>>>,
+    /// The factor holding the atom of each rank.
+    owner: Vec<usize>,
+}
+
+impl<'a> TieSearch<'a> {
+    /// The search over the tuples of mass `cut`, or `None` when a candidate
+    /// event (one that could be part of such a tuple) has several stable
+    /// models, or two factors share an atom.
+    fn new(
+        space: &FactoredOutputSpace,
+        listings: &'a [Vec<(usize, Prob)>],
+        cut: Prob,
+    ) -> Option<Self> {
+        let log = |p: &Prob| p.to_f64().log2();
+        let floor = log(&cut) - PRUNE_SLACK;
+        let best: f64 = listings.iter().map(|l| log(&l[0].1)).sum();
+        let mut logs = Vec::with_capacity(listings.len());
+        let mut entries: Vec<(&GroundAtom, usize, usize)> = Vec::new();
+        for (f, (factor, listing)) in space.factors.iter().zip(listings).enumerate() {
+            let others = best - log(&listing[0].1);
+            let candidates: Vec<f64> = listing
+                .iter()
+                .map(|(_, mass)| log(mass))
+                .take_while(|l| l + others >= floor)
+                .collect();
+            for (c, (i, _)) in listing[..candidates.len()].iter().enumerate() {
+                let mut models = factor.space.events_by_mass()[*i].0.models();
+                let (Some(model), None) = (models.next(), models.next()) else {
+                    return None;
+                };
+                entries.extend(model.iter().map(|atom| (atom, f, c)));
+            }
+            if candidates.is_empty() {
+                return None;
+            }
+            logs.push(candidates);
+        }
+        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut models: Vec<Vec<Vec<u32>>> =
+            logs.iter().map(|l| vec![Vec::new(); l.len()]).collect();
+        let mut owner: Vec<usize> = Vec::new();
+        let mut last: Option<&GroundAtom> = None;
+        for (atom, f, c) in entries {
+            if last != Some(atom) {
+                owner.push(f);
+                last = Some(atom);
+            } else if owner.last() != Some(&f) {
+                return None;
+            }
+            models[f][c].push(owner.len() as u32 - 1);
+        }
+        Some(TieSearch {
+            listings,
+            cut,
+            floor,
+            logs,
+            models,
+            owner,
+        })
+    }
+
+    /// The first `want` tuples of the class in joint-key order, as one
+    /// event index per factor (fewer if the class is smaller); `None` once
+    /// the search passes [`TIE_SEARCH_NODES`] branch nodes.
+    ///
+    /// Depth-first with an explicit stack: a node's "without" branch waits
+    /// on `pending` while its "with" branch runs, and `trail` records every
+    /// candidate set a branch replaced, so popping a branch rewinds to its
+    /// node's state.
+    fn run(&self, want: usize) -> Option<Vec<Vec<usize>>> {
+        let mut sets: Vec<Vec<u32>> = self
+            .logs
+            .iter()
+            .map(|l| (0..l.len() as u32).collect())
+            .collect();
+        let mut bound: f64 = self.logs.iter().map(|l| l[0]).sum();
+        let mut trail: Vec<(usize, Vec<u32>)> = Vec::new();
+        let mut pending: Vec<Branch> = Vec::new();
+        let mut found: Vec<Vec<usize>> = Vec::new();
+        let mut nodes = 0usize;
+        let ranks = self.owner.len() as u32;
+        // The node to walk from: its rank, and whether its end tuple may be
+        // listed (false on a "without" branch, whose node listed it).
+        let mut next = Some((0u32, true));
+        while found.len() < want {
+            let (mut rank, mut allow_end) = match next.take() {
+                Some(node) => node,
+                None => {
+                    let Some(branch) = pending.pop() else {
+                        break;
+                    };
+                    for (f, set) in trail.drain(branch.trail..).rev() {
+                        sets[f] = set;
+                    }
+                    let replaced = std::mem::replace(&mut sets[branch.factor], branch.set);
+                    trail.push((branch.factor, replaced));
+                    bound = branch.bound;
+                    (branch.rank + 1, false)
+                }
+            };
+            loop {
+                if rank == ranks {
+                    if allow_end {
+                        self.list_end_tuple(&sets, rank, &mut found);
+                    }
+                    break;
+                }
+                let f = self.owner[rank as usize];
+                let holds = |c: &u32| self.models[f][*c as usize].binary_search(&rank).is_ok();
+                let with = sets[f].iter().filter(|c| holds(c)).count();
+                if with == 0 {
+                    rank += 1;
+                    continue;
+                }
+                if with == sets[f].len() {
+                    allow_end = true;
+                    rank += 1;
+                    continue;
+                }
+                nodes += 1;
+                if nodes > TIE_SEARCH_NODES {
+                    return None;
+                }
+                if allow_end {
+                    self.list_end_tuple(&sets, rank, &mut found);
+                    if found.len() == want {
+                        break;
+                    }
+                }
+                let (holding, lacking): (Vec<u32>, Vec<u32>) =
+                    sets[f].iter().partition(|c| holds(c));
+                let heaviest = self.logs[f][sets[f][0] as usize];
+                let lacking_bound = bound - heaviest + self.logs[f][lacking[0] as usize];
+                if lacking_bound >= self.floor {
+                    pending.push(Branch {
+                        trail: trail.len(),
+                        rank,
+                        factor: f,
+                        set: lacking,
+                        bound: lacking_bound,
+                    });
+                }
+                let holding_bound = bound - heaviest + self.logs[f][holding[0] as usize];
+                if holding_bound < self.floor {
+                    break;
+                }
+                trail.push((f, std::mem::replace(&mut sets[f], holding)));
+                bound = holding_bound;
+                allow_end = true;
+                rank += 1;
+            }
+        }
+        Some(found)
+    }
+
+    /// List the node's end tuple, the candidates with no atom at or past
+    /// `rank` (at most one per factor, as candidates agree below it), if
+    /// every factor has one and the tuple's mass is exactly the cut.
+    fn list_end_tuple(&self, sets: &[Vec<u32>], rank: u32, found: &mut Vec<Vec<usize>>) {
+        let mut tuple = Vec::with_capacity(sets.len());
+        for (f, set) in sets.iter().enumerate() {
+            let ends_before = |c: &&u32| self.models[f][**c as usize].last() < Some(&rank);
+            match set.iter().find(ends_before) {
+                Some(&c) => tuple.push(&self.listings[f][c as usize]),
+                None => return,
+            }
+        }
+        if Prob::product(tuple.iter().map(|(_, mass)| *mass)).total_cmp(&self.cut)
+            == Ordering::Equal
+        {
+            found.push(tuple.iter().map(|(i, _)| *i).collect());
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1178,7 +1516,7 @@ mod tests {
         // Full event listings agree (k covers all events, so the tie
         // normalization is total).
         let flat_events = flat.events_by_mass();
-        let factored_events = factored.events_by_mass_top(flat_events.len() + 8);
+        let factored_events = factored.events_by_mass_top(flat_events.len() + 8).unwrap();
         assert_eq!(factored_events, flat_events);
         // Per-event masses agree through the product projection.
         for (key, mass) in flat_events {
@@ -1244,7 +1582,7 @@ mod tests {
         assert!(size >= flat_events.len());
         for k in 0..=size + 1 {
             assert_eq!(
-                factored.events_by_mass_top(k),
+                factored.events_by_mass_top(k).unwrap(),
                 flat_events[..k.min(flat_events.len())],
                 "top {k}"
             );
@@ -1261,7 +1599,10 @@ mod tests {
         assert_eq!(space.events_by_mass(), flat.events_by_mass());
         assert_eq!(space.fingerprint(), flat.fingerprint());
         assert_eq!(solved.fingerprint(), flat.fingerprint());
-        assert_eq!(solved.events_by_mass_top(usize::MAX), flat.events_by_mass());
+        assert_eq!(
+            solved.events_by_mass_top(usize::MAX).unwrap(),
+            flat.events_by_mass()
+        );
         assert_eq!(
             solved.nodes_visited(),
             pipeline.chase().unwrap().nodes_visited
@@ -1339,7 +1680,11 @@ mod tests {
 
         let events = space.events_by_mass();
         for k in 0..=events.len() {
-            assert_eq!(product.events_by_mass_top(k), events[..k], "top {k}");
+            assert_eq!(
+                product.events_by_mass_top(k).unwrap(),
+                events[..k],
+                "top {k}"
+            );
         }
         let mut atoms = BTreeSet::new();
         for (key, mass) in events {
@@ -1397,7 +1742,7 @@ mod tests {
         );
         // Top events of 2^20 equally heavy outcomes: each joint event has
         // mass 1/2^20 exactly.
-        let top = factored.events_by_mass_top(3);
+        let top = factored.events_by_mass_top(3).unwrap();
         assert_eq!(top.len(), 3);
         for (_, mass) in &top {
             assert_eq!(*mass, Prob::ratio(1, 1 << 20));
@@ -1444,7 +1789,10 @@ mod tests {
         // And it matches the flat answer.
         let flat = pipeline.solve().unwrap();
         assert_eq!(flat.brave_probability(&atom("Reach", &[8])), Prob::ONE);
-        assert_eq!(factored.events_by_mass_top(16), flat.events_by_mass());
+        assert_eq!(
+            factored.events_by_mass_top(16).unwrap(),
+            flat.events_by_mass()
+        );
     }
 
     /// A factor's mass listing in [`OutputSpace::events_by_mass`] order:
@@ -1612,5 +1960,186 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `L(level, factor)`: atoms sort by level first, so the factors' atoms
+    /// interleave in the global atom order.
+    fn level_atom(level: i64, factor: i64) -> GroundAtom {
+        atom("L", &[level, factor])
+    }
+
+    /// A factor of synthetic events, each a set of models given as level
+    /// sets (no models: the "no stable model" event); a repeated key keeps
+    /// its first mass.
+    fn synthetic_factor(f: i64, events: &[(Vec<Vec<i64>>, Prob)]) -> Factor {
+        let mut keyed: Vec<(ModelSetKey, Prob)> = Vec::new();
+        for (models, mass) in events {
+            let models: Vec<Database> = models
+                .iter()
+                .map(|m| Database::from_atoms(m.iter().map(|&l| level_atom(l, f))))
+                .collect();
+            let key = ModelSetKey::from_models(&models);
+            if keyed.iter().all(|(k, _)| *k != key) {
+                keyed.push((key, *mass));
+            }
+        }
+        let events = keyed;
+        let atoms = events
+            .iter()
+            .flat_map(|(key, _)| key.models().flatten().cloned().collect::<Vec<_>>())
+            .collect();
+        Factor {
+            atoms,
+            space: OutputSpace::from_events(events),
+        }
+    }
+
+    /// The flat listing of a product: every joint tuple's key and mass
+    /// (folded in factor order), equal keys merged, sorted by mass
+    /// descending, then key ascending.
+    fn flat_listing(factors: &[Factor]) -> Vec<(ModelSetKey, Prob)> {
+        let mut tuples: Vec<(Vec<&ModelSetKey>, Prob)> = vec![(Vec::new(), Prob::ONE)];
+        for f in factors {
+            let mut next = Vec::new();
+            for (keys, mass) in &tuples {
+                for (key, m) in f.space.events_by_mass() {
+                    let mut keys = keys.clone();
+                    keys.push(key);
+                    next.push((keys, mass.mul(m)));
+                }
+            }
+            tuples = next;
+        }
+        let mut events: BTreeMap<ModelSetKey, Prob> = BTreeMap::new();
+        for (keys, mass) in tuples {
+            let total = events
+                .entry(ModelSetKey::product(&keys))
+                .or_insert(Prob::ZERO);
+            *total = total.add(&mass);
+        }
+        let mut listing: Vec<(ModelSetKey, Prob)> = events.into_iter().collect();
+        listing.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        listing
+    }
+
+    fn assert_prefix_at_every_cut(factors: Vec<Factor>, what: &str) {
+        let flat = flat_listing(&factors);
+        let product = FactoredOutputSpace::new(factors);
+        for k in 0..=flat.len() + 1 {
+            assert_eq!(
+                product.events_by_mass_top(k).unwrap(),
+                flat[..k.min(flat.len())],
+                "{what}: top {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_model_that_ends_early_sorts_first() {
+        // Joint models over L(0,0) < L(1,1) < L(2,1) < L(3,0): the tuples
+        // come out of the merge as {0,1}, {0,1,2}, {0,1,3}, {0,1,2,3}, but
+        // in key order {0,1} and {0,1,2} are prefixes of the models after
+        // them, and {0,1,2,3} precedes {0,1,3}.
+        let half = Prob::ratio(1, 2);
+        let factors = vec![
+            synthetic_factor(0, &[(vec![vec![0]], half), (vec![vec![0, 3]], half)]),
+            synthetic_factor(1, &[(vec![vec![1]], half), (vec![vec![1, 2]], half)]),
+        ];
+        let levels = |listing: Vec<(ModelSetKey, Prob)>| -> Vec<Vec<i64>> {
+            listing
+                .iter()
+                .map(|(key, _)| {
+                    let model = key.models().next().expect("one model");
+                    model.iter().map(|a| a.args[0].as_int().unwrap()).collect()
+                })
+                .collect()
+        };
+        let product = FactoredOutputSpace::new(factors);
+        assert_eq!(
+            levels(product.events_by_mass_top(4).unwrap()),
+            vec![vec![0, 1], vec![0, 1, 2], vec![0, 1, 2, 3], vec![0, 1, 3]]
+        );
+    }
+
+    #[test]
+    fn factored_top_k_is_the_flat_prefix_on_random_products() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Few distinct masses, so classes tie often; models are random
+        // level sets, so keys interleave across factors, end early and
+        // differ at any depth. Some events have two models, some none.
+        let masses = [
+            Prob::ratio(1, 2),
+            Prob::ratio(1, 4),
+            Prob::ratio(1, 3),
+            Prob::ratio(1, 6),
+        ];
+        let mut rng = StdRng::seed_from_u64(22);
+        for case in 0..200 {
+            let multi = case % 3 == 0;
+            let factors: Vec<Factor> = (0..rng.gen_range(2..=4))
+                .map(|f| {
+                    let events: Vec<(Vec<Vec<i64>>, Prob)> = (0..rng.gen_range(1..=4))
+                        .map(|_| {
+                            let count = match rng.gen_range(0..10) {
+                                0 => 0,
+                                1 | 2 if multi => 2,
+                                _ => 1,
+                            };
+                            let models = (0..count)
+                                .map(|_| (0..6).filter(|_| rng.gen_bool(0.5)).collect())
+                                .collect();
+                            (models, masses[rng.gen_range(0..masses.len())])
+                        })
+                        .collect();
+                    synthetic_factor(f, &events)
+                })
+                .collect();
+            assert_prefix_at_every_cut(factors, &format!("case {case}"));
+        }
+    }
+
+    /// `n` factors of two equally heavy single-model events, the first
+    /// factor's second event with two models when `looped`: one tie class
+    /// of `2^n` events.
+    fn tied_coins(n: i64, looped: bool) -> Vec<Factor> {
+        let half = Prob::ratio(1, 2);
+        (0..n)
+            .map(|f| {
+                let second = if looped && f == 0 {
+                    vec![vec![1], vec![2]]
+                } else {
+                    vec![vec![1]]
+                };
+                synthetic_factor(f, &[(vec![vec![0]], half), (second, half)])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multi_model_ties_are_sorted_whole_up_to_the_bound_then_refused() {
+        // 2^10 tied events, one factor with a two-model event: the class is
+        // at the bound, collected whole and sorted by key.
+        let factors = tied_coins(10, true);
+        let flat = flat_listing(&factors);
+        let product = FactoredOutputSpace::new(factors);
+        for k in [1, 5, 512, 1024] {
+            assert_eq!(product.events_by_mass_top(k).unwrap(), flat[..k], "top {k}");
+        }
+
+        // 2^11 such events pass the bound: a cut inside the class is refused.
+        let looped = FactoredOutputSpace::new(tied_coins(11, true));
+        match looped.events_by_mass_top(5) {
+            Err(CoreError::Refused(why)) => assert!(why.contains("1024"), "{why}"),
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        // A listing that takes the whole class builds every key anyway.
+        assert_eq!(looped.events_by_mass_top(2048).unwrap().len(), 2048);
+        // Single-model events are searched in key order at any class size.
+        let factors = tied_coins(11, false);
+        let flat = flat_listing(&factors);
+        let plain = FactoredOutputSpace::new(factors);
+        assert_eq!(plain.events_by_mass_top(5).unwrap(), flat[..5]);
     }
 }

@@ -149,6 +149,22 @@ impl OutputSpace {
         }
     }
 
+    /// A space of the given events and no outcomes, listed in
+    /// [`OutputSpace::events_by_mass`] order: a fixture for event keys no
+    /// chase builds.
+    #[cfg(test)]
+    pub(crate) fn from_events(mut events: Vec<(ModelSetKey, Prob)>) -> Self {
+        events.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        OutputSpace {
+            outcomes: Vec::new(),
+            events,
+            residual: Prob::ZERO,
+            truncated: false,
+            interrupted: false,
+            nodes_visited: 0,
+        }
+    }
+
     /// The explored finite outcomes with their event keys.
     pub fn outcomes(&self) -> &[(PossibleOutcome, ModelSetKey)] {
         &self.outcomes

@@ -90,17 +90,17 @@ fn epidemic_chains_split_into_one_component_per_chain() {
 }
 
 #[test]
-fn only_the_coin_farm_scenario_factors() {
+fn only_the_coin_farm_and_coin_ties_scenarios_factor() {
     for (name, path) in scenario_files() {
         let source = std::fs::read_to_string(&path).expect("scenario readable");
         let (program, db) = gdlog_parser::parse_program(&source).expect("scenario parses");
         for max_branching in [8, 64] {
             let got = components(&program, &db, max_branching);
             let label = format!("{name} at max_branching {max_branching}");
-            if name == "coin_farm" {
-                assert_pinned(&label, got, 4, "5721fc5215d9037d");
-            } else {
-                assert!(got.is_none(), "{label}: expected the flat path");
+            match name.as_str() {
+                "coin_farm" => assert_pinned(&label, got, 4, "5721fc5215d9037d"),
+                "coin_ties" => assert_pinned(&label, got, 8, "59ebbbfd63396d05"),
+                _ => assert!(got.is_none(), "{label}: expected the flat path"),
             }
         }
     }

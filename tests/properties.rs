@@ -1112,7 +1112,7 @@ proptest! {
                 prop_assert_eq!(solve.residual_mass(), flat.residual_mass());
                 prop_assert_eq!(solve.is_truncated(), flat.is_truncated());
                 prop_assert_eq!(
-                    canon_events(&solve.events_by_mass_top(flat_events.len())),
+                    canon_events(&solve.events_by_mass_top(flat_events.len()).unwrap()),
                     flat_canon.clone(),
                     "event listings diverged at {} threads\n{}",
                     threads,
@@ -1315,7 +1315,7 @@ proptest! {
         prop_assert_eq!(solve.fingerprint(), FactoredOutputSpace::new(reference).fingerprint());
         let flat = pipeline.solve().unwrap();
         prop_assert_eq!(
-            canon_events(&solve.events_by_mass_top(flat.event_count())),
+            canon_events(&solve.events_by_mass_top(flat.event_count()).unwrap()),
             canon_events(flat.events_by_mass())
         );
         prop_assert_eq!(
@@ -1343,7 +1343,123 @@ fn single_component_programs_fall_back_to_the_flat_path() {
         solve.factors()[0].space.events_by_mass(),
         flat.events_by_mass()
     );
-    assert_eq!(solve.events_by_mass_top(usize::MAX), flat.events_by_mass());
+    assert_eq!(
+        solve.events_by_mass_top(usize::MAX).unwrap(),
+        flat.events_by_mass()
+    );
+}
+
+/// A product of coins whose joint events tie in large classes: fair coins
+/// `1..=fair` and, when `biased > 0`, one more coin of bias `biased / 10`.
+/// Bit `i - 1` of `high` makes coin `i` derive the high atom `A(100 + i)`
+/// on tails only, otherwise it derives the low atom `A(i)` whatever it
+/// shows; coin `looped` (0 for none) gets an even loop on tails, two stable
+/// models. Low and high factors interleave in the key order: two joint
+/// models first differ at a high atom whenever their low coins agree, so
+/// the merge's factor-tuple order is not key order.
+fn tie_coins_text(high: u8, fair: usize, biased: u32, looped: usize) -> String {
+    let mut text = String::from(
+        "Coin(x, p) -> Toss(x, Flip<p>[x]).\n\
+         Toss(x, y), Low(x, z) -> A(z).\n\
+         Toss(x, 1), High(x, z) -> A(z).\n\
+         Toss(x, 1), Loop(x), not Odd(x) -> Even(x).\n\
+         Toss(x, 1), Loop(x), not Even(x) -> Odd(x).\n",
+    );
+    let mut coin = |i: usize, p: f64| {
+        text.push_str(&format!("Coin({i}, {p}).\n"));
+        if high & (1 << (i - 1)) != 0 {
+            text.push_str(&format!("High({i}, {}).\n", 100 + i));
+        } else {
+            text.push_str(&format!("Low({i}, {i}).\n"));
+        }
+        if i == looped {
+            text.push_str(&format!("Loop({i}).\n"));
+        }
+    };
+    for i in 1..=fair {
+        coin(i, 0.5);
+    }
+    if biased > 0 {
+        coin(fair + 1, f64::from(biased) / 10.0);
+    }
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Factored top-k is the flat listing's prefix at every cut, on
+    /// products that mix always-derived low atoms with conditional high
+    /// atoms, and an optional biased coin splitting the classes by unequal
+    /// factor masses. Seven fair coins make tie classes of 128
+    /// single-model events (the key-order search); four fair coins, one of
+    /// them looped, put a two-model event into every class (collected whole
+    /// and sorted). (A joint model that is a strict prefix of another needs
+    /// a factor whose one model is a subset of another's; no chase builds
+    /// that, as two outcomes always differ in a choice's result atom, so
+    /// that case is a unit test on synthetic spaces in `factor.rs`.)
+    #[test]
+    fn factored_top_k_is_the_flat_prefix_through_large_tie_classes(
+        high in 0u8..=255,
+        biased in 0u32..=4,
+        loop_at in 1usize..=4,
+    ) {
+        for (fair, looped) in [(7, 0), (4, loop_at)] {
+            let text = tie_coins_text(high, fair, biased, looped);
+            let (program, db) = gdlog_parser::parse_program(&text).map_err(|e| {
+                TestCaseError::fail(format!("tie program failed to parse: {e}\n{text}"))
+            })?;
+            let pipeline = Pipeline::new(&program, &db).unwrap();
+            let flat = pipeline.solve().unwrap();
+            let factored = pipeline.solve_factored().unwrap();
+            prop_assert_eq!(factored.factor_count(), fair + usize::from(biased > 0));
+            let flat_events = flat.events_by_mass();
+            for k in 0..=flat_events.len() {
+                let top = factored.events_by_mass_top(k);
+                prop_assert!(top.is_ok(), "top {} refused: {:?}\n{}", k, top, text);
+                prop_assert_eq!(top.unwrap(), flat_events[..k].to_vec(), "top {}\n{}", k, text);
+            }
+        }
+    }
+}
+
+/// A `--top` cut through a tie class of more than 1024 events, one of whose
+/// candidate events has two stable models, is refused with a typed error
+/// rather than listed in the wrong order; without the loop the same class
+/// is listed by the single-model search.
+#[test]
+fn oversized_multi_model_tie_classes_are_refused() {
+    let coins = |looped: bool| {
+        let mut text = String::from(
+            "Coin(x) -> Toss(x, Flip<0.5>[x]).\n\
+             Toss(x, 1), Loop(x), not Odd(x) -> Even(x).\n\
+             Toss(x, 1), Loop(x), not Even(x) -> Odd(x).\n",
+        );
+        for i in 1..=11 {
+            text.push_str(&format!("Coin({i}).\n"));
+        }
+        if looped {
+            text.push_str("Loop(1).\n");
+        }
+        let (program, db) = gdlog_parser::parse_program(&text).unwrap();
+        Pipeline::new(&program, &db)
+            .unwrap()
+            .solve_factored()
+            .unwrap()
+    };
+    let looped = coins(true);
+    assert_eq!(looped.factor_count(), 11);
+    match looped.events_by_mass_top(6) {
+        Err(CoreError::Refused(why)) => assert!(why.contains("top 6"), "{why}"),
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    let plain = coins(false);
+    let top = plain
+        .events_by_mass_top(6)
+        .expect("single-model ties are searched");
+    assert_eq!(top.len(), 6);
+    assert!(top.iter().all(|(_, mass)| *mass == Prob::ratio(1, 2048)));
+    assert!(top.windows(2).all(|w| w[0].0 < w[1].0), "key order");
 }
 
 /// Satellite check for the parallel stable-model back-end: on every workload

@@ -287,59 +287,103 @@ fn json_report_is_thread_count_invariant() {
 }
 
 /// The factored pipeline behind `--factored` answers exactly what the flat
-/// path answers: running `coin_farm.gdl` both ways yields the same masses,
-/// query probabilities and top-event listing — the flat report differs only
-/// in its factor count and chase bookkeeping.
+/// path answers: running every `--factored` scenario both ways yields the
+/// same masses, query probabilities and top-event listing, ties at the
+/// `--top` cut included — the flat report differs only in its factor count
+/// and chase bookkeeping.
 #[test]
 fn factored_scenario_matches_the_flat_path() {
-    let source = std::fs::read_to_string(manifest_dir().join("scenarios/coin_farm.gdl"))
-        .expect("scenario readable");
-    let directives = parse_directives(&source, "coin_farm");
-    let factored = run_scenario("scenarios/coin_farm.gdl", &directives.args);
-    let flat_args: Vec<String> = directives
-        .args
-        .iter()
-        .filter(|a| *a != "--factored")
-        .cloned()
-        .collect();
-    let flat = run_scenario("scenarios/coin_farm.gdl", &flat_args);
+    let mut replayed = Vec::new();
+    for (name, path) in scenario_files() {
+        let source = std::fs::read_to_string(&path).expect("scenario readable");
+        let directives = parse_directives(&source, &name);
+        if !directives.args.iter().any(|a| a == "--factored") {
+            continue;
+        }
+        let rel = format!("scenarios/{name}.gdl");
+        let factored = run_scenario(&rel, &directives.args);
+        let flat_args: Vec<String> = directives
+            .args
+            .iter()
+            .filter(|a| *a != "--factored")
+            .cloned()
+            .collect();
+        let flat = run_scenario(&rel, &flat_args);
 
-    assert_eq!(factored.factors, 4, "one factor per coin");
-    assert_eq!(flat.factors, 1);
-    assert_eq!(factored.outcomes, flat.outcomes);
-    assert_eq!(factored.events, flat.events);
-    assert_eq!(factored.p_stable.to_string(), flat.p_stable.to_string());
-    assert_eq!(
-        factored.explored_mass.to_string(),
-        flat.explored_mass.to_string()
-    );
-    assert_eq!(
-        factored.residual_mass.to_string(),
-        flat.residual_mass.to_string()
-    );
-    let probs = |r: &QueryResponse| -> Vec<String> {
-        r.queries
-            .iter()
-            .chain(&r.marginals)
-            .flat_map(|q| {
-                [
-                    q.atom.clone(),
-                    q.brave.to_string(),
-                    q.cautious.to_string(),
-                    format!("{:?}", q.brave_given),
-                    format!("{:?}", q.cautious_given),
-                ]
-            })
-            .collect()
-    };
-    assert_eq!(probs(&factored), probs(&flat));
-    let events = |r: &QueryResponse| -> Vec<(String, String)> {
-        r.top_events
-            .iter()
-            .map(|e| (e.key.clone(), e.mass.to_string()))
-            .collect()
-    };
-    assert_eq!(events(&factored), events(&flat));
+        assert_eq!(flat.factors, 1, "{name}: the flat path is one factor");
+        assert_eq!(factored.outcomes, flat.outcomes, "{name}");
+        assert_eq!(factored.events, flat.events, "{name}");
+        assert_eq!(
+            factored.p_stable.to_string(),
+            flat.p_stable.to_string(),
+            "{name}"
+        );
+        assert_eq!(
+            factored.explored_mass.to_string(),
+            flat.explored_mass.to_string(),
+            "{name}"
+        );
+        assert_eq!(
+            factored.residual_mass.to_string(),
+            flat.residual_mass.to_string(),
+            "{name}"
+        );
+        let probs = |r: &QueryResponse| -> Vec<String> {
+            r.queries
+                .iter()
+                .chain(&r.marginals)
+                .flat_map(|q| {
+                    [
+                        q.atom.clone(),
+                        q.brave.to_string(),
+                        q.cautious.to_string(),
+                        format!("{:?}", q.brave_given),
+                        format!("{:?}", q.cautious_given),
+                    ]
+                })
+                .collect()
+        };
+        assert_eq!(probs(&factored), probs(&flat), "{name}");
+        let events = |r: &QueryResponse| -> Vec<(String, String, usize)> {
+            r.top_events
+                .iter()
+                .map(|e| (e.key.clone(), e.mass.to_string(), e.models))
+                .collect()
+        };
+        assert_eq!(events(&factored), events(&flat), "{name}: top events");
+        replayed.push((name, factored.factors));
+    }
+    // The corpus keeps its factored showcases: a multi-factor product over
+    // independent coins, and the tie-order regression.
+    for (name, factors) in [("coin_farm", 4), ("coin_ties", 8)] {
+        assert!(
+            replayed.contains(&(name.to_owned(), factors)),
+            "{name} must replay factored with {factors} factors: {replayed:?}"
+        );
+    }
+}
+
+/// `coin_ties.gdl`'s 256 joint events all weigh 1/256, and their factor
+/// tuples come out of the product merge in another order than their keys.
+/// The factored top-k must still be the flat listing's prefix at every cut.
+#[test]
+fn coin_ties_factored_top_k_is_the_flat_prefix_at_every_cut() {
+    let source = std::fs::read_to_string(manifest_dir().join("scenarios/coin_ties.gdl"))
+        .expect("scenario readable");
+    let (program, db) = gdlog_parser::parse_program(&source).expect("scenario parses");
+    let pipeline = Pipeline::new(&program, &db).expect("pipeline");
+    let flat = pipeline.solve().expect("flat solve");
+    let factored = pipeline.solve_factored().expect("factored solve");
+    assert_eq!(factored.factor_count(), 8);
+    let flat_events = flat.events_by_mass();
+    assert_eq!(flat_events.len(), 256);
+    for k in 0..=256 {
+        assert_eq!(
+            factored.events_by_mass_top(k).expect("listed, not refused"),
+            flat_events[..k],
+            "top {k}"
+        );
+    }
 }
 
 /// Every corpus scenario must lint clean — no errors, no warnings (notes
