@@ -8,10 +8,12 @@
 //! `sms(Σ ∪ G(Σ))` is computed on demand through `gdlog-engine`.
 
 use crate::error::CoreError;
+use crate::exec::Executor;
 use crate::grounding::{AtrSet, GroundRuleSet};
 use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::{
-    stable_model_atoms, CancelToken, GroundProgram, GroundRule, RuleParts, StableModelLimits,
+    AtomTable, AtomTableBuilder, CancelToken, GroundProgram, RuleParts, StableModelLimits,
+    TableProgram,
 };
 use gdlog_prob::Prob;
 use std::fmt;
@@ -30,6 +32,18 @@ impl ModelSetKey {
         encoded.sort();
         encoded.dedup();
         ModelSetKey(encoded)
+    }
+
+    /// The key of models given as sorted id vectors of `table`, in ascending
+    /// order ([`AtomTable::stable_models`]): ids ascend with the atoms, so
+    /// the resolved key is already canonical.
+    fn from_ids(table: &AtomTable, models: Vec<Vec<u32>>) -> Self {
+        ModelSetKey(
+            models
+                .into_iter()
+                .map(|model| model.into_iter().map(|id| table.atom(id).clone()).collect())
+                .collect(),
+        )
     }
 
     /// The empty set of stable models (the event "no stable model").
@@ -181,9 +195,9 @@ impl PossibleOutcome {
         cancel: &CancelToken,
     ) -> Result<Vec<Database>, CoreError> {
         Ok(self
-            .model_atoms(limits, cancel)?
-            .into_iter()
-            .map(|model| Database::from_atoms(model.into_iter().cloned()))
+            .model_set_key_cancellable(limits, cancel)?
+            .models()
+            .map(|model| Database::from_atoms(model.iter().cloned()))
             .collect())
     }
 
@@ -192,37 +206,28 @@ impl PossibleOutcome {
         self.model_set_key_cancellable(limits, &CancelToken::never())
     }
 
-    /// [`Self::model_set_key`] with a cooperative cancellation token. The
-    /// key is built straight from the search's sorted, borrowed models,
-    /// cloning each atom once.
+    /// [`Self::model_set_key`] with a cooperative cancellation token: the
+    /// keying pass of [`crate::OutputSpace::from_chase_cancellable`] over
+    /// this one outcome, on an atom table of its own.
     pub fn model_set_key_cancellable(
         &self,
         limits: &StableModelLimits,
         cancel: &CancelToken,
     ) -> Result<ModelSetKey, CoreError> {
-        let models = self.model_atoms(limits, cancel)?;
-        Ok(ModelSetKey(
-            models
-                .into_iter()
-                .map(|model| model.into_iter().cloned().collect())
-                .collect(),
-        ))
+        let mut keys = model_set_keys([self], limits, &Executor::sequential(), cancel)?;
+        Ok(keys.pop().expect("one key per outcome"))
     }
 
-    /// `sms(Σ ∪ G(Σ))` as sorted lists of borrowed atoms, searched in place:
-    /// the rules `G(Σ)` chained with each choice of `Σ` borrowed as
-    /// `result ← active`, with no [`Self::full_program`] copy.
-    fn model_atoms(
-        &self,
-        limits: &StableModelLimits,
-        cancel: &CancelToken,
-    ) -> Result<Vec<Vec<&GroundAtom>>, CoreError> {
-        let grounded = self.rules.iter().map(GroundRule::parts);
+    /// Encode `Σ ∪ G(Σ)` into `builder`, in place: the rules `G(Σ)` (each
+    /// snapshot frame they share with other outcomes encoded once per
+    /// builder) followed by each choice of `Σ` borrowed as `result ←
+    /// active`, with no [`Self::full_program`] copy.
+    fn encode<'a>(&'a self, builder: &mut AtomTableBuilder<'a>) -> TableProgram {
         let chosen = self
             .atr
             .iter()
             .map(|c| -> RuleParts<'_> { (&c.result, std::slice::from_ref(&c.active), &[]) });
-        Ok(stable_model_atoms(grounded.chain(chosen), limits, cancel)?)
+        builder.program(&self.rules, chosen)
     }
 
     /// The canonical, collision-free identity of the outcome's ground
@@ -246,6 +251,34 @@ impl PossibleOutcome {
     pub fn rule_count(&self) -> usize {
         self.rules.len()
     }
+}
+
+/// The event key of every outcome, in outcome order, over one atom table.
+///
+/// One sequential pass in outcome order interns every atom of every outcome
+/// into an [`AtomTableBuilder`], encoding each snapshot frame the outcomes
+/// share once, and ranks the table. The per-outcome searches then fan out
+/// to `executor`, reading the table immutably, so ids, ranks and keys never
+/// depend on scheduling. Errors surface in outcome order.
+pub(crate) fn model_set_keys<'a>(
+    outcomes: impl IntoIterator<Item = &'a PossibleOutcome>,
+    limits: &StableModelLimits,
+    executor: &Executor,
+    cancel: &CancelToken,
+) -> Result<Vec<ModelSetKey>, CoreError> {
+    let mut builder = AtomTableBuilder::new();
+    let programs: Vec<TableProgram> = outcomes
+        .into_iter()
+        .map(|o| o.encode(&mut builder))
+        .collect();
+    let table = builder.finish();
+    executor
+        .map(&programs, |program| {
+            let models = table.stable_models(program, limits, cancel)?;
+            Ok(ModelSetKey::from_ids(&table, models))
+        })
+        .into_iter()
+        .collect()
 }
 
 impl fmt::Display for PossibleOutcome {
@@ -378,7 +411,7 @@ mod tests {
     #[test]
     fn in_place_key_matches_the_full_program_key() {
         use crate::grounding::AtrRule;
-        use gdlog_engine::{stable_models, StableError};
+        use gdlog_engine::{stable_models, GroundRule, StableError};
         // G(Σ) is an Aux1/Aux2 even loop over Coin(1), which only the choice
         // Toss → Coin(1) derives.
         let (toss, coin) = (atom("Toss", &[]), atom("Coin", &[1]));

@@ -12,7 +12,7 @@ use crate::chase::ChaseResult;
 use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::model_cache::{ModelSetCache, ProgramFingerprint};
-use crate::outcome::{ModelSetKey, PossibleOutcome};
+use crate::outcome::{model_set_keys, ModelSetKey, PossibleOutcome};
 use gdlog_data::GroundAtom;
 use gdlog_engine::{CancelToken, StableModelLimits};
 use gdlog_prob::Prob;
@@ -77,8 +77,10 @@ impl OutputSpace {
     /// stable-model search per outcome fanned out to `executor`, observing a
     /// cooperative cancellation token in every search.
     ///
-    /// Each outcome is its own task: its key is searched in place
-    /// ([`PossibleOutcome::model_set_key_cancellable`]) and moves into the
+    /// The outcomes' atoms are interned into one atom table first, in one
+    /// sequential pass in chase order that encodes each grounding snapshot
+    /// frame the leaves share once. Then each outcome is its own task: its
+    /// key is searched over the shared, immutable table and moves into the
     /// listing in chase order. Every field of the result, including
     /// [`OutputSpace::events_by_mass`] and the first error surfaced, is
     /// **bit-identical across executors**: the merge order and the partition
@@ -107,13 +109,7 @@ impl OutputSpace {
         } else {
             cancel.clone()
         };
-        // Errors surface in outcome order.
-        let keys = executor
-            .map(&result.outcomes, |outcome| {
-                outcome.model_set_key_cancellable(limits, &cancel)
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
+        let keys = model_set_keys(&result.outcomes, limits, executor, &cancel)?;
         Ok(Self::from_keys(result, keys))
     }
 
@@ -316,10 +312,14 @@ fn memoized_keys(
     drop(first_of);
     cache.record(hits, misses);
 
-    let keys = executor.map(&work, |&i| outcomes[i].model_set_key(limits));
+    let keys = model_set_keys(
+        work.iter().map(|&i| &outcomes[i]),
+        limits,
+        executor,
+        &CancelToken::never(),
+    )?;
     let mut solved: Vec<ModelSetKey> = Vec::with_capacity(work.len());
     for (&i, key) in work.iter().zip(keys) {
-        let key = key?;
         cache.insert(std::mem::take(&mut fingerprints[i]), key.clone());
         solved.push(key);
     }

@@ -69,7 +69,7 @@ impl GroundRule {
     }
 
     /// The rule borrowed as `(head, pos, neg)`, the input of
-    /// [`crate::stable::stable_model_atoms`].
+    /// [`crate::AtomTableBuilder`] and [`crate::stable::stable_model_atoms`].
     pub fn parts(&self) -> RuleParts<'_> {
         (&self.head, &self.pos, &self.neg)
     }
@@ -237,6 +237,19 @@ impl GroundProgram {
     /// All frozen frames of the rule log, newest first.
     fn frames(&self) -> impl Iterator<Item = &Frame> {
         std::iter::successors(self.base.as_deref(), |frame| frame.prev.as_deref())
+    }
+
+    /// The frozen frames, oldest first, each with its identity (its
+    /// address, stable while the program is borrowed), and then the mutable
+    /// tail: the pieces [`crate::AtomTableBuilder`] encodes, each shared
+    /// frame once per solve.
+    pub(crate) fn pieces(&self) -> (Vec<(usize, &[GroundRule])>, &[GroundRule]) {
+        let mut frames: Vec<(usize, &[GroundRule])> = self
+            .frames()
+            .map(|frame| (std::ptr::from_ref(frame) as usize, frame.rules.as_slice()))
+            .collect();
+        frames.reverse();
+        (frames, &self.rules)
     }
 
     /// Build a program from rules.

@@ -10,10 +10,14 @@
 //!   (semi-naive fixpoint),
 //! * [`reduct()`](reduct::reduct) — the Gelfond–Lifschitz reduct of a ground program w.r.t. an
 //!   interpretation,
+//! * [`AtomTable`] — one solve's ground atoms interned once, ranked in
+//!   atom order, with every program's rules encoded as id rules and each
+//!   shared snapshot frame encoded once,
 //! * [`is_stable_model`] / [`stable_model_atoms`] — checking and
 //!   enumerating the stable models `sms(Σ)` (the classical models of
 //!   `SM[Σ]`) with a component-split, propagating branch-and-prune search
-//!   over borrowed rules; [`stable_models`] wraps its models in databases,
+//!   over an atom table's id rules ([`AtomTable::stable_models`]);
+//!   [`stable_models`] wraps its models in databases,
 //! * [`naive_stable_models`] — the original exhaustive `2^k` enumerator,
 //!   retained as the equivalence oracle for the search above,
 //! * [`well_founded`] — the well-founded (alternating fixpoint) approximation
@@ -24,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod atoms;
 pub mod cancel;
 pub mod depgraph;
 pub mod ground;
@@ -33,6 +38,7 @@ pub mod reduct;
 pub mod stable;
 pub mod wellfounded;
 
+pub use atoms::{AtomTable, AtomTableBuilder, TableProgram};
 pub use cancel::{CancelToken, DeadlineGuard};
 pub use depgraph::{connected_components, sccs_of, DependencyGraph, EdgeSign, Stratification};
 pub use ground::{GroundProgram, GroundRule};
@@ -58,6 +64,8 @@ mod send_sync_audit {
     fn ground_programs_and_models_are_send_and_sync() {
         assert_send_sync::<GroundRule>();
         assert_send_sync::<GroundProgram>();
+        assert_send_sync::<AtomTable<'static>>();
+        assert_send_sync::<TableProgram>();
         assert_send_sync::<StableModelLimits>();
         assert_send_sync::<WellFounded>();
         assert_send_sync::<DependencyGraph>();

@@ -16,11 +16,13 @@
 //!    decided literals evaluated away. `sms(Σ) = { T ∪ S }` where `T` is the
 //!    WFM-true core and `S` ranges over the stable models of the residual
 //!    (see `ARCHITECTURE.md`, "Stable-model back-end", for the argument).
-//!    The well-founded model is computed on dense atom ids: the program's
-//!    atoms are interned once per call, and every alternating-fixpoint step
-//!    `Γ(I) = lm(Σ^I)` is counter-based forward chaining over index vectors
-//!    it shares with the other steps; the residual is built straight from
-//!    those ids. [`well_founded`](crate::wellfounded::well_founded),
+//!    The well-founded model is computed on dense atom ids: the program
+//!    arrives as id rules of a per-solve [`AtomTable`], is remapped onto
+//!    dense ids by one array lookup per literal, and every
+//!    alternating-fixpoint step `Γ(I) = lm(Σ^I)` is counter-based forward
+//!    chaining over flat index arrays it shares with the other steps; the
+//!    residual is built straight from those ids.
+//!    [`well_founded`](crate::wellfounded::well_founded),
 //!    [`reduct`] and [`least_model`] stay off this path: they remain the
 //!    `Database`-level reference that [`crate::naive_stable`],
 //!    [`is_stable_model`] and the tests compare against.
@@ -40,12 +42,16 @@
 //!    counters with O(1) push/pop backtracking); only the surviving leaves
 //!    pay for a least-model computation, on dense local indexes.
 //!
-//! The search reads borrowed [`RuleParts`] from any iterator and returns
-//! each model as a sorted list of borrowed atoms ([`stable_model_atoms`]), so
-//! a caller holding its rules in pieces builds no [`GroundProgram`] and no
-//! model [`Database`]. [`stable_models`] is the `Database`-level adapter over
-//! the same search. The original exhaustive enumerator is retained verbatim
-//! as the equivalence oracle in [`crate::naive_stable`].
+//! The search reads a program of an [`AtomTable`] and returns each model as
+//! a sorted vector of the table's atom ids ([`AtomTable::stable_models`]).
+//! Ids ascend with the atoms, so sorting a model or ordering the residual's
+//! atoms compares `u32`s, never atoms. [`stable_model_atoms`] runs the same
+//! search on a one-shot table over borrowed [`RuleParts`] and returns each
+//! model as a sorted list of borrowed atoms, so a caller holding its rules in
+//! pieces builds no [`GroundProgram`] and no model [`Database`].
+//! [`stable_models`] is the `Database`-level adapter over the same search.
+//! The original exhaustive enumerator is retained verbatim as the
+//! equivalence oracle in [`crate::naive_stable`].
 //!
 //! The search is exact; [`StableModelLimits`] only guards against
 //! pathological inputs (it returns an error instead of silently truncating).
@@ -54,13 +60,15 @@
 //! components solve comfortably even when their total negative signature is
 //! large (that is the point of the split).
 
+use crate::atoms::{AtomTable, AtomTableBuilder, IdRules, TableProgram};
 use crate::cancel::CancelToken;
 use crate::depgraph::{connected_components, sccs_of};
 use crate::ground::{GroundProgram, GroundRule};
 use crate::least_model::least_model;
 use crate::reduct::reduct;
 use gdlog_data::{Database, GroundAtom};
-use std::collections::{BTreeSet, HashMap};
+use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Guard rails for the stable-model search.
@@ -162,7 +170,8 @@ pub fn stable_models_with_cancel(
 pub type RuleParts<'p> = (&'p GroundAtom, &'p [GroundAtom], &'p [GroundAtom]);
 
 /// Enumerate the stable models of the ground program whose rules `rules`
-/// yields, without building a [`GroundProgram`] or any model [`Database`].
+/// yields, without building a [`GroundProgram`] or any model [`Database`]:
+/// [`AtomTable::stable_models`] over a table of this one program.
 ///
 /// Each model is a sorted, duplicate-free list of atoms borrowed from the
 /// rules, and the list of models is itself sorted and duplicate-free. Rules
@@ -181,10 +190,27 @@ pub fn stable_model_atoms<'p, I>(
 where
     I: IntoIterator<Item = RuleParts<'p>>,
 {
+    let mut builder = AtomTableBuilder::new();
+    let program = builder.rules(rules);
+    let table = builder.finish();
+    Ok(table
+        .stable_models(&program, limits, cancel)?
+        .into_iter()
+        .map(|model| model.into_iter().map(|id| table.atom(id)).collect())
+        .collect())
+}
+
+/// [`AtomTable::stable_models`]: the search itself, over table ids.
+pub(crate) fn stable_model_ids(
+    table: &AtomTable,
+    program: &TableProgram,
+    limits: &StableModelLimits,
+    cancel: &CancelToken,
+) -> Result<Vec<Vec<u32>>, StableError> {
     if cancel.is_cancelled() {
         return Err(StableError::Interrupted);
     }
-    let dense = DenseProgram::new(rules);
+    let dense = DenseProgram::new(table, program);
     let value = dense.well_founded(cancel)?;
 
     // Fast path: a total well-founded model is the unique stable model
@@ -240,20 +266,20 @@ where
 
     // Cross product of the per-component model sets, each completed with the
     // well-founded core.
-    let core: Vec<&GroundAtom> = dense.atoms_with(&value, Val::True);
-    let mut out: BTreeSet<Vec<&GroundAtom>> = BTreeSet::new();
+    let core: Vec<u32> = dense.atoms_with(&value, Val::True);
+    let mut out: BTreeSet<Vec<u32>> = BTreeSet::new();
     let mut pick = vec![0usize; solved.len()];
     loop {
         if cancel.is_cancelled() {
             return Err(StableError::Interrupted);
         }
-        let mut model: Vec<&GroundAtom> = core.clone();
+        let mut model: Vec<u32> = core.clone();
         for (ci, comp) in components.iter().enumerate() {
             for &local in &solved[ci][pick[ci]] {
                 model.push(comp.atoms[local as usize]);
             }
         }
-        model.sort();
+        model.sort_unstable();
         out.insert(model);
 
         // Mixed-radix increment over the component choices.
@@ -280,58 +306,88 @@ struct LocalRule {
     neg: Vec<u32>,
 }
 
-/// The input program on dense atom ids: every atom is interned once per
-/// call, and the rules and their occurrence lists are index vectors that
-/// every alternating-fixpoint step reuses.
-struct DenseProgram<'p> {
-    /// Atom id → atom, in first-occurrence order.
-    atoms: Vec<&'p GroundAtom>,
-    rules: Vec<LocalRule>,
-    /// Atom id → the rules with that atom in their positive body.
-    pos_occ: Vec<Vec<u32>>,
+thread_local! {
+    /// Table id → dense id while [`DenseProgram::new`] runs, `u32::MAX` when
+    /// unmapped. It grows to the largest table this thread has seen and is
+    /// reset entry by entry, so a program's remap costs O(its literals), not
+    /// O(table). It is taken out while in use: a panic mid-remap leaves an
+    /// empty scratch behind, never a dirty one.
+    static DENSE_IDS: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
 }
 
-impl<'p> DenseProgram<'p> {
-    fn new<I: IntoIterator<Item = RuleParts<'p>>>(program: I) -> Self {
-        let mut atoms: Vec<&GroundAtom> = Vec::new();
-        let mut id_of: HashMap<&GroundAtom, u32> = HashMap::new();
-        let mut intern = |a: &'p GroundAtom| -> u32 {
-            *id_of.entry(a).or_insert_with(|| {
-                atoms.push(a);
-                atoms.len() as u32 - 1
-            })
-        };
-        let program = program.into_iter();
-        let mut rules = Vec::with_capacity(program.size_hint().0);
-        for (head, pos, neg) in program {
-            let head = intern(head);
-            let mut pos: Vec<u32> = pos.iter().map(&mut intern).collect();
-            let mut neg: Vec<u32> = neg.iter().map(&mut intern).collect();
-            pos.sort_unstable();
-            pos.dedup();
-            neg.sort_unstable();
-            neg.dedup();
-            rules.push(LocalRule { head, pos, neg });
-        }
+/// One program of an [`AtomTable`] on dense atom ids `0..n`: its id rules
+/// remapped, and their positive occurrence lists, shared by every
+/// alternating-fixpoint step.
+struct DenseProgram {
+    /// Dense id → table id (the atom's rank).
+    ids: Vec<u32>,
+    rules: IdRules,
+    /// The rules with dense atom `a` in their positive body are
+    /// `pos_occ[pos_start[a]..pos_start[a + 1]]`.
+    pos_start: Vec<u32>,
+    pos_occ: Vec<u32>,
+}
 
-        let mut pos_occ: Vec<Vec<u32>> = vec![Vec::new(); atoms.len()];
-        for (r, rule) in rules.iter().enumerate() {
-            for &a in &rule.pos {
-                pos_occ[a as usize].push(r as u32);
+impl DenseProgram {
+    fn new(table: &AtomTable, program: &TableProgram) -> Self {
+        let mut dense_of = DENSE_IDS.take();
+        if dense_of.len() < table.len() {
+            dense_of.resize(table.len(), u32::MAX);
+        }
+        let mut ids: Vec<u32> = Vec::new();
+        let mut rules = IdRules::default();
+        for rule in table.rules(program).flat_map(IdRules::iter) {
+            rules.push_with(rule, |id| {
+                let dense = &mut dense_of[id as usize];
+                if *dense == u32::MAX {
+                    *dense = ids.len() as u32;
+                    ids.push(id);
+                }
+                *dense
+            });
+        }
+        for &id in &ids {
+            dense_of[id as usize] = u32::MAX;
+        }
+        DENSE_IDS.set(dense_of);
+
+        let mut pos_start = vec![0u32; ids.len() + 1];
+        for (_, pos, _) in rules.iter() {
+            for &a in pos {
+                pos_start[a as usize + 1] += 1;
+            }
+        }
+        for a in 0..ids.len() {
+            pos_start[a + 1] += pos_start[a];
+        }
+        let mut fill = pos_start.clone();
+        let mut pos_occ = vec![0u32; pos_start[ids.len()] as usize];
+        for (r, (_, pos, _)) in rules.iter().enumerate() {
+            for &a in pos {
+                pos_occ[fill[a as usize] as usize] = r as u32;
+                fill[a as usize] += 1;
             }
         }
         DenseProgram {
-            atoms,
+            ids,
             rules,
+            pos_start,
             pos_occ,
         }
     }
 
-    /// The atoms whose value is `val`, in id order.
-    fn atoms_with(&self, value: &[Val], val: Val) -> Vec<&'p GroundAtom> {
-        (0..self.atoms.len())
-            .filter(|&a| value[a] == val)
-            .map(|a| self.atoms[a])
+    /// The rules with dense atom `a` in their positive body.
+    fn pos_occ(&self, a: u32) -> &[u32] {
+        &self.pos_occ[self.pos_start[a as usize] as usize..self.pos_start[a as usize + 1] as usize]
+    }
+
+    /// The table ids of the atoms whose value is `val`, in dense order.
+    fn atoms_with(&self, value: &[Val], val: Val) -> Vec<u32> {
+        self.ids
+            .iter()
+            .zip(value)
+            .filter(|&(_, &v)| v == val)
+            .map(|(&id, _)| id)
             .collect()
     }
 
@@ -342,8 +398,8 @@ impl<'p> DenseProgram<'p> {
     /// two links, each linear in the program.
     fn well_founded(&self, cancel: &CancelToken) -> Result<Vec<Val>, StableError> {
         let mut gamma = Gamma::new(self);
-        let mut t = vec![false; self.atoms.len()];
-        let mut u = vec![false; self.atoms.len()];
+        let mut t = vec![false; self.ids.len()];
+        let mut u = vec![false; self.ids.len()];
         let mut t_next = t.clone();
         let mut u_next = u.clone();
         gamma.apply(self, &t, &mut u);
@@ -381,7 +437,7 @@ impl Gamma {
     fn new(dense: &DenseProgram) -> Self {
         Gamma {
             counts: vec![0; dense.rules.len()],
-            stack: Vec::with_capacity(dense.atoms.len()),
+            stack: Vec::with_capacity(dense.ids.len()),
         }
     }
 
@@ -391,26 +447,26 @@ impl Gamma {
     fn apply(&mut self, dense: &DenseProgram, interpretation: &[bool], model: &mut [bool]) {
         model.fill(false);
         self.stack.clear();
-        for (r, rule) in dense.rules.iter().enumerate() {
-            if rule.neg.iter().any(|&a| interpretation[a as usize]) {
+        for (r, (head, pos, neg)) in dense.rules.iter().enumerate() {
+            if neg.iter().any(|&a| interpretation[a as usize]) {
                 self.counts[r] = u32::MAX; // not in the reduct
                 continue;
             }
-            self.counts[r] = rule.pos.len() as u32;
-            if rule.pos.is_empty() && !model[rule.head as usize] {
-                model[rule.head as usize] = true;
-                self.stack.push(rule.head);
+            self.counts[r] = pos.len() as u32;
+            if pos.is_empty() && !model[head as usize] {
+                model[head as usize] = true;
+                self.stack.push(head);
             }
         }
         while let Some(a) = self.stack.pop() {
-            for &r in &dense.pos_occ[a as usize] {
+            for &r in dense.pos_occ(a) {
                 let count = &mut self.counts[r as usize];
                 if *count == u32::MAX {
                     continue;
                 }
                 *count -= 1;
                 if *count == 0 {
-                    let head = dense.rules[r as usize].head;
+                    let head = dense.rules.heads[r as usize];
                     if !model[head as usize] {
                         model[head as usize] = true;
                         self.stack.push(head);
@@ -423,33 +479,35 @@ impl Gamma {
 
 /// The residual program: the WFM-undecided part of the input, with decided
 /// literals evaluated away. Every atom it mentions is WFM-unknown.
-struct Residual<'p> {
-    atoms: Vec<&'p GroundAtom>,
+struct Residual {
+    /// Local id → table id, ascending.
+    atoms: Vec<u32>,
     rules: Vec<LocalRule>,
 }
 
-impl<'p> Residual<'p> {
+impl Residual {
     /// Build the residual of `dense` under its well-founded model `value`.
-    /// Residual atoms are the unknown ones in canonical (sorted) order.
-    fn build(dense: &DenseProgram<'p>, value: &[Val]) -> Residual<'p> {
-        let mut unknown: Vec<u32> = (0..dense.atoms.len() as u32)
+    /// Residual atoms are the unknown ones in canonical order: by table id,
+    /// which is the atom's rank.
+    fn build(dense: &DenseProgram, value: &[Val]) -> Residual {
+        let mut unknown: Vec<u32> = (0..dense.ids.len() as u32)
             .filter(|&a| value[a as usize] == Val::Unknown)
             .collect();
-        unknown.sort_unstable_by_key(|&a| dense.atoms[a as usize]);
-        let mut local = vec![u32::MAX; dense.atoms.len()];
+        unknown.sort_unstable_by_key(|&a| dense.ids[a as usize]);
+        let mut local = vec![u32::MAX; dense.ids.len()];
         for (i, &a) in unknown.iter().enumerate() {
             local[a as usize] = i as u32;
         }
 
         let mut rules = Vec::new();
-        'rules: for rule in &dense.rules {
+        'rules: for (head, rule_pos, rule_neg) in dense.rules.iter() {
             // Only rules for undecided heads survive: WFM-true heads are in
             // every stable model already, WFM-false heads can never fire.
-            if value[rule.head as usize] != Val::Unknown {
+            if value[head as usize] != Val::Unknown {
                 continue;
             }
             let mut pos = Vec::new();
-            for &a in &rule.pos {
+            for &a in rule_pos {
                 match value[a as usize] {
                     Val::Unknown => pos.push(local[a as usize]),
                     // A WFM-false positive literal: the body is never
@@ -460,7 +518,7 @@ impl<'p> Residual<'p> {
                 }
             }
             let mut neg = Vec::new();
-            for &a in &rule.neg {
+            for &a in rule_neg {
                 match value[a as usize] {
                     Val::Unknown => neg.push(local[a as usize]),
                     // A WFM-true negated atom blocks the rule in every
@@ -479,13 +537,13 @@ impl<'p> Residual<'p> {
                 continue;
             }
             rules.push(LocalRule {
-                head: local[rule.head as usize],
+                head: local[head as usize],
                 pos,
                 neg,
             });
         }
         Residual {
-            atoms: unknown.iter().map(|&a| dense.atoms[a as usize]).collect(),
+            atoms: unknown.iter().map(|&a| dense.ids[a as usize]).collect(),
             rules,
         }
     }
@@ -495,7 +553,7 @@ impl<'p> Residual<'p> {
     /// undirected view). Units share no atoms, so `sms` factors as their
     /// cross product. They come ordered by smallest atom, each with its
     /// atoms ascending, so the split is fully deterministic.
-    fn split(&self) -> Vec<Component<'p>> {
+    fn split(&self) -> Vec<Component> {
         let n = self.atoms.len();
         let members = connected_components(
             n,
@@ -542,8 +600,9 @@ impl<'p> Residual<'p> {
 }
 
 /// One independent solve unit of the residual program.
-struct Component<'p> {
-    atoms: Vec<&'p GroundAtom>,
+struct Component {
+    /// Local index → table id.
+    atoms: Vec<u32>,
     rules: Vec<LocalRule>,
     /// Local indexes of the negatively-occurring atoms (the negative
     /// signature of the unit), in bottom-up SCC order: branching on the
@@ -552,7 +611,7 @@ struct Component<'p> {
     branch: Vec<u32>,
 }
 
-impl Component<'_> {
+impl Component {
     fn order_branch_atoms(&mut self) {
         let n = self.atoms.len();
         let mut succ: Vec<Vec<usize>> = vec![Vec::new(); n];
@@ -596,7 +655,7 @@ enum Val {
 /// the per-rule counter updates, so backtracking is O(consequences), with no
 /// allocation and no `Database` rebuilds.
 struct Solver<'a> {
-    comp: &'a Component<'a>,
+    comp: &'a Component,
     value: Vec<Val>,
     /// Has this assigned atom's counter effects been applied yet? (Assigned
     /// atoms whose effects were still queued when a conflict surfaced must
@@ -638,7 +697,7 @@ struct Solver<'a> {
 }
 
 impl<'a> Solver<'a> {
-    fn new(comp: &'a Component<'a>) -> Self {
+    fn new(comp: &'a Component) -> Self {
         let n = comp.atoms.len();
         let m = comp.rules.len();
         let mut pos_occ: Vec<Vec<u32>> = vec![Vec::new(); n];
@@ -1232,9 +1291,19 @@ mod tests {
 
     /// The dense kernel's true / unknown / false split as a [`WellFounded`].
     fn dense_well_founded(p: &GroundProgram) -> WellFounded {
-        let dense = DenseProgram::new(p.iter().map(GroundRule::parts));
+        let mut builder = AtomTableBuilder::new();
+        let program = builder.rules(p.iter().map(GroundRule::parts));
+        let table = builder.finish();
+        let dense = DenseProgram::new(&table, &program);
         let value = dense.well_founded(&CancelToken::never()).unwrap();
-        let set = |val| Database::from_atoms(dense.atoms_with(&value, val).into_iter().cloned());
+        let set = |val| {
+            Database::from_atoms(
+                dense
+                    .atoms_with(&value, val)
+                    .into_iter()
+                    .map(|id| table.atom(id).clone()),
+            )
+        };
         WellFounded {
             true_atoms: set(Val::True),
             false_atoms: set(Val::False),

@@ -783,6 +783,57 @@ proptest! {
     }
 }
 
+/// A chain of `coins` coins, each tossed only if the one before came up 1:
+/// one chase path makes a choice per coin, and every leaf's grounding hangs
+/// off a snapshot chain as deep as its path. Each coin that comes up 1 opens
+/// an even loop `A(x)`/`B(x)`, closed towards `B(x)` once the next coin
+/// comes up 1 too, so every leaf past the first coin has two stable models
+/// and the branch search runs on it.
+fn coin_loop_chain(coins: usize, p: u32) -> String {
+    let mut source = format!(
+        "Coin(0).\n\
+         Coin(x) -> Toss(x, Flip<0.{p}>[x]).\n\
+         Toss(x, 1), Next(x, y) -> Coin(y).\n\
+         Toss(x, 1), not B(x) -> A(x).\n\
+         Toss(x, 1), not A(x) -> B(x).\n\
+         Toss(y, 1), Next(x, y) -> B(x).\n"
+    );
+    for i in 1..coins {
+        source.push_str(&format!("Next({}, {i}).\n", i - 1));
+    }
+    source
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Keys built through the per-solve atom table equal the full-program
+    /// keys past the snapshot flatten: the coin chain's deepest leaves make
+    /// more choices than the 16 snapshot frames a grounding keeps before it
+    /// collapses them into one, so the table's per-frame encodings must
+    /// survive the collapse. Swept at one thread and at three.
+    #[test]
+    fn table_keys_equal_full_program_keys_past_the_snapshot_flatten(
+        coins in 17usize..=22,
+        p in 1u32..=9,
+    ) {
+        let (program, db) = gdlog_parser::parse_program(&coin_loop_chain(coins, p)).unwrap();
+        for threads in [1, 3] {
+            let space = Pipeline::new(&program, &db).unwrap().threads(threads).solve().unwrap();
+            prop_assert_eq!(space.outcome_count(), coins + 1);
+            let deepest = space.outcomes().iter().map(|(o, _)| o.choice_count()).max();
+            prop_assert_eq!(deepest, Some(coins));
+            for (outcome, key) in space.outcomes() {
+                let full = stable_models(&outcome.full_program(), &StableModelLimits::default())
+                    .unwrap();
+                prop_assert_eq!(key, &ModelSetKey::from_models(&full));
+                let heads = outcome.atr.iter().filter(|c| c.outcome == Const::Int(1)).count();
+                prop_assert_eq!(key.model_count(), if heads == 0 { 1 } else { 2 });
+            }
+        }
+    }
+}
+
 /// The same parity on every chase outcome of the scenario corpus, solved as
 /// each scenario's own flags ask (per factor on factored scenarios): the
 /// in-place key also equals the key the solved space recorded.
