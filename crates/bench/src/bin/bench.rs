@@ -16,7 +16,7 @@ fn main() {
         std::process::exit(2);
     });
     let code = match command {
-        Command::Suite(config) => harness::finish(&config, (config.suite.run)(&config)),
+        Command::Suite(config) => harness::run(&config),
         Command::Experiments(ids) => experiments(&ids),
     };
     std::process::exit(code);

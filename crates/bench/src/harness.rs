@@ -166,19 +166,43 @@ pub struct Outcome {
     pub floor: Result<(), String>,
 }
 
-/// Write the summary, print it, and return the exit code: `1` when the
-/// floor failed under `--gate`, `0` otherwise (a failed floor without
-/// `--gate` only warns).
-pub fn finish(config: &Config, outcome: Outcome) -> i32 {
-    let header = [
+/// Run the suite and [`finish`] it, warning first on stderr when the
+/// thread count oversubscribes the machine.
+pub fn run(config: &Config) -> i32 {
+    let available = available_parallelism();
+    if config.threads > available {
+        eprintln!(
+            "WARNING: {} threads on {available} available cores: parallel timings \
+             are oversubscribed and spread widely between runs",
+            config.threads
+        );
+    }
+    finish(config, (config.suite.run)(config))
+}
+
+/// The JSON header every suite summary starts with. `oversubscribed`
+/// appears, as `true`, only when the thread count exceeds `available`.
+fn header(config: &Config, available: usize) -> Vec<(&'static str, Json)> {
+    let mut header = vec![
         ("bench", Json::str(config.suite.label)),
         (
             "scale",
             Json::str(if config.full { "full" } else { "small" }),
         ),
         ("threads", int(config.threads)),
-        ("available_parallelism", int(available_parallelism())),
+        ("available_parallelism", int(available)),
     ];
+    if config.threads > available {
+        header.push(("oversubscribed", Json::Bool(true)));
+    }
+    header
+}
+
+/// Write the summary, print it, and return the exit code: `1` when the
+/// floor failed under `--gate`, `0` otherwise (a failed floor without
+/// `--gate` only warns).
+pub fn finish(config: &Config, outcome: Outcome) -> i32 {
+    let header = header(config, available_parallelism());
     let json = Json::obj(header.into_iter().chain(outcome.fields)).render();
     std::fs::write(&config.out, &json)
         .unwrap_or_else(|e| panic!("cannot write {}: {e}", config.out));
@@ -359,6 +383,31 @@ mod tests {
         assert_eq!(num(1.23456), Json::Float(1.235));
         assert_eq!(num(0.0004), Json::Float(0.0));
         assert_eq!(int(7usize), Json::Int(7));
+    }
+
+    #[test]
+    fn the_header_flags_oversubscription_only_past_the_cores() {
+        let flagged = |threads: &str, available: usize| {
+            let config = config(&format!("chase --threads {threads}"), None);
+            let header = header(&config, available);
+            let keys: Vec<&str> = header.iter().map(|(key, _)| *key).collect();
+            assert_eq!(
+                keys[..4],
+                ["bench", "scale", "threads", "available_parallelism"]
+            );
+            match header.iter().find(|(key, _)| *key == "oversubscribed") {
+                Some((_, value)) => {
+                    assert_eq!(*value, Json::Bool(true));
+                    true
+                }
+                None => false,
+            }
+        };
+        assert!(flagged("4", 2));
+        assert!(flagged("3", 2));
+        assert!(!flagged("2", 2));
+        assert!(!flagged("1", 2));
+        assert!(!flagged("4", 8));
     }
 
     #[test]

@@ -55,7 +55,7 @@ use crate::analyze::{certainly_single_trigger, StaticComponents};
 use crate::chase::ChaseBudget;
 use crate::error::CoreError;
 use crate::grounding::{AtrSet, GroundRuleSet, Grounder, Grounding};
-use crate::outcome::ModelSetKey;
+use crate::outcome::{KeyTable, ModelSetKey};
 use crate::semantics::OutputSpace;
 use crate::simple_grounder::saturate_impl;
 use crate::translate::{AtrSchema, SigmaPi, TgdRule};
@@ -477,6 +477,10 @@ pub struct FactoredOutputSpace {
     nonempty_events: OnceLock<Vec<Vec<(usize, Prob)>>>,
     /// Which factor holds each universe atom, built on first use.
     factor_index: OnceLock<HashMap<GroundAtom, usize>>,
+    /// The joint atom table of a multi-factor product, built on first use:
+    /// the merge of the factors' tables, with each factor's id remap into
+    /// it. Joint keys are built over it.
+    joint: OnceLock<(Arc<KeyTable>, Vec<Vec<u32>>)>,
     /// Computed on first use, then shared by every query.
     fingerprint: OnceLock<String>,
 }
@@ -502,6 +506,7 @@ impl FactoredOutputSpace {
             slices: Vec::new(),
             nonempty_events: OnceLock::new(),
             factor_index: OnceLock::new(),
+            joint: OnceLock::new(),
             fingerprint: OnceLock::new(),
         }
     }
@@ -625,19 +630,20 @@ impl FactoredOutputSpace {
     /// within it; an atom in no factor is underivable and the probability is
     /// zero.
     pub fn probability_brave_all(&self, atoms: &[GroundAtom]) -> Prob {
-        self.probability_grouped(atoms, |key, group| group.iter().all(|a| key.brave(a)))
+        self.probability_grouped(atoms, ModelSetKey::brave_id)
     }
 
     /// `P(every listed atom is cautious in the joint key)` — the same
     /// factor-wise decomposition with the cautious test per factor.
     pub fn probability_cautious_all(&self, atoms: &[GroundAtom]) -> Prob {
-        self.probability_grouped(atoms, |key, group| group.iter().all(|a| key.cautious(a)))
+        self.probability_grouped(atoms, ModelSetKey::cautious_id)
     }
 
-    fn probability_grouped<F>(&self, atoms: &[GroundAtom], test: F) -> Prob
-    where
-        F: Fn(&ModelSetKey, &[&GroundAtom]) -> bool,
-    {
+    fn probability_grouped(
+        &self,
+        atoms: &[GroundAtom],
+        holds: fn(&ModelSetKey, u32) -> bool,
+    ) -> Prob {
         let mut by_factor: BTreeMap<usize, Vec<&GroundAtom>> = BTreeMap::new();
         for atom in atoms {
             match self.factor_of(atom) {
@@ -648,7 +654,7 @@ impl FactoredOutputSpace {
         let mut p = Prob::ONE;
         for (i, f) in self.factors.iter().enumerate() {
             let factor_mass = match by_factor.get(&i) {
-                Some(group) => f.space.probability_where(|k| test(k, group)),
+                Some(group) => f.space.probability_all(group, holds),
                 // x·1 = x bit for bit, exact or approximate.
                 None if self.nonempty[i].as_exact() == Some(Rational::ONE) => continue,
                 None => self.nonempty[i],
@@ -673,7 +679,8 @@ impl FactoredOutputSpace {
     /// with at least one empty factor: `∏ exploredᵢ − ∏ nonemptyᵢ`. A
     /// nonempty key is a product event iff the product of its per-factor
     /// projections reconstructs it, with mass the product of the projection
-    /// masses; any other key has mass zero.
+    /// masses; any other key has mass zero. The key is translated into the
+    /// joint table once, and projected and rebuilt on ids.
     pub fn event_probability(&self, key: &ModelSetKey) -> Prob {
         if let Some(space) = self.only() {
             return space.event_probability(key);
@@ -684,18 +691,34 @@ impl FactoredOutputSpace {
                     .sub(&self.has_stable_model_probability()),
             );
         }
+        let (table, remaps) = self.joint();
+        let Some(key) = key.over(table) else {
+            return Prob::ZERO;
+        };
         let mut mass = Prob::ONE;
         let mut projections: Vec<ModelSetKey> = Vec::with_capacity(self.factors.len());
-        for f in &self.factors {
-            let projection = key.filter_atoms(|a| f.atoms.contains(a));
+        for (f, remap) in self.factors.iter().zip(remaps) {
+            let projection = key.project(f.space.table(), remap);
             mass = mass.mul(&f.space.event_probability(&projection));
             projections.push(projection);
         }
-        let refs: Vec<&ModelSetKey> = projections.iter().collect();
-        if ModelSetKey::product(&refs) != *key {
+        let parts: Vec<(&ModelSetKey, &[u32])> = projections
+            .iter()
+            .zip(remaps)
+            .map(|(projection, remap)| (projection, remap.as_slice()))
+            .collect();
+        if ModelSetKey::product_in(table, &parts) != *key {
             return Prob::ZERO;
         }
         mass
+    }
+
+    /// The joint table and the factors' remaps into it, built on first use.
+    fn joint(&self) -> &(Arc<KeyTable>, Vec<Vec<u32>>) {
+        self.joint.get_or_init(|| {
+            let tables: Vec<&KeyTable> = self.factors.iter().map(|f| &**f.space.table()).collect();
+            KeyTable::merge(&tables)
+        })
     }
 
     /// Per factor, the `(index, mass)` pairs of its nonempty events in
@@ -717,15 +740,18 @@ impl FactoredOutputSpace {
         })
     }
 
-    /// The joint key of a tuple of per-factor event indices.
+    /// The joint key of a tuple of per-factor event indices, over the
+    /// joint table: each joint model concatenates remapped ids.
     fn joint_key(&self, indices: &[usize]) -> ModelSetKey {
-        let parts: Vec<&ModelSetKey> = self
+        let (table, remaps) = self.joint();
+        let parts: Vec<(&ModelSetKey, &[u32])> = self
             .factors
             .iter()
             .zip(indices)
-            .map(|(f, &i)| &f.space.events_by_mass()[i].0)
+            .zip(remaps)
+            .map(|((f, &i), remap)| (&f.space.events_by_mass()[i].0, remap.as_slice()))
             .collect();
-        ModelSetKey::product(&parts)
+        ModelSetKey::product_in(table, &parts)
     }
 
     /// The `k` heaviest joint events in the flat (mass-descending,
@@ -845,21 +871,15 @@ impl FactoredOutputSpace {
     }
 
     /// Every atom with the given predicate name occurring in any factor's
-    /// stable models (for marginal reports).
+    /// stable models (for marginal reports): one scan of each factor's
+    /// table.
     pub fn atoms_with_predicate(&self, name: &str) -> BTreeSet<GroundAtom> {
-        let mut atoms = BTreeSet::new();
-        for f in &self.factors {
-            for (key, _) in f.space.events_by_mass() {
-                for model in key.models() {
-                    for atom in model {
-                        if atom.predicate.name() == name {
-                            atoms.insert(atom.clone());
-                        }
-                    }
-                }
-            }
-        }
-        atoms
+        self.factors
+            .iter()
+            .flat_map(|f| f.space.model_atoms())
+            .filter(|atom| atom.predicate.name() == name)
+            .cloned()
+            .collect()
     }
 
     /// A deterministic fingerprint of the product space, computed once: a
@@ -1040,8 +1060,9 @@ struct Branch {
 /// events each have a single stable model.
 ///
 /// Such a joint key holds one model, the disjoint union of its parts, and
-/// keys compare as sorted atom lists. Every atom of a candidate model gets
-/// its rank in the global atom order. A search node holds a set of
+/// keys compare as sorted atom lists. Every atom of a candidate model is
+/// ranked by its id in the product's joint table, which ascends with the
+/// atoms. A search node holds a set of
 /// candidate events per factor, all agreeing on the atoms below the node's
 /// rank, so its tuples differ first at or after it. Walking up the ranks,
 /// an atom the owning factor's candidates all hold (or all lack) is shared
@@ -1067,8 +1088,8 @@ struct TieSearch<'a> {
     logs: Vec<Vec<f64>>,
     /// Per factor, each candidate's model as ascending atom ranks.
     models: Vec<Vec<Vec<u32>>>,
-    /// The factor holding the atom of each rank.
-    owner: Vec<usize>,
+    /// The factor holding the atom of each rank, if a candidate model does.
+    owner: Vec<Option<usize>>,
 }
 
 impl<'a> TieSearch<'a> {
@@ -1083,40 +1104,37 @@ impl<'a> TieSearch<'a> {
         let log = |p: &Prob| p.to_f64().log2();
         let floor = log(&cut) - PRUNE_SLACK;
         let best: f64 = listings.iter().map(|l| log(&l[0].1)).sum();
+        let (table, remaps) = space.joint();
         let mut logs = Vec::with_capacity(listings.len());
-        let mut entries: Vec<(&GroundAtom, usize, usize)> = Vec::new();
-        for (f, (factor, listing)) in space.factors.iter().zip(listings).enumerate() {
+        let mut models = Vec::with_capacity(listings.len());
+        let mut owner: Vec<Option<usize>> = vec![None; table.len()];
+        let factors = space.factors.iter().zip(listings).zip(remaps);
+        for (f, ((factor, listing), remap)) in factors.enumerate() {
             let others = best - log(&listing[0].1);
             let candidates: Vec<f64> = listing
                 .iter()
                 .map(|(_, mass)| log(mass))
                 .take_while(|l| l + others >= floor)
                 .collect();
-            for (c, (i, _)) in listing[..candidates.len()].iter().enumerate() {
-                let mut models = factor.space.events_by_mass()[*i].0.models();
-                let (Some(model), None) = (models.next(), models.next()) else {
-                    return None;
-                };
-                entries.extend(model.iter().map(|atom| (atom, f, c)));
-            }
             if candidates.is_empty() {
                 return None;
             }
-            logs.push(candidates);
-        }
-        entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
-        let mut models: Vec<Vec<Vec<u32>>> =
-            logs.iter().map(|l| vec![Vec::new(); l.len()]).collect();
-        let mut owner: Vec<usize> = Vec::new();
-        let mut last: Option<&GroundAtom> = None;
-        for (atom, f, c) in entries {
-            if last != Some(atom) {
-                owner.push(f);
-                last = Some(atom);
-            } else if owner.last() != Some(&f) {
-                return None;
+            let mut ranked = Vec::with_capacity(candidates.len());
+            for (i, _) in &listing[..candidates.len()] {
+                let [model] = factor.space.events_by_mass()[*i].0.ids() else {
+                    return None;
+                };
+                let ranks: Vec<u32> = model.iter().map(|&id| remap[id as usize]).collect();
+                for &rank in &ranks {
+                    match &mut owner[rank as usize] {
+                        Some(g) if *g != f => return None,
+                        slot => *slot = Some(f),
+                    }
+                }
+                ranked.push(ranks);
             }
-            models[f][c].push(owner.len() as u32 - 1);
+            models.push(ranked);
+            logs.push(candidates);
         }
         Some(TieSearch {
             listings,
@@ -1174,7 +1192,10 @@ impl<'a> TieSearch<'a> {
                     }
                     break;
                 }
-                let f = self.owner[rank as usize];
+                let Some(f) = self.owner[rank as usize] else {
+                    rank += 1;
+                    continue;
+                };
                 let holds = |c: &u32| self.models[f][*c as usize].binary_search(&rank).is_ok();
                 let with = sets[f].iter().filter(|c| holds(c)).count();
                 if with == 0 {
@@ -2050,7 +2071,7 @@ mod tests {
                 .iter()
                 .map(|(key, _)| {
                     let model = key.models().next().expect("one model");
-                    model.iter().map(|a| a.args[0].as_int().unwrap()).collect()
+                    model.map(|a| a.args[0].as_int().unwrap()).collect()
                 })
                 .collect()
         };

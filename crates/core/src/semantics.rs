@@ -11,18 +11,23 @@
 use crate::chase::ChaseResult;
 use crate::error::CoreError;
 use crate::exec::Executor;
+use crate::fingerprint::Fnv1a;
 use crate::model_cache::{ModelSetCache, ProgramFingerprint};
-use crate::outcome::{model_set_keys, ModelSetKey, PossibleOutcome};
+use crate::outcome::{model_set_keys, share_table, KeyTable, ModelSetKey, PossibleOutcome};
 use gdlog_data::GroundAtom;
 use gdlog_engine::{CancelToken, StableModelLimits};
 use gdlog_prob::Prob;
 use std::collections::HashMap;
+use std::fmt::Write;
+use std::sync::Arc;
 
 /// The output of a GDatalog¬\[Δ\] program on a database relative to a
 /// grounder: the explored finite outcomes, keyed by their induced set of
 /// stable models, plus the residual (error / unexplored) mass.
 #[derive(Clone, Debug)]
 pub struct OutputSpace {
+    /// The one table every key of the space is over.
+    table: Arc<KeyTable>,
     outcomes: Vec<(PossibleOutcome, ModelSetKey)>,
     /// The cells of the event partition with their masses, in
     /// [`OutputSpace::events_by_mass`] order (sorted once, at construction).
@@ -113,10 +118,13 @@ impl OutputSpace {
         Ok(Self::from_keys(result, keys))
     }
 
-    /// Deterministic merge: outcomes and their keys move (never clone) into
-    /// the keyed listing in chase order; each event's mass aggregates in that
-    /// same order, and the event list clones each distinct key once.
-    fn from_keys(result: ChaseResult, keys: Vec<ModelSetKey>) -> Self {
+    /// Deterministic merge: the keys are brought over one table (they
+    /// already share it unless a cache served some), the outcomes are
+    /// grouped by sorting their indices on the keys' ids, and outcomes and
+    /// keys move into the keyed listing in chase order. The sort is stable,
+    /// so each event's mass aggregates in chase order; the event list clones
+    /// each distinct key's ids once.
+    fn from_keys(result: ChaseResult, mut keys: Vec<ModelSetKey>) -> Self {
         let ChaseResult {
             outcomes,
             residual_mass,
@@ -124,19 +132,22 @@ impl OutputSpace {
             interrupted,
             nodes_visited,
         } = result;
-        let keyed: Vec<(PossibleOutcome, ModelSetKey)> = outcomes.into_iter().zip(keys).collect();
-        let mut masses: HashMap<&ModelSetKey, Prob> = HashMap::new();
-        for (outcome, key) in &keyed {
-            let mass = masses.entry(key).or_insert(Prob::ZERO);
-            *mass = mass.add(&outcome.probability);
-        }
-        let mut events: Vec<(ModelSetKey, Prob)> = masses
-            .into_iter()
-            .map(|(key, mass)| (key.clone(), mass))
+        let table = share_table(&mut keys);
+        let mut order: Vec<usize> = (0..keys.len()).collect();
+        order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
+        let mut events: Vec<(ModelSetKey, Prob)> = order
+            .chunk_by(|&a, &b| keys[a] == keys[b])
+            .map(|group| {
+                let mass = group
+                    .iter()
+                    .fold(Prob::ZERO, |mass, &i| mass.add(&outcomes[i].probability));
+                (keys[group[0]].clone(), mass)
+            })
             .collect();
-        events.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        sort_events(&mut events);
         OutputSpace {
-            outcomes: keyed,
+            table,
+            outcomes: outcomes.into_iter().zip(keys).collect(),
             events,
             residual: residual_mass,
             truncated,
@@ -150,8 +161,10 @@ impl OutputSpace {
     /// chase builds.
     #[cfg(test)]
     pub(crate) fn from_events(mut events: Vec<(ModelSetKey, Prob)>) -> Self {
-        events.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let table = share_table(events.iter_mut().map(|(key, _)| key));
+        sort_events(&mut events);
         OutputSpace {
+            table,
             outcomes: Vec::new(),
             events,
             residual: Prob::ZERO,
@@ -159,6 +172,11 @@ impl OutputSpace {
             interrupted: false,
             nodes_visited: 0,
         }
+    }
+
+    /// The table every key of the space is over.
+    pub(crate) fn table(&self) -> &Arc<KeyTable> {
+        &self.table
     }
 
     /// The explored finite outcomes with their event keys.
@@ -177,11 +195,16 @@ impl OutputSpace {
     }
 
     /// The probability mass of the event with the given key (zero if no
-    /// outcome induces it).
+    /// outcome induces it). A key over another table is translated into
+    /// this space's ids once; one of its atoms missing from the table means
+    /// no outcome induces it.
     pub fn event_probability(&self, key: &ModelSetKey) -> Prob {
+        let Some(key) = key.over(&self.table) else {
+            return Prob::ZERO;
+        };
         self.events
             .iter()
-            .find(|(k, _)| k == key)
+            .find(|(k, _)| *k == *key)
             .map_or(Prob::ZERO, |(_, mass)| *mass)
     }
 
@@ -235,13 +258,48 @@ impl OutputSpace {
     /// Probability that `atom` holds *cautiously*: the union of the events
     /// whose (non-empty) set of stable models all contain `atom`.
     pub fn cautious_probability(&self, atom: &GroundAtom) -> Prob {
-        self.probability_where(|k| k.cautious(atom))
+        self.probability_all(&[atom], ModelSetKey::cautious_id)
     }
 
     /// Probability that `atom` holds *bravely*: the union of the events some
     /// of whose stable models contain `atom`.
     pub fn brave_probability(&self, atom: &GroundAtom) -> Prob {
-        self.probability_where(|k| k.brave(atom))
+        self.probability_all(&[atom], ModelSetKey::brave_id)
+    }
+
+    /// Probability of the union of the events in which `holds` passes for
+    /// every listed atom. Each atom's id is found once, by binary search in
+    /// the space's table; an atom the table lacks is in no model, and the
+    /// probability is zero.
+    pub(crate) fn probability_all(
+        &self,
+        atoms: &[&GroundAtom],
+        holds: fn(&ModelSetKey, u32) -> bool,
+    ) -> Prob {
+        let Some(ids) = atoms
+            .iter()
+            .map(|atom| self.table.id(atom))
+            .collect::<Option<Vec<u32>>>()
+        else {
+            return Prob::ZERO;
+        };
+        self.probability_where(|k| ids.iter().all(|&id| holds(k, id)))
+    }
+
+    /// The atoms of some stable model of some event, in ascending order: one
+    /// scan of the table, keeping the atoms whose ids occur in a model.
+    pub(crate) fn model_atoms(&self) -> impl Iterator<Item = &GroundAtom> {
+        let mut occurs = vec![false; self.table.len()];
+        for (key, _) in &self.events {
+            for &id in key.ids().iter().flatten() {
+                occurs[id as usize] = true;
+            }
+        }
+        self.table
+            .atoms()
+            .iter()
+            .zip(occurs)
+            .filter_map(|(atom, occurs)| occurs.then_some(atom))
     }
 
     /// The events with their masses, sorted by decreasing mass (ties broken
@@ -259,18 +317,22 @@ impl OutputSpace {
     /// [`OutputSpace::events_by_mass`] listing plus the outcome count — the
     /// exact scheme `bench stable` records per `GDLOG_THREADS` leg (see
     /// [`crate::fingerprint::fnv1a_fingerprint`]), so CLI reports, scenario
-    /// goldens and the bench JSONs all diff against each other.
+    /// goldens and the bench JSONs all diff against each other. The chunks
+    /// `"{key}@{mass};"` stream into the hash, each key through its table's
+    /// atom texts, rendered once per table.
     pub fn fingerprint(&self) -> String {
-        crate::fingerprint::fnv1a_fingerprint(
-            self.events_by_mass()
-                .iter()
-                .map(|(key, mass)| format!("{key}@{mass};"))
-                .chain(std::iter::once(format!(
-                    "outcomes={};",
-                    self.outcome_count()
-                ))),
-        )
+        let mut hash = Fnv1a::new();
+        for (key, mass) in &self.events {
+            write!(hash, "{key}@{mass};").expect("hashing cannot fail");
+        }
+        write!(hash, "outcomes={};", self.outcome_count()).expect("hashing cannot fail");
+        hash.finish()
     }
+}
+
+/// Sort events by decreasing mass, ties by ascending key.
+fn sort_events(events: &mut [(ModelSetKey, Prob)]) {
+    events.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
 }
 
 /// One key per outcome through `cache`: outcomes are keyed by their

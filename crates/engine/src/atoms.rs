@@ -257,6 +257,11 @@ impl<'a> AtomTable<'a> {
         self.atoms[id as usize]
     }
 
+    /// Every atom, in id order: strictly ascending.
+    pub fn atoms(&self) -> &[&'a GroundAtom] {
+        &self.atoms
+    }
+
     /// The id rules of `program`, segment by segment in rule order.
     pub(crate) fn rules<'s>(
         &'s self,

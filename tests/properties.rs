@@ -834,6 +834,77 @@ proptest! {
     }
 }
 
+/// The event listing by the route that clones atoms: each outcome keyed by
+/// `ModelSetKey::from_models` of its full program's stable models (a table
+/// per key), masses summed in chase order in a `BTreeMap`, sorted by mass
+/// descending, then key ascending.
+fn reference_events(space: &OutputSpace) -> Vec<(ModelSetKey, Prob)> {
+    let mut masses: std::collections::BTreeMap<ModelSetKey, Prob> = Default::default();
+    for (outcome, _) in space.outcomes() {
+        let models = stable_models(&outcome.full_program(), &StableModelLimits::default()).unwrap();
+        let mass = masses
+            .entry(ModelSetKey::from_models(&models))
+            .or_insert(Prob::ZERO);
+        *mass = mass.add(&outcome.probability);
+    }
+    let mut events: Vec<(ModelSetKey, Prob)> = masses.into_iter().collect();
+    events.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    events
+}
+
+/// An event listing as resolved atom lists with masses.
+fn resolved_events(events: &[(ModelSetKey, Prob)]) -> Vec<(Vec<Vec<GroundAtom>>, Prob)> {
+    events
+        .iter()
+        .map(|(key, mass)| (key.models().map(|m| m.cloned().collect()).collect(), *mass))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Keys held as id vectors over the solve's table list the events
+    /// exactly as keys of cloned atoms did: the same events, in the same
+    /// (mass, key) order, with the same text, and a streamed fingerprint
+    /// equal to FNV-1a over the reference's `"{key}@{mass};"` chunks. The
+    /// network rings tie many events in mass, so their order is the key
+    /// order; the coin loops give events of two stable models and the
+    /// empty event. Swept at one thread and at three.
+    #[test]
+    fn id_keys_list_events_as_atom_keys_did(
+        ring in 3usize..=5,
+        coins in 2usize..=6,
+        p in 1u32..=9,
+    ) {
+        let db = gdlog_bench::workloads::network_database(
+            ring,
+            gdlog_bench::workloads::Topology::Ring,
+        );
+        let network = (network_resilience_program(p as f64 / 10.0), db);
+        let chain = gdlog_parser::parse_program(&coin_loop_chain(coins, p)).unwrap();
+        for (program, db) in [&network, &chain] {
+            for threads in [1, 3] {
+                let space = Pipeline::new(program, db).unwrap().threads(threads).solve().unwrap();
+                let reference = reference_events(&space);
+                prop_assert!(space.event_count() > 1);
+                prop_assert_eq!(
+                    resolved_events(space.events_by_mass()),
+                    resolved_events(&reference)
+                );
+                let text = |events: &[(ModelSetKey, Prob)]| -> Vec<String> {
+                    events.iter().map(|(key, mass)| format!("{key}@{mass}")).collect()
+                };
+                prop_assert_eq!(text(space.events_by_mass()), text(&reference));
+                let chunks = reference
+                    .iter()
+                    .map(|(key, mass)| format!("{key}@{mass};"))
+                    .chain(std::iter::once(format!("outcomes={};", space.outcome_count())));
+                prop_assert_eq!(space.fingerprint(), gdlog::core::fnv1a_fingerprint(chunks));
+            }
+        }
+    }
+}
+
 /// The same parity on every chase outcome of the scenario corpus, solved as
 /// each scenario's own flags ask (per factor on factored scenarios): the
 /// in-place key also equals the key the solved space recorded.
