@@ -35,7 +35,7 @@ use crate::factor::FactoredOutputSpace;
 use crate::pipeline::{McParams, Pipeline};
 use crate::program::Program;
 use crate::translate::SigmaPi;
-use gdlog_data::Database;
+use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::CancelToken;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -193,9 +193,8 @@ impl Solver {
     ) -> Result<QueryResponse, CoreError> {
         let space = &entry.space;
         let mut queries = Vec::with_capacity(request.queries.len());
-        for atom in &request.queries {
-            let brave = space.brave_probability(atom);
-            let cautious = space.cautious_probability(atom);
+        let asked = space.brave_and_cautious(&request.queries);
+        for (atom, (brave, cautious)) in request.queries.iter().zip(asked) {
             let (brave_given, cautious_given) = match &request.given {
                 Some(g) => {
                     let pair = [atom.clone(), g.clone()];
@@ -219,18 +218,24 @@ impl Solver {
             });
         }
 
-        let mut marginals = Vec::new();
-        for pred in &request.marginals {
-            for atom in space.atoms_with_predicate(pred) {
-                marginals.push(QueryReport {
-                    atom: atom.to_string(),
-                    brave: space.brave_probability(&atom),
-                    cautious: space.cautious_probability(&atom),
-                    brave_given: None,
-                    cautious_given: None,
-                });
-            }
-        }
+        // Every marginal atom, of every asked predicate, in one pass over
+        // each factor's events.
+        let marginal_atoms: Vec<GroundAtom> = request
+            .marginals
+            .iter()
+            .flat_map(|pred| space.atoms_with_predicate(pred))
+            .collect();
+        let marginals = marginal_atoms
+            .iter()
+            .zip(space.brave_and_cautious(&marginal_atoms))
+            .map(|(atom, (brave, cautious))| QueryReport {
+                atom: atom.to_string(),
+                brave,
+                cautious,
+                brave_given: None,
+                cautious_given: None,
+            })
+            .collect();
 
         let top_events = match request.top {
             Some(k) => space

@@ -14,8 +14,8 @@
 use crate::chase::{ChaseBudget, ChaseResult};
 use crate::error::CoreError;
 use crate::grounding::Grounder;
+use crate::join::Bindings;
 use crate::translate::SigmaPi;
-use gdlog_data::match_atoms_indexed;
 use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::StableModelLimits;
 use gdlog_prob::Prob;
@@ -73,15 +73,15 @@ pub fn bckov_output(sigma: &SigmaPi, budget: &ChaseBudget) -> Result<BckovOutput
 
 fn saturate_instance(sigma: &SigmaPi, start: &Database) -> Database {
     let mut instance = start.clone();
+    let mut bindings = Bindings::default();
+    let mut heads: Vec<GroundAtom> = Vec::new();
     loop {
         let mut added = false;
-        for rule in &sigma.rules {
-            let homs = match_atoms_indexed(&rule.pos, &instance);
-            for h in homs {
-                let head = rule
-                    .head
-                    .apply_ground(&h)
-                    .expect("safety guarantees ground heads");
+        for plan in sigma.plans() {
+            plan.for_each_match(&mut bindings, &instance, None, |slots| {
+                heads.push(plan.head(slots));
+            });
+            for head in heads.drain(..) {
                 if instance.insert(head) {
                     added = true;
                 }

@@ -55,10 +55,11 @@ use crate::analyze::{certainly_single_trigger, StaticComponents};
 use crate::chase::ChaseBudget;
 use crate::error::CoreError;
 use crate::grounding::{AtrSet, GroundRuleSet, Grounder, Grounding};
+use crate::join::JoinPlan;
 use crate::outcome::{KeyTable, ModelSetKey};
 use crate::semantics::OutputSpace;
 use crate::simple_grounder::saturate_impl;
-use crate::translate::{AtrSchema, SigmaPi, TgdRule};
+use crate::translate::{AtrSchema, SigmaPi};
 use gdlog_data::GroundAtom;
 use gdlog_engine::{connected_components, CancelToken};
 use gdlog_prob::{Prob, Rational};
@@ -147,7 +148,7 @@ struct Universe {
 /// would just burn the rest of the deadline), so it surfaces as a typed
 /// interruption.
 fn universe_of_group(
-    rules: &[&TgdRule],
+    plans: &[Arc<JoinPlan>],
     schemas: &[&AtrSchema],
     budget: &ChaseBudget,
     cap: usize,
@@ -158,7 +159,7 @@ fn universe_of_group(
     let mut support_cut = false;
     let max_branching = budget.max_branching;
     let rules = saturate_impl(
-        rules,
+        plans,
         GroundRuleSet::new(),
         None,
         None,
@@ -244,16 +245,16 @@ fn slice(sigma: &SigmaPi, parts: Vec<Part>, support_cut: bool) -> Vec<ChaseCompo
         .enumerate()
         .flat_map(|(i, (atoms, _))| atoms.iter().map(move |a| (a, i)))
         .collect();
-    let mut rules: Vec<Vec<TgdRule>> = vec![Vec::new(); parts.len()];
-    for rule in &sigma.rules {
+    let mut rules: Vec<Vec<usize>> = vec![Vec::new(); parts.len()];
+    for (i, rule) in sigma.rules.iter().enumerate() {
         let head = if rule.pos.is_empty() {
             rule.head.to_ground().ok()
         } else {
             None
         };
         match head {
-            Some(head) => rules[owner[&head]].push(rule.clone()),
-            None => rules.iter_mut().for_each(|r| r.push(rule.clone())),
+            Some(head) => rules[owner[&head]].push(i),
+            None => rules.iter_mut().for_each(|r| r.push(i)),
         }
     }
     parts
@@ -262,7 +263,7 @@ fn slice(sigma: &SigmaPi, parts: Vec<Part>, support_cut: bool) -> Vec<ChaseCompo
         .map(|((atoms, triggers), rules)| ChaseComponent {
             atoms,
             triggers,
-            slice: Arc::new(sigma.slice(rules)),
+            slice: Arc::new(sigma.slice(&rules)),
             support_cut,
         })
         .collect()
@@ -340,12 +341,12 @@ pub fn analyze_cancellable(
     // Seed the dynamic analysis: group Σ∄ rules and AtR schemas by static
     // predicate component and saturate each group independently.
     let statics = StaticComponents::of_sigma(sigma);
-    let mut groups: BTreeMap<usize, (Vec<&TgdRule>, Vec<&AtrSchema>)> = BTreeMap::new();
-    for rule in &sigma.rules {
+    let mut groups: BTreeMap<usize, (Vec<Arc<JoinPlan>>, Vec<&AtrSchema>)> = BTreeMap::new();
+    for (rule, plan) in sigma.rules.iter().zip(sigma.plans()) {
         let c = statics
             .component_of(&rule.head.predicate)
             .expect("every rule head is a static-graph vertex");
-        groups.entry(c).or_default().0.push(rule);
+        groups.entry(c).or_default().0.push(Arc::clone(plan));
     }
     for schema in sigma.atr_schemas() {
         let c = statics
@@ -357,8 +358,8 @@ pub fn analyze_cancellable(
     let mut raw: Vec<Part> = Vec::new();
     let mut cap = UNIVERSE_ATOM_CAP;
     let mut support_cut = false;
-    for (rules, schemas) in groups.values() {
-        let Some(universe) = universe_of_group(rules, schemas, budget, cap, cancel)? else {
+    for (plans, schemas) in groups.values() {
+        let Some(universe) = universe_of_group(plans, schemas, budget, cap, cancel)? else {
             return Ok((None, FactorAnalysis::Dynamic));
         };
         cap = cap.saturating_sub(universe.rules.heads().len());
@@ -651,17 +652,57 @@ impl FactoredOutputSpace {
                 None => return Prob::ZERO,
             }
         }
+        self.joint_mass(|i| {
+            by_factor
+                .get(&i)
+                .map(|group| self.factors[i].space.probability_all(group, holds))
+        })
+    }
+
+    /// The product over the factors, in factor order, of `factor_mass(i)`,
+    /// or of factor `i`'s nonempty mass where that is `None`.
+    fn joint_mass(&self, factor_mass: impl Fn(usize) -> Option<Prob>) -> Prob {
         let mut p = Prob::ONE;
-        for (i, f) in self.factors.iter().enumerate() {
-            let factor_mass = match by_factor.get(&i) {
-                Some(group) => f.space.probability_all(group, holds),
+        for (i, nonempty) in self.nonempty.iter().enumerate() {
+            let mass = match factor_mass(i) {
+                Some(mass) => mass,
                 // x·1 = x bit for bit, exact or approximate.
-                None if self.nonempty[i].as_exact() == Some(Rational::ONE) => continue,
-                None => self.nonempty[i],
+                None if nonempty.as_exact() == Some(Rational::ONE) => continue,
+                None => *nonempty,
             };
-            p = p.mul(&factor_mass);
+            p = p.mul(&mass);
         }
         p
+    }
+
+    /// `(brave, cautious)` probability of every listed atom, equal bit for
+    /// bit to [`Self::brave_probability`] and [`Self::cautious_probability`]
+    /// per atom, with each factor's events scanned once for all its atoms
+    /// ([`OutputSpace::brave_and_cautious`]) instead of twice per atom.
+    pub(crate) fn brave_and_cautious(&self, atoms: &[GroundAtom]) -> Vec<(Prob, Prob)> {
+        let owners: Vec<Option<usize>> = atoms.iter().map(|atom| self.factor_of(atom)).collect();
+        // The asked atoms that some factor holds, grouped by factor.
+        let mut held: Vec<usize> = (0..atoms.len()).filter(|&k| owners[k].is_some()).collect();
+        held.sort_by_key(|&k| owners[k]);
+        let mut in_factor = vec![(Prob::ZERO, Prob::ZERO); atoms.len()];
+        for group in held.chunk_by(|&a, &b| owners[a] == owners[b]) {
+            let space = &self.factors[owners[group[0]].expect("held")].space;
+            let asked: Vec<&GroundAtom> = group.iter().map(|&k| &atoms[k]).collect();
+            for (&k, masses) in group.iter().zip(space.brave_and_cautious(&asked)) {
+                in_factor[k] = masses;
+            }
+        }
+        owners
+            .iter()
+            .zip(in_factor)
+            .map(|(owner, (brave, cautious))| match *owner {
+                Some(j) => (
+                    self.joint_mass(|i| (i == j).then_some(brave)),
+                    self.joint_mass(|i| (i == j).then_some(cautious)),
+                ),
+                None => (Prob::ZERO, Prob::ZERO),
+            })
+            .collect()
     }
 
     /// `P(atom ∈ some joint stable model)`.
@@ -1481,14 +1522,14 @@ mod tests {
         let (program, db) = coin_farm(4, true);
         let pipeline = Pipeline::new(&program, &db).unwrap();
         let sigma = pipeline.sigma();
-        let rules: Vec<&TgdRule> = sigma.rules.iter().collect();
+        let plans = sigma.plans();
         let schemas: Vec<&AtrSchema> = sigma.atr_schemas().iter().collect();
         let budget = ChaseBudget::default();
         let never = CancelToken::never();
-        assert!(universe_of_group(&rules, &schemas, &budget, 5, &never)
+        assert!(universe_of_group(plans, &schemas, &budget, 5, &never)
             .unwrap()
             .is_none());
-        assert!(universe_of_group(&rules, &schemas, &budget, 1_000, &never)
+        assert!(universe_of_group(plans, &schemas, &budget, 1_000, &never)
             .unwrap()
             .is_some());
     }
@@ -1548,6 +1589,67 @@ mod tests {
         assert_eq!(factored.event_probability(&bogus), Prob::ZERO);
         // An underivable atom is never brave.
         assert_eq!(factored.brave_probability(&atom("Nope", &[9])), Prob::ZERO);
+    }
+
+    /// The one-pass answers against the per-atom ones, bit for bit: `==`
+    /// and the same `Debug` text, which tells an exact mass from an
+    /// approximate one and prints every `f64` bit.
+    fn assert_one_pass_answers_per_atom(space: &FactoredOutputSpace, atoms: &[GroundAtom]) {
+        let bits = |p: Prob| format!("{p:?}");
+        for (atom, (brave, cautious)) in atoms.iter().zip(space.brave_and_cautious(atoms)) {
+            assert_eq!(
+                bits(brave),
+                bits(space.brave_probability(atom)),
+                "brave {atom}"
+            );
+            assert_eq!(
+                bits(cautious),
+                bits(space.cautious_probability(atom)),
+                "cautious {atom}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_pass_marginals_equal_the_per_atom_answers() {
+        // Solved spaces, factored and flat, with an atom asked twice and
+        // one that no factor holds.
+        let (program, db) = coin_farm(4, true);
+        let pipeline = Pipeline::new(&program, &db).unwrap();
+        let mut atoms: Vec<GroundAtom> = ["Coin", "Tails", "Even", "Odd"]
+            .iter()
+            .flat_map(|name| (1..=4).map(move |i| atom(name, &[i])))
+            .collect();
+        atoms.push(atom("Tails", &[2]));
+        atoms.push(atom("Nope", &[9]));
+        assert_one_pass_answers_per_atom(&pipeline.solve_factored().unwrap(), &atoms);
+        let flat = pipeline
+            .solve_with(crate::api::SolveStrategy::Flat)
+            .unwrap()
+            .0;
+        assert_eq!(flat.factor_count(), 1);
+        assert_one_pass_answers_per_atom(&flat, &atoms);
+
+        // Approximate masses, multi-model events (brave without cautious)
+        // and a factor with a "no stable model" event.
+        let tenth = Prob::Approx(0.1);
+        let rest = Prob::Approx(0.9);
+        let factors = vec![
+            synthetic_factor(
+                0,
+                &[
+                    (vec![vec![0, 1], vec![0, 2]], tenth),
+                    (vec![vec![1]], Prob::Approx(0.7)),
+                    (vec![], Prob::Approx(0.2)),
+                ],
+            ),
+            synthetic_factor(1, &[(vec![vec![0]], rest), (vec![vec![0, 1]], tenth)]),
+            synthetic_factor(2, &[(vec![vec![3]], Prob::ratio(1, 3))]),
+        ];
+        let atoms: Vec<GroundAtom> = (0..3)
+            .flat_map(|f| (0..4).map(move |level| level_atom(level, f)))
+            .collect();
+        assert_one_pass_answers_per_atom(&FactoredOutputSpace::new(factors), &atoms);
     }
 
     #[test]

@@ -14,8 +14,8 @@ use crate::translate::SigmaPi;
 use gdlog_data::{Const, Database, GroundAtom};
 use gdlog_engine::{GroundProgram, GroundRule};
 use gdlog_prob::Prob;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// The ground rules produced by a grounder: a subset of `ground(Σ∄_Π)`.
 pub type GroundRuleSet = GroundProgram;
@@ -132,9 +132,13 @@ impl fmt::Display for AtrRule {
 
 /// A functionally consistent set of ground AtR TGDs — an element of
 /// `[2^ground(Σ∃_Π)]^=` in the paper's notation.
+///
+/// The choices are kept sorted by their `Active` atom, each behind an
+/// `Arc`: a chase child's set ([`AtrSet::extended`]) shares every choice of
+/// its parent and copies pointers, not atoms.
 #[derive(Clone, Default, PartialEq, Eq, Debug)]
 pub struct AtrSet {
-    rules: BTreeMap<GroundAtom, AtrRule>,
+    rules: Vec<Arc<AtrRule>>,
 }
 
 impl AtrSet {
@@ -143,34 +147,42 @@ impl AtrSet {
         Self::default()
     }
 
+    /// Where the choice for `active` is, or would be inserted.
+    fn find(&self, active: &GroundAtom) -> Result<usize, usize> {
+        self.rules.binary_search_by(|r| r.active.cmp(active))
+    }
+
     /// Insert a choice. Returns `Ok(true)` if it was new, `Ok(false)` if the
     /// identical choice was already present, and an error if a *different*
     /// outcome was already chosen for the same `Active` atom (which would
     /// violate functional consistency).
     pub fn insert(&mut self, rule: AtrRule) -> Result<bool, CoreError> {
-        match self.rules.get(&rule.active) {
-            Some(existing) if existing.outcome == rule.outcome => Ok(false),
-            Some(existing) => Err(CoreError::Validation(format!(
+        match self.find(&rule.active) {
+            Ok(i) if self.rules[i].outcome == rule.outcome => Ok(false),
+            Ok(i) => Err(CoreError::Validation(format!(
                 "inconsistent choices for {}: {} vs {}",
-                rule.active, existing.outcome, rule.outcome
+                rule.active, self.rules[i].outcome, rule.outcome
             ))),
-            None => {
-                self.rules.insert(rule.active.clone(), rule);
+            Err(i) => {
+                self.rules.insert(i, Arc::new(rule));
                 Ok(true)
             }
         }
     }
 
-    /// A copy of this set extended with one more choice.
+    /// A copy of this set extended with one more choice; the copy shares
+    /// this set's choices.
     pub fn extended(&self, rule: AtrRule) -> Result<AtrSet, CoreError> {
-        let mut next = self.clone();
+        let mut rules = Vec::with_capacity(self.rules.len() + 1);
+        rules.extend(self.rules.iter().cloned());
+        let mut next = AtrSet { rules };
         next.insert(rule)?;
         Ok(next)
     }
 
     /// Is the partial function `AtR_Σ` defined on this `Active` atom?
     pub fn is_defined_on(&self, active: &GroundAtom) -> bool {
-        self.rules.contains_key(active)
+        self.find(active).is_ok()
     }
 
     /// The outcome chosen for an `Active` atom, if any.
@@ -180,7 +192,7 @@ impl AtrSet {
 
     /// The choice made for an `Active` atom, if any.
     pub fn get(&self, active: &GroundAtom) -> Option<&AtrRule> {
-        self.rules.get(active)
+        self.find(active).ok().map(|i| &*self.rules[i])
     }
 
     /// Number of choices.
@@ -193,24 +205,24 @@ impl AtrSet {
         self.rules.is_empty()
     }
 
-    /// Iterate over the AtR rules in a canonical order.
+    /// Iterate over the AtR rules in a canonical order (by `Active` atom).
     pub fn iter(&self) -> impl Iterator<Item = &AtrRule> {
-        self.rules.values()
+        self.rules.iter().map(|r| &**r)
     }
 
     /// The `Result` atoms of the set (its head atoms).
     pub fn result_atoms(&self) -> Database {
-        Database::from_atoms(self.rules.values().map(|r| r.result.clone()))
+        Database::from_atoms(self.iter().map(|r| r.result.clone()))
     }
 
     /// The set as ground rules `active → result`.
     pub fn to_ground_rules(&self) -> Vec<GroundRule> {
-        self.rules.values().map(AtrRule::to_ground_rule).collect()
+        self.iter().map(AtrRule::to_ground_rule).collect()
     }
 
     /// Is `self ⊆ other`?
     pub fn is_subset_of(&self, other: &AtrSet) -> bool {
-        self.rules.values().all(|r| {
+        self.iter().all(|r| {
             other
                 .outcome_of(&r.active)
                 .map(|o| *o == r.outcome)
@@ -223,7 +235,7 @@ impl AtrSet {
     /// of Definition 3.8).
     pub fn probability(&self, sigma: &SigmaPi) -> Result<Prob, CoreError> {
         let mut p = Prob::ONE;
-        for r in self.rules.values() {
+        for r in self.iter() {
             p = p.mul(&r.probability(sigma)?);
         }
         Ok(p)
@@ -231,14 +243,14 @@ impl AtrSet {
 
     /// A canonical listing of the choices, usable as a hash/ordering key.
     pub fn canonical(&self) -> Vec<AtrRule> {
-        self.rules.values().cloned().collect()
+        self.iter().cloned().collect()
     }
 }
 
 impl fmt::Display for AtrSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, r) in self.rules.values().enumerate() {
+        for (i, r) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, "  ")?;
             }

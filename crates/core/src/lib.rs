@@ -46,6 +46,7 @@ pub mod exec;
 pub mod factor;
 pub mod fingerprint;
 pub mod grounding;
+mod join;
 pub mod mc;
 pub mod model_cache;
 pub mod naive;

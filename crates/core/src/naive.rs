@@ -135,6 +135,7 @@ impl Grounder for NaivePerfectGrounder {
 mod tests {
     use super::*;
     use crate::grounding::AtrRule;
+    use crate::join::JoinPlan;
     use crate::program::{dime_quarter_program, network_resilience_program};
     use crate::simple_grounder::saturate_cancellable;
     use crate::translate::SigmaPi;
@@ -235,9 +236,13 @@ mod tests {
             },
         ];
         let rules: Vec<&TgdRule> = rules_owned.iter().collect();
+        let plans: Vec<Arc<JoinPlan>> = rules_owned
+            .iter()
+            .map(|rule| Arc::new(JoinPlan::compile(rule)))
+            .collect();
         let atr = AtrSet::new();
         let seminaive = saturate_cancellable(
-            &rules,
+            &plans,
             &atr,
             GroundRuleSet::new(),
             None,

@@ -15,6 +15,7 @@
 
 use crate::error::CoreError;
 use crate::grounding::{AtrSet, GroundRuleSet, Grounder, Grounding};
+use crate::join::JoinPlan;
 use crate::simple_grounder::{saturate_cancellable, saturate_extending_cancellable};
 use crate::translate::{SigmaPi, TgdRule};
 use gdlog_data::{Database, Predicate};
@@ -24,9 +25,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Signature shared by the semi-naive saturation and the retained naive
-/// reference, so the stratum loop is written once.
+/// reference, so the stratum loop is written once: saturate stratum `i`.
 type SaturateFn<'a> =
-    dyn Fn(&[&TgdRule], &AtrSet, GroundRuleSet, Option<&Database>) -> GroundRuleSet + 'a;
+    dyn Fn(usize, &AtrSet, GroundRuleSet, Option<&Database>) -> GroundRuleSet + 'a;
 
 /// The perfect grounder. Construction fails if the program does not have
 /// stratified negation.
@@ -36,6 +37,8 @@ pub struct PerfectGrounder {
     /// Rule indices of `sigma.rules`, grouped by the stratum of the rule's
     /// originating head predicate, in bottom-up stratum order.
     rules_by_stratum: Vec<Vec<usize>>,
+    /// The join plans of `rules_by_stratum`, stratum for stratum.
+    plans_by_stratum: Vec<Vec<Arc<JoinPlan>>>,
     /// Cooperative cancellation, polled per stratum and per saturation
     /// round; a cancelled grounding returns its partial rule set (the chase
     /// re-checks the token before trusting it).
@@ -76,9 +79,14 @@ impl PerfectGrounder {
                 .expect("every origin predicate is a vertex of dg(Π)");
             rules_by_stratum[stratum].push(idx);
         }
+        let plans_by_stratum = rules_by_stratum
+            .iter()
+            .map(|rules| rules.iter().map(|&i| sigma.plans()[i].clone()).collect())
+            .collect();
         Ok(PerfectGrounder {
             sigma,
             rules_by_stratum,
+            plans_by_stratum,
             cancel: CancelToken::never(),
         })
     }
@@ -91,20 +99,28 @@ impl PerfectGrounder {
     /// Ground with the retained naive saturation — the reference oracle kept
     /// for property tests and benchmarks; see [`crate::naive`].
     pub fn ground_naive(&self, atr: &AtrSet) -> GroundRuleSet {
-        self.ground_strata(atr, GroundRuleSet::new(), 0, &crate::naive::saturate_naive)
-            .into_rules()
+        self.ground_strata(atr, GroundRuleSet::new(), 0, &|i, a, init, n| {
+            crate::naive::saturate_naive(&self.stratum_rules(i), a, init, n)
+        })
+        .into_rules()
     }
 
-    /// The semi-naive per-stratum saturation, polling the grounder's cancel
-    /// token once per round.
+    /// The semi-naive saturation of stratum `stratum`, polling the
+    /// grounder's cancel token once per round.
     fn saturate_stratum(
         &self,
-        rules: &[&TgdRule],
+        stratum: usize,
         atr: &AtrSet,
         initial: GroundRuleSet,
         neg_reference: Option<&Database>,
     ) -> GroundRuleSet {
-        saturate_cancellable(rules, atr, initial, neg_reference, &self.cancel)
+        saturate_cancellable(
+            &self.plans_by_stratum[stratum],
+            atr,
+            initial,
+            neg_reference,
+            &self.cancel,
+        )
     }
 
     /// The stratum-by-stratum grounding loop from stratum `from` on, over
@@ -140,7 +156,7 @@ impl PerfectGrounder {
             // extension (the heads derived so far) is final. The snapshot is
             // an O(1) freeze, not a copy.
             let neg_reference = derived.heads_snapshot();
-            derived = saturate_fn(&self.stratum_rules(i), atr, derived, Some(&neg_reference));
+            derived = saturate_fn(i, atr, derived, Some(&neg_reference));
         }
         Grounding::with_cursor(derived, cursor)
     }
@@ -171,8 +187,8 @@ impl Grounder for PerfectGrounder {
     }
 
     fn ground_node(&self, atr: &AtrSet) -> Grounding {
-        self.ground_strata(atr, GroundRuleSet::new(), 0, &|r, a, i, n| {
-            self.saturate_stratum(r, a, i, n)
+        self.ground_strata(atr, GroundRuleSet::new(), 0, &|s, a, i, n| {
+            self.saturate_stratum(s, a, i, n)
         })
     }
 
@@ -211,7 +227,7 @@ impl Grounder for PerfectGrounder {
         let resume = parent_cursor - 1;
         let neg_reference = derived.heads_snapshot();
         derived = saturate_extending_cancellable(
-            &self.stratum_rules(resume),
+            &self.plans_by_stratum[resume],
             atr,
             derived,
             Some(&neg_reference),
@@ -220,8 +236,8 @@ impl Grounder for PerfectGrounder {
         );
 
         // Continue the normal stratum loop from where the parent stopped.
-        self.ground_strata(atr, derived, parent_cursor, &|r, a, i, n| {
-            self.saturate_stratum(r, a, i, n)
+        self.ground_strata(atr, derived, parent_cursor, &|s, a, i, n| {
+            self.saturate_stratum(s, a, i, n)
         })
     }
 }

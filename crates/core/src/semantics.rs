@@ -286,6 +286,40 @@ impl OutputSpace {
         self.probability_where(|k| ids.iter().all(|&id| holds(k, id)))
     }
 
+    /// [`Self::brave_probability`] and [`Self::cautious_probability`] of
+    /// every listed atom, in one pass over the events: per event and atom,
+    /// one walk over the models decides both whether some model holds the
+    /// atom (brave) and whether every model does (cautious). Each atom's
+    /// masses are added in event order, as the per-atom passes add them, so
+    /// every sum is the same bit for bit.
+    pub(crate) fn brave_and_cautious(&self, atoms: &[&GroundAtom]) -> Vec<(Prob, Prob)> {
+        let ids: Vec<Option<u32>> = atoms.iter().map(|atom| self.table.id(atom)).collect();
+        let mut masses = vec![(Prob::ZERO, Prob::ZERO); atoms.len()];
+        for (key, mass) in &self.events {
+            for (id, (brave, cautious)) in ids.iter().zip(&mut masses) {
+                let Some(id) = id else { continue };
+                let (mut some, mut every) = (false, true);
+                for model in key.ids() {
+                    if model.binary_search(id).is_ok() {
+                        some = true;
+                    } else {
+                        every = false;
+                    }
+                    if some && !every {
+                        break;
+                    }
+                }
+                if some {
+                    *brave = brave.add(mass);
+                    if every {
+                        *cautious = cautious.add(mass);
+                    }
+                }
+            }
+        }
+        masses
+    }
+
     /// The atoms of some stable model of some event, in ascending order: one
     /// scan of the table, keeping the atoms whose ids occur in a model.
     pub(crate) fn model_atoms(&self) -> impl Iterator<Item = &GroundAtom> {

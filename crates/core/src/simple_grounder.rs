@@ -9,8 +9,9 @@
 //! rules for stratified ones (Section 5).
 
 use crate::grounding::{AtrRule, AtrSet, GroundRuleSet, Grounder};
+use crate::join::{Bindings, JoinPlan};
 use crate::translate::{SigmaPi, TgdRule};
-use gdlog_data::{match_atoms_delta, match_atoms_indexed, Database, GroundAtom, Substitution};
+use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::{CancelToken, GroundRule};
 use std::sync::Arc;
 
@@ -55,8 +56,14 @@ impl SimpleGrounder {
         parent_atr: &AtrSet,
         parent_rules: GroundRuleSet,
     ) -> GroundRuleSet {
-        let rules: Vec<&TgdRule> = self.sigma.rules.iter().collect();
-        saturate_extending_cancellable(&rules, atr, parent_rules, None, parent_atr, &self.cancel)
+        saturate_extending_cancellable(
+            self.sigma.plans(),
+            atr,
+            parent_rules,
+            None,
+            parent_atr,
+            &self.cancel,
+        )
     }
 }
 
@@ -74,8 +81,13 @@ impl Grounder for SimpleGrounder {
     }
 
     fn ground(&self, atr: &AtrSet) -> GroundRuleSet {
-        let rules: Vec<&TgdRule> = self.sigma.rules.iter().collect();
-        saturate_cancellable(&rules, atr, GroundRuleSet::new(), None, &self.cancel)
+        saturate_cancellable(
+            self.sigma.plans(),
+            atr,
+            GroundRuleSet::new(),
+            None,
+            &self.cancel,
+        )
     }
 
     fn ground_from(
@@ -93,48 +105,18 @@ impl Grounder for SimpleGrounder {
     }
 }
 
-/// Instantiate `rule` under the homomorphism `h` and add it to `new_rules`
-/// unless a negative body atom is contradicted by `neg_reference`.
-fn instantiate(
-    rule: &TgdRule,
-    h: &Substitution,
-    neg_reference: Option<&Database>,
-    new_rules: &mut Vec<GroundRule>,
-) {
-    let head = rule
-        .head
-        .apply_ground(h)
-        .expect("safety guarantees the head grounds");
-    let pos: Vec<GroundAtom> = rule
-        .pos
-        .iter()
-        .map(|a| a.apply_ground(h).expect("matched atoms are ground"))
-        .collect();
-    let neg: Vec<GroundAtom> = rule
-        .neg
-        .iter()
-        .map(|a| a.apply_ground(h).expect("safety grounds negative literals"))
-        .collect();
-    if let Some(reference) = neg_reference {
-        if neg.iter().any(|a| reference.contains(a)) {
-            return;
-        }
-    }
-    new_rules.push(GroundRule::new(head, pos, neg));
-}
-
 /// Saturate `initial` under the choices of `atr` with the shared loop
 /// [`saturate_impl`]; `initial` must be empty or the output of an earlier
 /// saturation under `atr` (the perfect grounder's lower strata), whose
 /// activated choices then already carry their `Result` atoms.
 pub(crate) fn saturate_cancellable(
-    rules: &[&TgdRule],
+    plans: &[Arc<JoinPlan>],
     atr: &AtrSet,
     initial: GroundRuleSet,
     neg_reference: Option<&Database>,
     cancel: &CancelToken,
 ) -> GroundRuleSet {
-    saturate_impl(rules, initial, neg_reference, None, cancel, choices_of(atr))
+    saturate_impl(plans, initial, neg_reference, None, cancel, choices_of(atr))
 }
 
 /// [`saturate_cancellable`] for an `initial` set that is already saturated
@@ -144,7 +126,7 @@ pub(crate) fn saturate_cancellable(
 /// `parent_atr` does not define, activated by `initial`'s heads, form the
 /// first delta.
 pub(crate) fn saturate_extending_cancellable(
-    rules: &[&TgdRule],
+    plans: &[Arc<JoinPlan>],
     atr: &AtrSet,
     mut initial: GroundRuleSet,
     neg_reference: Option<&Database>,
@@ -158,7 +140,7 @@ pub(crate) fn saturate_extending_cancellable(
         }
     }
     saturate_impl(
-        rules,
+        plans,
         initial,
         neg_reference,
         Some(seed),
@@ -186,10 +168,12 @@ fn choices_of(atr: &AtrSet) -> impl FnMut(&Database, &Database, &mut Vec<GroundA
 /// positions answered by the indexed head set. Instantiations whose body
 /// atoms are all old are never re-derived, so the total matching work is
 /// proportional to the newly derived facts rather than
-/// `rounds × rules × |heads|^arity`.
+/// `rounds × rules × |heads|^arity`. A body position whose predicate has no
+/// atom in the delta is skipped outright. Each rule matches through its
+/// [`JoinPlan`], compiled once at translation.
 ///
 /// Starting from `initial` (already-derived ground rules), repeatedly add
-/// every ground instance `h(σ)` of a rule in `rules` whose positive body is
+/// every ground instance `h(σ)` of a rule in `plans` whose positive body is
 /// contained in the current head set; when `neg_reference` is `Some(db)` a
 /// rule instance is only added if none of its (ground) negative body atoms
 /// occurs in `db` (the `Perfect` operator), otherwise negative literals are
@@ -212,7 +196,7 @@ fn choices_of(atr: &AtrSet) -> impl FnMut(&Database, &Database, &mut Vec<GroundA
 /// chase) must re-check the token before trusting the result. Pass
 /// [`CancelToken::never`] for an uninterruptible saturation.
 pub(crate) fn saturate_impl<A>(
-    rules: &[&TgdRule],
+    plans: &[Arc<JoinPlan>],
     initial: GroundRuleSet,
     neg_reference: Option<&Database>,
     mut delta: Option<Database>,
@@ -224,6 +208,7 @@ where
 {
     let mut derived = initial;
     let mut results: Vec<GroundAtom> = Vec::new();
+    let mut bindings = Bindings::default();
     loop {
         // A saturation round is the grounding checkpoint: break out with the
         // partial rule set; the chase re-checks the token and cuts the node.
@@ -232,22 +217,19 @@ where
         }
         let heads = derived.heads();
         let mut new_rules: Vec<GroundRule> = Vec::new();
-        match &delta {
-            None => {
-                for rule in rules {
-                    for h in match_atoms_indexed(&rule.pos, heads) {
-                        instantiate(rule, &h, neg_reference, &mut new_rules);
-                    }
-                }
-            }
-            Some(delta) => {
-                for rule in rules {
-                    // A new instantiation must consume at least one delta
-                    // atom in some positive body position; enumerate each
-                    // position as the delta-constrained one.
-                    for delta_idx in 0..rule.pos.len() {
-                        for h in match_atoms_delta(&rule.pos, delta_idx, heads, delta) {
-                            instantiate(rule, &h, neg_reference, &mut new_rules);
+        for plan in plans {
+            let mut emit = |slots: &[gdlog_data::Const]| {
+                new_rules.extend(plan.instantiate(slots, neg_reference));
+            };
+            match &delta {
+                None => plan.for_each_match(&mut bindings, heads, None, &mut emit),
+                // A new instantiation must consume at least one delta atom
+                // in some positive body position; enumerate each position
+                // that can as the delta-constrained one.
+                Some(delta) => {
+                    for d in 0..plan.body_len() {
+                        if delta.atoms_of(&plan.body_predicate(d)).next().is_some() {
+                            plan.for_each_match(&mut bindings, heads, Some((d, delta)), &mut emit);
                         }
                     }
                 }

@@ -19,6 +19,7 @@
 //! generated predicate names are considered reserved.
 
 use crate::error::CoreError;
+use crate::join::JoinPlan;
 use crate::program::Program;
 use crate::rule::{HeadTerm, Rule};
 use gdlog_data::{Atom, Const, Database, GroundAtom, Predicate, Term, Var};
@@ -137,12 +138,17 @@ impl AtrSchema {
 ///
 /// Everything but the rule list lives behind an `Arc`, so a
 /// slice — one chase component's share of the rules — shares
-/// the AtR schemas and the schema indexes with its parent.
+/// the AtR schemas and the schema indexes with its parent. Each rule's join
+/// plan is compiled once, at translation, and shared by every slice that
+/// keeps the rule.
 #[derive(Clone, Debug)]
 pub struct SigmaPi {
     /// The existential-free TGD¬ rules (including one fact rule per database
-    /// atom).
+    /// atom). Read-only: the grounders match through plans compiled from
+    /// these rules at translation.
     pub rules: Vec<TgdRule>,
+    /// `plans[i]` is `rules[i]` compiled for matching.
+    plans: Vec<Arc<JoinPlan>>,
     choices: Arc<Choices>,
 }
 
@@ -189,19 +195,32 @@ impl SigmaPi {
             choices.translate_rule(rule, program.delta(), &mut rules)?;
         }
         Ok(SigmaPi {
+            plans: rules
+                .iter()
+                .map(|rule| Arc::new(JoinPlan::compile(rule)))
+                .collect(),
             rules,
             choices: Arc::new(choices),
         })
     }
 
-    /// A program over `rules` that shares this one's AtR schemas and
-    /// original schema: the Σ_Π slice one chase component is chased and
-    /// sampled over.
-    pub(crate) fn slice(&self, rules: Vec<TgdRule>) -> SigmaPi {
+    /// The program over the rules at `indices` (in that order) that shares
+    /// this one's AtR schemas, original schema and the rules' join plans:
+    /// the Σ_Π slice one chase component is chased and sampled over.
+    pub(crate) fn slice(&self, indices: &[usize]) -> SigmaPi {
         SigmaPi {
-            rules,
+            rules: indices.iter().map(|&i| self.rules[i].clone()).collect(),
+            plans: indices
+                .iter()
+                .map(|&i| Arc::clone(&self.plans[i]))
+                .collect(),
             choices: Arc::clone(&self.choices),
         }
+    }
+
+    /// The join plans of [`SigmaPi::rules`], index for index.
+    pub(crate) fn plans(&self) -> &[Arc<JoinPlan>] {
+        &self.plans
     }
 
     /// The AtR TGD schemas, one per distinct `(δ, |p̄|, |q̄|)` combination.

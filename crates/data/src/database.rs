@@ -9,9 +9,8 @@
 //! (the old layout cloned every atom into both a `HashSet` and a
 //! per-predicate `Vec`, doubling resident memory), and every argument
 //! position of a relation past a handful of atoms carries a hash index from
-//! constants to rows. The index powers [`Database::candidates_bound`], the
-//! lookup the grounders use to join rule bodies without scanning whole
-//! relations.
+//! constants to rows. The index powers [`Database::select`], the lookup the
+//! grounders use to join rule bodies without scanning whole relations.
 //!
 //! # Snapshots
 //!
@@ -20,15 +19,14 @@
 //! original and the snapshot can keep growing independently, each in its own
 //! mutable tail layer. This is what lets chase siblings share their parent's
 //! head set structurally instead of deep-cloning it (see `ARCHITECTURE.md`).
-//! All lookups (`contains`, `candidates_bound`, iteration) see the union of
-//! every layer; an atom is stored in exactly one layer. Long chains are
-//! flattened transparently so lookup cost stays bounded.
+//! All lookups (`contains`, `select`, iteration) see the union of every
+//! layer; an atom is stored in exactly one layer. Long chains are flattened
+//! transparently so lookup cost stays bounded.
 
 use crate::atom::{Atom, GroundAtom};
 use crate::predicate::Predicate;
-use crate::relation::{Candidates, Relation};
+use crate::relation::Relation;
 use crate::schema::Schema;
-use crate::substitution::Substitution;
 use crate::value::Const;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -36,7 +34,8 @@ use std::sync::Arc;
 
 /// Snapshot chains longer than this are flattened into a single layer on the
 /// next [`Database::snapshot`] call, bounding per-lookup layer walks while
-/// keeping the amortized snapshot cost O(tail).
+/// keeping the amortized snapshot cost O(tail). A database therefore has at
+/// most `MAX_SNAPSHOT_DEPTH + 1` layers.
 const MAX_SNAPSHOT_DEPTH: usize = 16;
 
 /// A finite set of ground atoms stored as per-predicate indexed relations,
@@ -149,6 +148,17 @@ impl Database {
         std::iter::successors(Some(self), |layer| layer.base.as_deref())
     }
 
+    /// All snapshot layers, oldest first, without allocating: a layer's
+    /// `depth` counts the layers below it, so it is the layer's place in
+    /// the chain.
+    fn layers_oldest_first(&self) -> impl Iterator<Item = &Database> {
+        let mut chain = [None; MAX_SNAPSHOT_DEPTH + 1];
+        for layer in self.layers() {
+            chain[layer.depth] = Some(layer);
+        }
+        chain.into_iter().take(self.depth + 1).flatten()
+    }
+
     /// Does the database contain `atom` (in any snapshot layer)?
     pub fn contains(&self, atom: &GroundAtom) -> bool {
         self.layers().any(|layer| {
@@ -182,56 +192,40 @@ impl Database {
     }
 
     /// Iterate over the atoms of a given predicate, across all snapshot
-    /// layers.
+    /// layers (oldest layer first, each in insertion order).
     pub fn atoms_of(&self, predicate: &Predicate) -> impl Iterator<Item = &GroundAtom> {
-        let layers: Vec<&Database> = self.layers().collect();
         let predicate = *predicate;
-        layers
-            .into_iter()
-            .rev()
+        self.layers_oldest_first()
             .flat_map(move |l| l.relations.get(&predicate).into_iter().flatten())
     }
 
     /// The candidate atoms an [`Atom`] pattern can match: the atoms of the
     /// pattern's predicate. Designed to plug into
-    /// [`crate::substitution::match_atoms`]. Prefer
-    /// [`Database::candidates_bound`] when a partial substitution is at hand.
+    /// [`crate::substitution::match_atoms`]. Prefer [`Database::select`]
+    /// when some argument positions are already determined.
     pub fn candidates(&self, pattern: &Atom) -> impl Iterator<Item = &GroundAtom> {
         self.atoms_of(&pattern.predicate)
     }
 
-    /// The candidate atoms `pattern` can match given the bindings already
-    /// made by `subst`: in every snapshot layer, the per-position hash index
-    /// is consulted for every argument that is a constant or a bound
-    /// variable, and the smallest applicable posting list of that layer is
-    /// returned (the layer's whole relation when nothing is determined).
-    pub fn candidates_bound<'a>(&'a self, pattern: &Atom, subst: &Substitution) -> Candidates<'a> {
-        let own = match self.relations.get(&pattern.predicate) {
-            Some(relation) => relation.select(pattern, subst),
-            None => Candidates::Empty,
-        };
-        if self.base.is_none() {
-            return own;
-        }
-        // Newest layer first in the vec: `Chain` consumes its parts back to
-        // front, so the oldest layer's candidates are yielded first.
-        let mut parts = Vec::new();
-        if !matches!(own, Candidates::Empty) {
-            parts.push(own);
-        }
-        for layer in self.layers().skip(1) {
-            if let Some(relation) = layer.relations.get(&pattern.predicate) {
-                let selected = relation.select(pattern, subst);
-                if !matches!(selected, Candidates::Empty) {
-                    parts.push(selected);
-                }
-            }
-        }
-        match parts.len() {
-            0 => Candidates::Empty,
-            1 => parts.pop().expect("one part"),
-            _ => Candidates::Chain(parts),
-        }
+    /// The candidate atoms of `predicate` that can agree with `determined`,
+    /// a list of `(position, constant)` pairs in position order: in every
+    /// snapshot layer, oldest first, the per-position hash index is consulted
+    /// and the smallest applicable posting list of that layer is yielded (see
+    /// [`Relation::select`]; the layer's whole relation when nothing is
+    /// determined). Callers re-verify every position of a candidate.
+    pub fn select<'a>(
+        &'a self,
+        predicate: &Predicate,
+        determined: &'a [(usize, Const)],
+    ) -> impl Iterator<Item = &'a GroundAtom> {
+        let predicate = *predicate;
+        self.layers_oldest_first().flat_map(move |layer| {
+            layer
+                .relations
+                .get(&predicate)
+                .into_iter()
+                .flat_map(|relation| relation.select(determined))
+        })
     }
 
     /// The predicates occurring in the database (across all snapshot layers,
@@ -455,28 +449,19 @@ mod tests {
     #[test]
     fn candidates_bound_consults_the_positional_index() {
         let db = example_db();
-        let pattern = Atom::make("Connected", vec![Term::int(1), Term::var("y")]);
-        let hits: Vec<_> = db
-            .candidates_bound(&pattern, &Substitution::new())
-            .collect();
+        let connected_pred = Predicate::new("Connected", 2);
+        let hits: Vec<_> = db.select(&connected_pred, &[(0, Const::Int(1))]).collect();
         assert_eq!(hits.len(), 2);
         assert!(hits.iter().all(|a| a.args[0] == Const::Int(1)));
 
-        // A bound variable narrows the same way.
-        let pattern = Atom::make("Connected", vec![Term::var("x"), Term::var("y")]);
-        let mut subst = Substitution::new();
-        subst.bind(crate::term::Var::new("y"), Const::Int(3));
-        assert_eq!(db.candidates_bound(&pattern, &subst).count(), 2);
+        // Any determined position narrows the same way.
+        assert_eq!(db.select(&connected_pred, &[(1, Const::Int(3))]).count(), 2);
 
         // Unknown predicate or absent constant: empty without scanning.
-        let pattern = Atom::make("Missing", vec![Term::var("x")]);
+        let missing = Predicate::new("Missing", 1);
+        assert_eq!(db.select(&missing, &[]).count(), 0);
         assert_eq!(
-            db.candidates_bound(&pattern, &Substitution::new()).count(),
-            0
-        );
-        let pattern = Atom::make("Connected", vec![Term::int(99), Term::var("y")]);
-        assert_eq!(
-            db.candidates_bound(&pattern, &Substitution::new()).count(),
+            db.select(&connected_pred, &[(0, Const::Int(99))]).count(),
             0
         );
     }
@@ -560,25 +545,32 @@ mod tests {
         assert_eq!(deeper, flat);
         assert_eq!(deeper.snapshot_depth(), 2);
 
-        // candidates_bound chains posting lists across layers.
-        let pattern = Atom::make("Connected", vec![Term::int(1), Term::var("y")]);
-        let mut layered: Vec<_> = deeper
-            .candidates_bound(&pattern, &Substitution::new())
+        // select chains posting lists across layers, oldest layer first.
+        let connected_pred = Predicate::new("Connected", 2);
+        let layered: Vec<_> = deeper
+            .select(&connected_pred, &[(0, Const::Int(1))])
             .cloned()
             .collect();
         let mut flat_hits: Vec<_> = flat
-            .candidates_bound(&pattern, &Substitution::new())
+            .select(&connected_pred, &[(0, Const::Int(1))])
             .cloned()
             .collect();
-        layered.sort();
-        flat_hits.sort();
-        assert_eq!(layered, flat_hits);
-        assert_eq!(layered.len(), 3);
-
-        // atoms_of / predicates / schema see every layer.
         assert_eq!(
-            deeper.atoms_of(&Predicate::new("Connected", 2)).count(),
-            flat.atoms_of(&Predicate::new("Connected", 2)).count()
+            layered,
+            vec![connected(1, 2), connected(1, 3), connected(1, 1)]
+        );
+        let mut sorted = layered.clone();
+        sorted.sort();
+        flat_hits.sort();
+        assert_eq!(sorted, flat_hits);
+
+        // atoms_of / predicates / schema see every layer; atoms_of yields
+        // the oldest layer first.
+        let layered: Vec<_> = deeper.atoms_of(&connected_pred).cloned().collect();
+        assert_eq!(layered.len(), flat.atoms_of(&connected_pred).count());
+        assert_eq!(
+            layered[layered.len() - 2..],
+            [connected(1, 1), connected(4, 1)]
         );
         assert_eq!(deeper.predicates().count(), flat.predicates().count());
         assert_eq!(deeper.schema(), flat.schema());

@@ -42,7 +42,7 @@ pub use error::DataError;
 pub use predicate::Predicate;
 pub use relation::{Candidates, Relation};
 pub use schema::Schema;
-pub use substitution::{match_atoms, match_atoms_delta, match_atoms_indexed, Substitution};
+pub use substitution::{match_atoms, Substitution};
 pub use symbol::{Interner, Symbol};
 pub use term::{Term, Var};
 pub use value::Const;

@@ -15,16 +15,13 @@
 //! of the head set holds a handful of atoms per predicate, and there the
 //! maps would cost more memory than the atoms and more time than the scan.
 //!
-//! [`Relation::select`] is the index-aware lookup used by the grounders: for
-//! a pattern atom and a partial substitution it inspects every argument
-//! position that is already determined (a constant in the pattern, or a
-//! variable the substitution binds) and returns the smallest matching posting
-//! list — the caller's matcher re-verifies all positions, so `select` only
-//! has to be sound, never complete per position.
+//! [`Relation::select`] is the index-aware lookup used by the grounders: it
+//! takes the argument positions a join has already determined, each with its
+//! constant, and returns the smallest matching posting list — the caller's
+//! matcher re-verifies all positions, so `select` only has to be sound, never
+//! complete per position.
 
-use crate::atom::{Atom, GroundAtom};
-use crate::substitution::Substitution;
-use crate::term::Term;
+use crate::atom::GroundAtom;
 use crate::value::Const;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -148,27 +145,21 @@ impl<'a> IntoIterator for &'a Relation {
 }
 
 impl Relation {
-    /// The candidate atoms `pattern` can match given the bindings of `subst`:
-    /// the shortest posting list among the argument positions that are
-    /// already determined, or the whole relation when none is. Returns an
-    /// empty iterator as soon as some determined position has a constant that
+    /// The candidate atoms that can agree with `determined`, a list of
+    /// `(position, constant)` pairs in position order: the shortest posting
+    /// list among the determined positions (the first of equally short
+    /// ones), or the whole relation when none is determined. Returns an empty
+    /// iterator as soon as some determined position has a constant that
     /// occurs nowhere in the relation at that position. A scanned relation
     /// returns exactly its rows that agree on every determined position.
-    pub fn select<'a>(&'a self, pattern: &Atom, subst: &Substitution) -> Candidates<'a> {
-        debug_assert_eq!(pattern.args.len(), self.arity);
-        let determined =
-            pattern
-                .args
-                .iter()
-                .enumerate()
-                .filter_map(|(position, term)| match term {
-                    Term::Const(c) => Some((position, *c)),
-                    Term::Var(v) => subst.get(v).map(|c| (position, *c)),
-                });
+    pub fn select(&self, determined: &[(usize, Const)]) -> Candidates<'_> {
+        debug_assert!(determined
+            .iter()
+            .all(|&(position, _)| position < self.arity));
         if !self.is_indexed() {
             // Scan: keep the rows that agree on every determined position.
             let mut mask = (1u64 << self.atoms.len()) - 1;
-            for (position, c) in determined {
+            for &(position, c) in determined {
                 for (row, atom) in self.atoms.iter().enumerate() {
                     if atom.args[position] != c {
                         mask &= !(1 << row);
@@ -183,8 +174,8 @@ impl Relation {
                 },
             };
         }
-        let mut best: Option<&'a [u32]> = None;
-        for (position, c) in determined {
+        let mut best: Option<&[u32]> = None;
+        for &(position, c) in determined {
             match self.index[position].get(&c) {
                 None => return Candidates::Empty,
                 Some(rows) => {
@@ -204,8 +195,7 @@ impl Relation {
     }
 }
 
-/// Iterator returned by [`Relation::select`] /
-/// [`crate::Database::candidates_bound`].
+/// Iterator returned by [`Relation::select`].
 #[derive(Debug)]
 pub enum Candidates<'a> {
     /// No atom can match (a determined position is absent from the index).
@@ -227,10 +217,6 @@ pub enum Candidates<'a> {
         /// Bit `r` set: row `r` is yielded.
         mask: u64,
     },
-    /// Candidates drawn from several snapshot layers of a
-    /// [`crate::Database`], yielded in order (oldest layer first). The parts
-    /// are exhausted back to front.
-    Chain(Vec<Candidates<'a>>),
 }
 
 impl<'a> Iterator for Candidates<'a> {
@@ -246,15 +232,6 @@ impl<'a> Iterator for Candidates<'a> {
                 *mask &= *mask - 1;
                 Some(&atoms[row])
             }
-            Candidates::Chain(parts) => loop {
-                let part = parts.last_mut()?;
-                match part.next() {
-                    Some(atom) => return Some(atom),
-                    None => {
-                        parts.pop();
-                    }
-                }
-            },
         }
     }
 
@@ -267,10 +244,6 @@ impl<'a> Iterator for Candidates<'a> {
                 let n = mask.count_ones() as usize;
                 (n, Some(n))
             }
-            Candidates::Chain(parts) => parts.iter().fold((0, Some(0)), |(lo, hi), p| {
-                let (plo, phi) = p.size_hint();
-                (lo + plo, hi.zip(phi).map(|(a, b)| a + b))
-            }),
         }
     }
 }
@@ -278,7 +251,6 @@ impl<'a> Iterator for Candidates<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::Var;
 
     fn edge(a: i64, b: i64) -> GroundAtom {
         GroundAtom::make("E", vec![Const::Int(a), Const::Int(b)])
@@ -305,23 +277,16 @@ mod tests {
     #[test]
     fn select_uses_positional_index() {
         let r = triangle();
-        let pattern = Atom::make("E", vec![Term::int(2), Term::var("y")]);
-        let hits: Vec<_> = r.select(&pattern, &Substitution::new()).collect();
+        let hits: Vec<_> = r.select(&[(0, Const::Int(2))]).collect();
         assert_eq!(hits, vec![&edge(2, 3)]);
-
-        // A bound variable behaves like a constant.
-        let pattern = Atom::make("E", vec![Term::var("x"), Term::var("y")]);
-        let mut subst = Substitution::new();
-        subst.bind(Var::new("y"), Const::Int(1));
-        let hits: Vec<_> = r.select(&pattern, &subst).collect();
+        let hits: Vec<_> = r.select(&[(1, Const::Int(1))]).collect();
         assert_eq!(hits, vec![&edge(3, 1)]);
 
-        // Nothing bound: the whole relation.
-        assert_eq!(r.select(&pattern, &Substitution::new()).count(), 3);
+        // Nothing determined: the whole relation.
+        assert_eq!(r.select(&[]).count(), 3);
 
         // A constant outside the index short-circuits to empty.
-        let pattern = Atom::make("E", vec![Term::int(9), Term::var("y")]);
-        assert_eq!(r.select(&pattern, &Substitution::new()).count(), 0);
+        assert_eq!(r.select(&[(0, Const::Int(9))]).count(), 0);
     }
 
     #[test]
@@ -332,8 +297,7 @@ mod tests {
         }
         r.insert(edge(2, 1));
         // Position 0 bound to 1 has 10 rows; position 1 bound to 5 has one.
-        let pattern = Atom::make("E", vec![Term::int(1), Term::int(5)]);
-        let candidates = r.select(&pattern, &Substitution::new());
+        let candidates = r.select(&[(0, Const::Int(1)), (1, Const::Int(5))]);
         assert!(matches!(&candidates, Candidates::Rows { rows, .. } if rows.len() == 1));
         assert_eq!(candidates.count(), 1);
     }
@@ -348,8 +312,7 @@ mod tests {
             assert!(!r.insert(edge(i % 3, i)));
             assert!(r.contains(&edge(0, 0)) && !r.contains(&edge(1, 0)));
             for a in 0..3 {
-                let pattern = Atom::make("E", vec![Term::int(a), Term::var("y")]);
-                let hits: Vec<_> = r.select(&pattern, &Substitution::new()).collect();
+                let hits: Vec<_> = r.select(&[(0, Const::Int(a))]).collect();
                 let expected: Vec<_> = r.iter().filter(|e| e.args[0] == Const::Int(a)).collect();
                 assert_eq!(hits, expected);
             }
@@ -373,15 +336,13 @@ mod tests {
         assert!(r.insert(fact.clone()));
         assert!(!r.insert(fact.clone()));
         assert!(r.contains(&fact));
-        let pattern = Atom::make("Fail", vec![]);
-        assert_eq!(r.select(&pattern, &Substitution::new()).count(), 1);
+        assert_eq!(r.select(&[]).count(), 1);
     }
 
     #[test]
     fn size_hints_are_sane() {
         let r = triangle();
-        let pattern = Atom::make("E", vec![Term::var("x"), Term::var("y")]);
-        let all = r.select(&pattern, &Substitution::new());
+        let all = r.select(&[]);
         assert_eq!(all.size_hint(), (3, Some(3)));
         assert_eq!(Candidates::Empty.size_hint(), (0, Some(0)));
     }

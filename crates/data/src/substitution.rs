@@ -4,10 +4,12 @@
 //! programs by matching the positive body literals of a rule against the set
 //! of head atoms derived so far; formally this is a homomorphism from a set
 //! of atoms to a set of ground atoms. [`Substitution`] implements the
-//! variable assignment and [`match_atoms`] enumerates all homomorphisms.
+//! variable assignment and [`match_atoms`] enumerates all homomorphisms by
+//! scanning, left to right: the reference the naive oracle grounds with. The
+//! grounders themselves join through plans compiled once per rule, which ask
+//! [`crate::Database::select`] for candidates.
 
 use crate::atom::{Atom, GroundAtom};
-use crate::database::Database;
 use crate::term::{Term, Var};
 use crate::value::Const;
 use std::collections::BTreeMap;
@@ -168,131 +170,6 @@ fn match_rec<'a, F, I>(
     }
 }
 
-/// Enumerate all homomorphisms mapping `patterns` into `db`, consulting the
-/// database's per-position indexes.
-///
-/// Unlike [`match_atoms`], the body literals are not matched left-to-right:
-/// at every step the not-yet-matched pattern with the most determined
-/// argument positions (constants or variables the substitution already
-/// binds) is matched next, and its candidates are fetched through
-/// [`Database::candidates_bound`] so already-made bindings prune the scan
-/// instead of being re-checked per candidate.
-pub fn match_atoms_indexed(patterns: &[Atom], db: &Database) -> Vec<Substitution> {
-    match_planned(patterns, None, db, db)
-}
-
-/// Semi-naive variant of [`match_atoms_indexed`]: the pattern at `delta_idx`
-/// is matched first and only against `delta` (the atoms that are new this
-/// round); every other pattern is matched against the full `total` set.
-///
-/// Enumerating this for each `delta_idx` in turn yields exactly the
-/// homomorphisms that use at least one delta atom at that position —
-/// instantiations whose body atoms are all old are never re-derived.
-pub fn match_atoms_delta(
-    patterns: &[Atom],
-    delta_idx: usize,
-    total: &Database,
-    delta: &Database,
-) -> Vec<Substitution> {
-    match_planned(patterns, Some(delta_idx), total, delta)
-}
-
-/// How many argument positions of `pattern` are already determined under
-/// `subst` (the greedy join-ordering score).
-fn bound_score(pattern: &Atom, subst: &Substitution) -> usize {
-    pattern
-        .args
-        .iter()
-        .filter(|t| match t {
-            Term::Const(_) => true,
-            Term::Var(v) => subst.get(v).is_some(),
-        })
-        .count()
-}
-
-fn match_planned(
-    patterns: &[Atom],
-    forced_first: Option<usize>,
-    total: &Database,
-    delta: &Database,
-) -> Vec<Substitution> {
-    let mut out = Vec::new();
-    let mut current = Substitution::new();
-    let mut used = vec![false; patterns.len()];
-    match_planned_rec(
-        patterns,
-        forced_first,
-        total,
-        delta,
-        0,
-        &mut used,
-        &mut current,
-        &mut out,
-    );
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn match_planned_rec(
-    patterns: &[Atom],
-    forced_first: Option<usize>,
-    total: &Database,
-    delta: &Database,
-    depth: usize,
-    used: &mut [bool],
-    current: &mut Substitution,
-    out: &mut Vec<Substitution>,
-) {
-    if depth == patterns.len() {
-        out.push(current.clone());
-        return;
-    }
-    // The forced (delta) literal goes first; afterwards pick greedily by the
-    // number of bound argument positions so indexed lookups stay selective.
-    let idx = match (depth, forced_first) {
-        (0, Some(forced)) => forced,
-        _ => {
-            let mut best = usize::MAX;
-            let mut best_score = 0usize;
-            for (i, pattern) in patterns.iter().enumerate() {
-                if used[i] {
-                    continue;
-                }
-                let score = bound_score(pattern, current);
-                if best == usize::MAX || score > best_score {
-                    best = i;
-                    best_score = score;
-                }
-            }
-            best
-        }
-    };
-    let source = if Some(idx) == forced_first {
-        delta
-    } else {
-        total
-    };
-    used[idx] = true;
-    let pattern = &patterns[idx];
-    for target in source.candidates_bound(pattern, current) {
-        if let Some(mut extended) = current.matched(pattern, target) {
-            std::mem::swap(current, &mut extended);
-            match_planned_rec(
-                patterns,
-                forced_first,
-                total,
-                delta,
-                depth + 1,
-                used,
-                current,
-                out,
-            );
-            std::mem::swap(current, &mut extended);
-        }
-    }
-    used[idx] = false;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,51 +249,6 @@ mod tests {
         let homs = match_atoms(&[], |_| facts.iter());
         assert_eq!(homs.len(), 1);
         assert!(homs[0].is_empty());
-    }
-
-    #[test]
-    fn indexed_matching_agrees_with_scan_matching() {
-        let facts = [gedge(1, 2), gedge(2, 3), gedge(3, 1), gedge(2, 1)];
-        let db = Database::from_atoms(facts.iter().cloned());
-        let patterns = vec![
-            edge(Term::var("x"), Term::var("y")),
-            edge(Term::var("y"), Term::var("z")),
-            edge(Term::var("z"), Term::var("x")),
-        ];
-        let mut scanned = match_atoms(&patterns, |_| facts.iter());
-        let mut indexed = match_atoms_indexed(&patterns, &db);
-        let key = |s: &Substitution| s.to_string();
-        scanned.sort_by_key(key);
-        indexed.sort_by_key(key);
-        assert_eq!(scanned, indexed);
-        assert!(!indexed.is_empty());
-    }
-
-    #[test]
-    fn indexed_matching_handles_constants_and_empty_patterns() {
-        let db = Database::from_atoms(vec![gedge(1, 2), gedge(1, 3)]);
-        let patterns = vec![edge(Term::int(1), Term::var("y"))];
-        assert_eq!(match_atoms_indexed(&patterns, &db).len(), 2);
-        assert_eq!(match_atoms_indexed(&[], &db).len(), 1);
-        let missing = vec![edge(Term::int(7), Term::var("y"))];
-        assert!(match_atoms_indexed(&missing, &db).is_empty());
-    }
-
-    #[test]
-    fn delta_matching_only_yields_homomorphisms_through_the_delta() {
-        let total = Database::from_atoms(vec![gedge(1, 2), gedge(2, 3)]);
-        let delta = Database::from_atoms(vec![gedge(2, 3)]);
-        let patterns = vec![
-            edge(Term::var("x"), Term::var("y")),
-            edge(Term::var("y"), Term::var("z")),
-        ];
-        // Forcing position 0 into the delta: only E(2,3), E(3,?) — no match.
-        assert!(match_atoms_delta(&patterns, 0, &total, &delta).is_empty());
-        // Forcing position 1 into the delta: E(1,2), E(2,3) — one match.
-        let homs = match_atoms_delta(&patterns, 1, &total, &delta);
-        assert_eq!(homs.len(), 1);
-        assert_eq!(homs[0].get(&Var::new("x")), Some(&Const::Int(1)));
-        assert_eq!(homs[0].get(&Var::new("z")), Some(&Const::Int(3)));
     }
 
     #[test]
