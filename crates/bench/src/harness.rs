@@ -30,7 +30,8 @@ pub struct Suite {
 }
 
 /// Every suite. The server replays corpus scenarios at their one size on
-/// one worker; the parallel columns of the others default to four.
+/// one worker; the chase suite's parallel Monte-Carlo column defaults to
+/// four; the others run on the calling thread only.
 pub const SUITES: [Suite; 5] = [
     Suite {
         name: "grounding",
@@ -50,14 +51,14 @@ pub const SUITES: [Suite; 5] = [
         name: "stable",
         label: "stable_backend",
         takes_full: true,
-        default_threads: Some(4),
+        default_threads: None,
         run: suites::stable::run,
     },
     Suite {
         name: "factor",
         label: "factorized_spaces",
         takes_full: true,
-        default_threads: Some(4),
+        default_threads: None,
         run: suites::factor::run,
     },
     Suite {
@@ -319,17 +320,19 @@ mod tests {
         assert_eq!(err("chase --out"), "flag `--out` expects a value");
         assert_eq!(err("chase --threads"), "flag `--threads` expects a value");
         assert_eq!(
-            err("stable --threads four"),
+            err("chase --threads four"),
             "invalid value `four` for flag `--threads`"
         );
         assert_eq!(
-            err("stable --threads 1025"),
+            err("chase --threads 1025"),
             format!("invalid value `1025` for flag `--threads` (at most {MAX_THREADS})")
         );
-        assert_eq!(
-            err("grounding --threads 2"),
-            "flag `--threads` does not apply to `bench grounding`"
-        );
+        for suite in ["grounding", "stable", "factor"] {
+            assert_eq!(
+                err(&format!("{suite} --threads 2")),
+                format!("flag `--threads` does not apply to `bench {suite}`")
+            );
+        }
         assert_eq!(
             err("serve --full"),
             "flag `--full` does not apply to `bench serve`"
@@ -349,8 +352,8 @@ mod tests {
         }
         assert_eq!(config("grounding", None).threads, 1);
         assert_eq!(config("chase", None).threads, 4);
-        assert_eq!(config("stable", None).threads, 4);
-        assert_eq!(config("factor", None).threads, 4);
+        assert_eq!(config("stable", None).threads, 1);
+        assert_eq!(config("factor", None).threads, 1);
         assert_eq!(config("serve", None).threads, 1);
         match parse(&args("experiments"), None) {
             Ok(Command::Experiments(ids)) => assert_eq!(ids, EXPERIMENT_IDS),
@@ -364,13 +367,16 @@ mod tests {
         assert_eq!(full.suite.name, "chase");
         assert!(full.full && full.gate);
         assert_eq!((full.threads, full.out.as_str()), (2, "x.json"));
-        assert_eq!(config("stable", Some(" 8 ")).threads, 8);
+        assert_eq!(config("chase", Some(" 8 ")).threads, 8);
         assert_eq!(config("serve", Some("2")).threads, 2);
         // Unparsable or over the cap: ignored, as `Executor::from_env` does.
-        assert_eq!(config("factor", Some("many")).threads, 4);
-        assert_eq!(config("factor", Some("1025")).threads, 4);
-        // Grounding is single-threaded whatever the environment says.
-        assert_eq!(config("grounding", Some("8")).threads, 1);
+        assert_eq!(config("chase", Some("many")).threads, 4);
+        assert_eq!(config("chase", Some("1025")).threads, 4);
+        // The single-threaded suites take one thread whatever the
+        // environment says.
+        for suite in ["grounding", "stable", "factor"] {
+            assert_eq!(config(suite, Some("8")).threads, 1);
+        }
         // `0` means one thread per available CPU.
         assert_eq!(
             config("chase --threads 0", None).threads,

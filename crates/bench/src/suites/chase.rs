@@ -1,41 +1,38 @@
-//! `bench chase`: naive-reground vs. incremental vs. parallel chase.
+//! `bench chase`: naive-reground vs. incremental chase, plus sequential
+//! vs. parallel Monte-Carlo.
 //!
-//! The chase is incremental (snapshot-shared groundings plus the perfect
-//! grounder's stratum cursor) and can run in parallel. This tracker measures
-//! both levers against the same workloads:
+//! The chase is incremental: snapshot-shared groundings plus the perfect
+//! grounder's stratum cursor. This tracker measures that lever against
+//! the same workloads:
 //!
 //! * `reground_ms` — every chase node regrounds from scratch (the same
 //!   grounder with its `ground_node`/`ground_from` overrides stripped);
-//! * `incremental_ms` — sequential snapshot-shared descent;
-//! * `par_ms` — the same descent fanned out to a work-stealing pool with
-//!   `--threads` workers, merged deterministically in trigger order.
+//! * `incremental_ms` — the snapshot-shared descent.
 //!
-//! Before anything is timed the three modes must agree **exactly** — same
-//! outcome list (order included), probabilities, residual mass and visited
-//! node count — and the Monte-Carlo estimates must be bit-identical between
-//! sequential and parallel (per-walk RNG streams derive from the root seed).
-//! The JSON carries a fingerprint of the outcome sets so CI can diff runs
-//! across a `GDLOG_THREADS` matrix.
+//! The Monte-Carlo columns time the same three ways of drawing walks:
+//! `mc_reground_ms`, `mc_incremental_ms`, and `mc_par_ms`, the incremental
+//! walks fanned out in chunks to `--threads` workers.
+//!
+//! Before anything is timed the two chase modes must agree **exactly** —
+//! same outcome list (order included), probabilities, residual mass and
+//! visited node count — and the Monte-Carlo estimates must be bit-identical
+//! between reground, sequential and parallel (per-walk RNG streams derive
+//! from the root seed). The JSON carries a fingerprint of the outcome sets
+//! so CI can diff runs across a `GDLOG_THREADS` matrix.
 //!
 //! Workload scales live in one table, `workloads::chase_workload_suite`, so
 //! the CI smoke scale and the full measurement scale cannot drift.
 //!
 //! Floor, on the best stratified workload: at full scale the incremental
 //! chase is no slower than regrounding (the ~2x margin at small scale is
-//! within scheduling noise on shared runners), and on a machine with at
-//! least two cores the parallel chase is no slower than the sequential
-//! incremental one (a 1-core machine legitimately cannot win). The
-//! stronger parallel target, 1.5× on two workloads, needs real cores that
-//! shared runners cannot promise, so the JSON reports it and nothing gates
-//! it.
+//! within scheduling noise on shared runners).
 
-use crate::harness::{available_parallelism, int, num, time_min_ms, Config, Outcome};
+use crate::harness::{int, num, time_min_ms, Config, Outcome};
 use crate::workloads::{chase_workload_suite, ChaseWorkload, Reground};
 use gdlog_core::api::Json;
 use gdlog_core::fingerprint::fnv1a_fingerprint;
 use gdlog_core::{
-    enumerate_outcomes, enumerate_outcomes_with, ChaseBudget, ChaseResult, Executor, Grounder,
-    MonteCarlo, TriggerOrder,
+    enumerate_outcomes, ChaseBudget, ChaseResult, Executor, Grounder, MonteCarlo, TriggerOrder,
 };
 
 struct Row {
@@ -47,7 +44,6 @@ struct Row {
     fingerprint: String,
     reground_ms: f64,
     incremental_ms: f64,
-    par_ms: f64,
     mc_reground_ms: f64,
     mc_incremental_ms: f64,
     mc_par_ms: f64,
@@ -56,10 +52,6 @@ struct Row {
 impl Row {
     fn speedup(&self) -> f64 {
         self.reground_ms / self.incremental_ms
-    }
-
-    fn par_speedup(&self) -> f64 {
-        self.incremental_ms / self.par_ms
     }
 }
 
@@ -92,17 +84,14 @@ fn measure(workload: &ChaseWorkload, reps: usize, executor: &Executor) -> Row {
     let budget = ChaseBudget::default();
     let baseline = Reground(grounder);
 
-    // All modes must agree on the result before anything is timed. The
+    // Both modes must agree on the result before anything is timed. The
     // reground baseline visits the same nodes in the same order, so the
-    // strict comparison applies to it too.
+    // strict comparison applies to it.
     let incremental = enumerate_outcomes(grounder, &budget, TriggerOrder::First)
         .expect("incremental enumeration succeeds");
     let reground = enumerate_outcomes(&baseline, &budget, TriggerOrder::First)
         .expect("reground enumeration succeeds");
     assert_identical(&incremental, &reground, name, "regrounding");
-    let parallel = enumerate_outcomes_with(grounder, &budget, TriggerOrder::First, executor)
-        .expect("parallel enumeration succeeds");
-    assert_identical(&incremental, &parallel, name, "parallel exploration");
 
     let incremental_ms = time_min_ms(reps, || {
         enumerate_outcomes(grounder, &budget, TriggerOrder::First)
@@ -112,12 +101,6 @@ fn measure(workload: &ChaseWorkload, reps: usize, executor: &Executor) -> Row {
     });
     let reground_ms = time_min_ms(reps, || {
         enumerate_outcomes(&baseline, &budget, TriggerOrder::First)
-            .unwrap()
-            .outcomes
-            .len()
-    });
-    let par_ms = time_min_ms(reps, || {
-        enumerate_outcomes_with(grounder, &budget, TriggerOrder::First, executor)
             .unwrap()
             .outcomes
             .len()
@@ -158,20 +141,17 @@ fn measure(workload: &ChaseWorkload, reps: usize, executor: &Executor) -> Row {
         fingerprint: fingerprint(&incremental),
         reground_ms,
         incremental_ms,
-        par_ms,
         mc_reground_ms,
         mc_incremental_ms,
         mc_par_ms,
     };
     eprintln!(
         "{name} [{}]: outcomes={} nodes={} enum {reground_ms:.2}ms -> {incremental_ms:.2}ms \
-         ({:.2}x) -> par {par_ms:.2}ms ({:.2}x)  mc {mc_reground_ms:.2}ms -> \
-         {mc_incremental_ms:.2}ms -> par {mc_par_ms:.2}ms",
+         ({:.2}x)  mc {mc_reground_ms:.2}ms -> {mc_incremental_ms:.2}ms -> par {mc_par_ms:.2}ms",
         row.grounder,
         row.outcomes,
         row.nodes,
         row.speedup(),
-        row.par_speedup(),
     );
     row
 }
@@ -185,16 +165,10 @@ pub fn run(config: &Config) -> Outcome {
         .map(|w| measure(w, reps, &executor))
         .collect();
 
-    let cores = available_parallelism();
-    if cores < 2 {
-        eprintln!("NOTE: parallel floor skipped, only {cores} core(s) available");
-    }
-
     let best = best_stratified(&rows);
     let fields = vec![
         ("best_stratified_workload", Json::str(&best.name)),
         ("best_stratified_speedup", num(best.speedup())),
-        ("best_stratified_par_speedup", num(best.par_speedup())),
         (
             "workloads",
             Json::Arr(
@@ -210,8 +184,6 @@ pub fn run(config: &Config) -> Outcome {
                             ("reground_ms", num(r.reground_ms)),
                             ("incremental_ms", num(r.incremental_ms)),
                             ("speedup", num(r.speedup())),
-                            ("par_ms", num(r.par_ms)),
-                            ("par_speedup", num(r.par_speedup())),
                             ("mc_reground_ms", num(r.mc_reground_ms)),
                             ("mc_incremental_ms", num(r.mc_incremental_ms)),
                             ("mc_speedup", num(r.mc_reground_ms / r.mc_incremental_ms)),
@@ -225,7 +197,7 @@ pub fn run(config: &Config) -> Outcome {
     ];
     Outcome {
         fields,
-        floor: floor(&rows, config.full, cores),
+        floor: floor(&rows, config.full),
     }
 }
 
@@ -238,23 +210,15 @@ fn best_stratified(rows: &[Row]) -> &Row {
         .expect("a stratified workload exists")
 }
 
-/// Incremental at least as fast as regrounding at full scale, and parallel
-/// at least as fast as incremental on at least two cores, both on the best
+/// Incremental at least as fast as regrounding at full scale, on the best
 /// stratified workload.
-fn floor(rows: &[Row], full: bool, cores: usize) -> Result<(), String> {
+fn floor(rows: &[Row], full: bool) -> Result<(), String> {
     let best = best_stratified(rows);
     if full && best.speedup() < 1.0 {
         return Err(format!(
             "incremental chase slower than full reground on {} ({:.2}x)",
             best.name,
             best.speedup()
-        ));
-    }
-    if cores >= 2 && best.par_speedup() < 1.0 {
-        return Err(format!(
-            "parallel chase slower than sequential incremental on {} ({:.2}x)",
-            best.name,
-            best.par_speedup()
         ));
     }
     Ok(())
@@ -264,7 +228,7 @@ fn floor(rows: &[Row], full: bool, cores: usize) -> Result<(), String> {
 mod tests {
     use super::*;
 
-    fn row(stratified: bool, reground_ms: f64, par_ms: f64) -> Row {
+    fn row(stratified: bool, reground_ms: f64) -> Row {
         Row {
             name: String::new(),
             grounder: "perfect",
@@ -274,7 +238,6 @@ mod tests {
             fingerprint: String::new(),
             reground_ms,
             incremental_ms: 1.0,
-            par_ms,
             mc_reground_ms: 1.0,
             mc_incremental_ms: 1.0,
             mc_par_ms: 1.0,
@@ -283,18 +246,9 @@ mod tests {
 
     #[test]
     fn incremental_floor_applies_at_full_scale_only() {
-        let slow = [row(true, 0.999, 1.0), row(false, 9.0, 1.0)];
-        assert!(floor(&slow, true, 2).is_err());
-        assert!(floor(&slow, false, 2).is_ok());
-        assert!(floor(&[row(true, 1.0, 1.0)], true, 2).is_ok());
-    }
-
-    #[test]
-    fn parallel_floor_applies_on_two_cores_only() {
-        let slow = [row(true, 2.0, 1.001), row(true, 1.5, 0.5)];
-        assert!(floor(&slow, true, 2).is_err());
-        assert!(floor(&slow, false, 2).is_err());
-        assert!(floor(&slow, true, 1).is_ok());
-        assert!(floor(&[row(true, 2.0, 1.0)], true, 2).is_ok());
+        let slow = [row(true, 0.999), row(false, 9.0)];
+        assert!(floor(&slow, true).is_err());
+        assert!(floor(&slow, false).is_ok());
+        assert!(floor(&[row(true, 1.0)], true).is_ok());
     }
 }

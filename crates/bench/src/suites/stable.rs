@@ -1,26 +1,21 @@
 //! `bench stable`: the seed `2^k` enumerator vs. the component-split
-//! propagating search, plus the parallel `OutputSpace::from_chase` path.
+//! propagating search behind `OutputSpace::from_chase`.
 //!
 //! The stable-model back-end turns explored chase outcomes into the paper's
-//! output probability space (Definition 3.8). This tracker measures every
+//! output probability space (Definition 3.8). This tracker measures that
 //! lever against the same outcome-space workloads:
 //!
 //! * `naive_ms` — the seed back-end: for every outcome, enumerate
 //!   `sms(Σ ∪ G(Σ))` with the retained naive `2^k` sweep
 //!   ([`gdlog_engine::naive_stable_models`]), then build and sort the event
 //!   partition;
-//! * `scc_ms` — sequential [`OutputSpace::from_chase_with`]: component-split
-//!   propagating search, no cache;
-//! * `par_ms` — the same with one task per outcome on a work-stealing pool
-//!   (`--threads` workers).
+//! * `scc_ms` — [`OutputSpace::from_chase`]: component-split propagating
+//!   search, no cache.
 //!
-//! Before anything is timed the three semantic paths must agree **exactly**:
-//! per-outcome event keys and the mass-sorted event listing are compared
-//! between naive, sequential SCC and parallel, and a
-//! `GDLOG_THREADS`-style sweep asserts `events_by_mass` is bit-identical at
-//! 1, 2 and 8 threads. The JSON carries the space's
-//! [`OutputSpace::fingerprint`] so CI can diff runs across its thread
-//! matrix.
+//! Before anything is timed the two paths must agree **exactly**: per-outcome
+//! event keys and the mass-sorted event listing are compared between naive
+//! and SCC. The JSON carries the space's [`OutputSpace::fingerprint`] so CI
+//! can diff runs across its thread matrix.
 //!
 //! Workload scales live in one table, `workloads::stable_workload_suite`, so
 //! the CI smoke scale and the full measurement scale cannot drift.
@@ -33,8 +28,7 @@ use crate::harness::{int, num, time_min_ms, two_reach, Config, Outcome};
 use crate::workloads::stable_workload_suite;
 use gdlog_core::api::Json;
 use gdlog_core::{
-    enumerate_outcomes, ChaseBudget, ChaseResult, Executor, Grounder, ModelSetKey, OutputSpace,
-    TriggerOrder,
+    enumerate_outcomes, ChaseBudget, ChaseResult, Grounder, ModelSetKey, OutputSpace, TriggerOrder,
 };
 use gdlog_engine::{naive_stable_models, StableModelLimits};
 use gdlog_prob::Prob;
@@ -47,17 +41,11 @@ struct Row {
     fingerprint: String,
     naive_ms: f64,
     scc_ms: f64,
-    par_ms: f64,
-    sweep_ms: Vec<(usize, f64)>,
 }
 
 impl Row {
     fn speedup(&self) -> f64 {
         self.naive_ms / self.scc_ms
-    }
-
-    fn par_speedup(&self) -> f64 {
-        self.scc_ms / self.par_ms
     }
 }
 
@@ -78,24 +66,22 @@ fn naive_events(chase: &ChaseResult, limits: &StableModelLimits) -> Vec<(ModelSe
     events
 }
 
-fn measure(name: &str, grounder: &dyn Grounder, reps: usize, executor: &Executor) -> Row {
+fn measure(name: &str, grounder: &dyn Grounder, reps: usize) -> Row {
     let limits = StableModelLimits::default();
     let chase = enumerate_outcomes(grounder, &ChaseBudget::default(), TriggerOrder::First)
         .expect("chase enumeration succeeds");
 
-    // Semantic three-way agreement before anything is timed: naive keys,
-    // sequential SCC keys and the parallel keys must be identical
-    // per outcome, and so must the mass-sorted event listings.
+    // Semantic agreement before anything is timed: naive keys and SCC keys
+    // must be identical per outcome, and so must the mass-sorted event
+    // listings.
     let naive = naive_events(&chase, &limits);
-    let sequential =
-        OutputSpace::from_chase_with(chase.clone(), &limits, &Executor::sequential(), None)
-            .expect("sequential from_chase succeeds");
+    let space = OutputSpace::from_chase(&chase, &limits).expect("from_chase succeeds");
     assert_eq!(
         naive,
-        sequential.events_by_mass(),
+        space.events_by_mass(),
         "{name}: SCC search changed the event listing"
     );
-    for ((outcome, key), reference) in sequential.outcomes().iter().zip(&chase.outcomes) {
+    for ((outcome, key), reference) in space.outcomes().iter().zip(&chase.outcomes) {
         let models = naive_stable_models(&reference.full_program(), &limits).unwrap();
         assert_eq!(
             key,
@@ -103,41 +89,10 @@ fn measure(name: &str, grounder: &dyn Grounder, reps: usize, executor: &Executor
             "{name}: SCC search changed the key of {outcome}"
         );
     }
-    let parallel = OutputSpace::from_chase_with(chase.clone(), &limits, executor, None)
-        .expect("parallel from_chase succeeds");
-    assert_eq!(
-        sequential.events_by_mass(),
-        parallel.events_by_mass(),
-        "{name}: parallel from_chase changed the event listing"
-    );
-
-    // Thread sweep: bit-identical events at 1, 2 and 8 threads.
-    let mut sweep_ms = Vec::new();
-    for threads in [1usize, 2, 8] {
-        let exec = Executor::new(threads);
-        let space = OutputSpace::from_chase_with(chase.clone(), &limits, &exec, None)
-            .expect("sweep from_chase succeeds");
-        assert_eq!(
-            sequential.events_by_mass(),
-            space.events_by_mass(),
-            "{name}: events diverged at {threads} threads"
-        );
-        let ms = time_min_ms(reps, || {
-            OutputSpace::from_chase_with(chase.clone(), &limits, &exec, None)
-                .unwrap()
-                .event_count()
-        });
-        sweep_ms.push((threads, ms));
-    }
 
     let naive_ms = time_min_ms(reps, || naive_events(&chase, &limits).len());
     let scc_ms = time_min_ms(reps, || {
-        OutputSpace::from_chase_with(chase.clone(), &limits, &Executor::sequential(), None)
-            .unwrap()
-            .event_count()
-    });
-    let par_ms = time_min_ms(reps, || {
-        OutputSpace::from_chase_with(chase.clone(), &limits, executor, None)
+        OutputSpace::from_chase(&chase, &limits)
             .unwrap()
             .event_count()
     });
@@ -145,20 +100,16 @@ fn measure(name: &str, grounder: &dyn Grounder, reps: usize, executor: &Executor
     let row = Row {
         name: name.to_owned(),
         outcomes: chase.outcomes.len(),
-        events: sequential.event_count(),
-        fingerprint: sequential.fingerprint(),
+        events: space.event_count(),
+        fingerprint: space.fingerprint(),
         naive_ms,
         scc_ms,
-        par_ms,
-        sweep_ms,
     };
     eprintln!(
-        "{name}: outcomes={} events={} naive {naive_ms:.2}ms -> scc {scc_ms:.2}ms ({:.2}x) -> \
-         par {par_ms:.2}ms ({:.2}x)",
+        "{name}: outcomes={} events={} naive {naive_ms:.2}ms -> scc {scc_ms:.2}ms ({:.2}x)",
         row.outcomes,
         row.events,
         row.speedup(),
-        row.par_speedup(),
     );
     row
 }
@@ -166,10 +117,9 @@ fn measure(name: &str, grounder: &dyn Grounder, reps: usize, executor: &Executor
 /// Run the suite.
 pub fn run(config: &Config) -> Outcome {
     let reps = if config.full { 3 } else { 2 };
-    let executor = Executor::new(config.threads);
     let rows: Vec<Row> = stable_workload_suite(config.full)
         .iter()
-        .map(|w| measure(&w.name, w.grounder.as_ref(), reps, &executor))
+        .map(|w| measure(&w.name, w.grounder.as_ref(), reps))
         .collect();
 
     let best = rows
@@ -184,13 +134,6 @@ pub fn run(config: &Config) -> Outcome {
             Json::Arr(
                 rows.iter()
                     .map(|r| {
-                        let sweep = r
-                            .sweep_ms
-                            .iter()
-                            .map(|&(threads, ms)| {
-                                Json::obj([("threads", int(threads)), ("ms", num(ms))])
-                            })
-                            .collect();
                         Json::obj([
                             ("name", Json::str(&r.name)),
                             ("outcomes", int(r.outcomes)),
@@ -199,9 +142,6 @@ pub fn run(config: &Config) -> Outcome {
                             ("naive_ms", num(r.naive_ms)),
                             ("scc_ms", num(r.scc_ms)),
                             ("speedup", num(r.speedup())),
-                            ("par_ms", num(r.par_ms)),
-                            ("par_speedup", num(r.par_speedup())),
-                            ("thread_sweep", Json::Arr(sweep)),
                         ])
                     })
                     .collect(),
@@ -234,8 +174,6 @@ mod tests {
             fingerprint: String::new(),
             naive_ms,
             scc_ms: 1.0,
-            par_ms: 1.0,
-            sweep_ms: Vec::new(),
         }
     }
 

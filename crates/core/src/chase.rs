@@ -16,14 +16,11 @@
 //! [`ChaseResult::residual_mass`]. By Theorem 3.9 the explored mass plus the
 //! residual equals one.
 //!
-//! There is one decision path. `Chase::expand` does a node's
-//! order-independent work — ground, find the triggers, decide leaf, depth
-//! cut or trigger application with its branches — and `Chase::explore`
-//! walks the tree in trigger order, the only code that counts nodes, applies
-//! the budget cuts and adds residual mass. With a parallel [`Executor`] a
-//! prefetch first fills a tree of write-once cells with `expand` results on
-//! the pool; the walk then uses a node's prefetched expansion, or expands it
-//! inline when the prefetch left the cell empty.
+//! There is one descent, on the calling thread. `Chase::expand` does a
+//! node's order-independent work — ground, find the triggers, decide leaf,
+//! depth cut or trigger application with its branches — and
+//! `Chase::explore` walks the tree depth-first in trigger order, the only
+//! code that counts nodes, applies the budget cuts and adds residual mass.
 
 use crate::error::CoreError;
 use crate::exec::Executor;
@@ -31,8 +28,6 @@ use crate::grounding::{AtrRule, AtrSet, GroundRuleSet, Grounder, Grounding};
 use gdlog_data::{Const, GroundAtom};
 use gdlog_engine::CancelToken;
 use gdlog_prob::Prob;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
 
 use crate::outcome::PossibleOutcome;
 
@@ -150,10 +145,11 @@ impl ChaseResult {
     /// The first difference from `other` under **strict** equality — outcome
     /// list in order (choice sets and exact probabilities), residual mass,
     /// truncation flag and visited-node count — or `None` when the results
-    /// are bit-identical. This is *the* definition of "bit-identical" that
-    /// the parallel executor guarantees; the property tests, the chase
-    /// benchmarks and CI's thread matrix all compare through it so the
-    /// checked fields cannot drift apart.
+    /// are bit-identical. This is *the* definition of "bit-identical" the
+    /// chase guarantees at every thread count; the property tests (one
+    /// chase per executor) and the chase benchmark (regrounding against the
+    /// incremental descent) both compare through it, so the checked fields
+    /// cannot drift apart.
     pub fn diff(&self, other: &ChaseResult) -> Option<String> {
         if self.outcomes.len() != other.outcomes.len() {
             return Some(format!(
@@ -209,30 +205,24 @@ pub fn enumerate_outcomes(
     budget: &ChaseBudget,
     order: TriggerOrder,
 ) -> Result<ChaseResult, CoreError> {
-    enumerate_outcomes_with(grounder, budget, order, &Executor::sequential())
+    enumerate_outcomes_cancellable(grounder, budget, order, &CancelToken::never())
 }
 
-/// [`enumerate_outcomes`] under an explicit execution policy.
-///
-/// With a parallel [`Executor`] the pool first *prefetches* the chase tree:
-/// it grounds each node, picks its trigger and enumerates its branches —
-/// each sibling subtree extending an `Arc`-shared snapshot of its parent's
-/// grounding, so subtrees share no mutable state. One sequential walk in
-/// trigger order then takes every budget decision and every residual
-/// addition, so the outcome list, every probability, the residual mass,
-/// `truncated` and `nodes_visited` are bit-identical to the sequential
-/// enumeration regardless of the thread count or scheduling (see
-/// `ARCHITECTURE.md`, "Parallel chase exploration").
+/// [`enumerate_outcomes`] with an execution policy it does not use: the
+/// chase always runs sequentially on the calling thread, so the result is
+/// the same for every [`Executor`]. The parameter is kept only because the
+/// benchmark (`perfbench`) names this signature; the benchmark PR of
+/// ROADMAP item 2 removes it.
 pub fn enumerate_outcomes_with(
     grounder: &dyn Grounder,
     budget: &ChaseBudget,
     order: TriggerOrder,
-    executor: &Executor,
+    _executor: &Executor,
 ) -> Result<ChaseResult, CoreError> {
-    enumerate_outcomes_cancellable(grounder, budget, order, executor, &CancelToken::never())
+    enumerate_outcomes_cancellable(grounder, budget, order, &CancelToken::never())
 }
 
-/// [`enumerate_outcomes_with`] under a cooperative [`CancelToken`].
+/// [`enumerate_outcomes`] under a cooperative [`CancelToken`].
 ///
 /// The token is polled at every chase-node expansion (and re-checked after
 /// each node's grounding, so a saturation the grounder broke out of early
@@ -245,7 +235,6 @@ pub fn enumerate_outcomes_cancellable(
     grounder: &dyn Grounder,
     budget: &ChaseBudget,
     order: TriggerOrder,
-    executor: &Executor,
     cancel: &CancelToken,
 ) -> Result<ChaseResult, CoreError> {
     if budget.max_outcomes == 0 {
@@ -265,35 +254,15 @@ pub fn enumerate_outcomes_cancellable(
         budget,
         order,
         cancel,
-        found: AtomicUsize::new(0),
     };
-    let root = Slot::new();
-    if let Some(pool) = executor.pool() {
-        pool.scope(|scope| chase.prefetch(scope, AtrSet::new(), None, Prob::ONE, 0, &root));
-    }
-    chase.explore(
-        &mut result,
-        AtrSet::new(),
-        None,
-        root.into_inner(),
-        Prob::ONE,
-        0,
-    )?;
+    chase.explore(&mut result, AtrSet::new(), None, Prob::ONE, 0)?;
     Ok(result)
 }
 
-/// Children are prefetched by their own pool task only above this depth;
-/// below it a subtree is prefetched inline by the task that owns it. With
-/// binary branching this yields up to 2¹² parallel subtrees — far more than
-/// any realistic worker count — while keeping per-task overhead negligible
-/// for deep trees.
-const SPLIT_DEPTH: usize = 12;
-
 /// The order-independent work at one chase node: its grounding, its trigger
-/// and its branches. By Lemma 4.4 all of it depends only on the node, so the
-/// prefetch may compute it on any thread; the budget decisions and the
-/// residual accounting, which depend on visit order, stay in
-/// [`Chase::explore`].
+/// and its branches. By Lemma 4.4 all of it depends only on the node; the
+/// budget decisions and the residual accounting, which depend on visit
+/// order, stay in [`Chase::explore`].
 enum Expansion {
     /// The token fired while grounding: the rule set may be incomplete, so
     /// it must not decide whether the node is a leaf.
@@ -315,31 +284,12 @@ enum Expansion {
     },
 }
 
-/// A write-once cell the prefetch fills with one node's expansion. It stays
-/// empty when the prefetch left the node to the walk.
-type Slot = OnceLock<Prefetched>;
-
-/// One prefetched node: its expansion and a slot per child the prefetch
-/// reached, in branch order.
-struct Prefetched {
-    expansion: Result<Expansion, CoreError>,
-    children: Vec<Arc<Slot>>,
-    /// A leaf's configuration, so the walk need not rebuild it. Interior
-    /// configurations are not kept: the walk rebuilds them, and the
-    /// prefetched tree holds no more choice sets than the outcomes will.
-    leaf: Option<AtrSet>,
-}
-
 /// One enumeration's fixed inputs.
 struct Chase<'a> {
     grounder: &'a dyn Grounder,
     budget: &'a ChaseBudget,
     order: TriggerOrder,
     cancel: &'a CancelToken,
-    /// Leaves the prefetch has found so far, across all tasks. A relaxed
-    /// heuristic that stops prefetching once the outcome budget *could* be
-    /// full; the walk alone decides what the budget admits.
-    found: AtomicUsize,
 }
 
 impl<'a> Chase<'a> {
@@ -418,92 +368,15 @@ impl<'a> Chase<'a> {
         )?)
     }
 
-    /// The parallel phase: fill `slot` with this node's expansion and fan
-    /// the children out to the pool. It takes no budget decision and adds
-    /// no mass; it only leaves a node's slot empty — for the walk to
-    /// expand inline — once the token has fired, the outcome budget could
-    /// be full, or the node's path falls below the probability cut-off.
-    fn prefetch<'s>(
-        &'s self,
-        scope: &rayon::Scope<'s>,
-        atr: AtrSet,
-        mut parent: Option<(Arc<AtrSet>, Grounding)>,
-        path_prob: Prob,
-        depth: usize,
-        slot: &Slot,
-    ) {
-        if self.cancel.is_cancelled()
-            || self.found.load(Ordering::Relaxed) >= self.budget.max_outcomes
-            || path_prob.to_f64() < self.budget.min_path_probability
-        {
-            return;
-        }
-        let parent = parent.as_mut().map(|(atr, grounding)| (&**atr, grounding));
-        let mut expansion = self.expand(&atr, parent, depth);
-        let mut slots = Vec::new();
-        let mut leaf = None;
-        match &mut expansion {
-            Ok(Expansion::Leaf(_)) => {
-                self.found.fetch_add(1, Ordering::Relaxed);
-                leaf = Some(atr);
-            }
-            Ok(Expansion::Branch {
-                grounding,
-                trigger,
-                branches,
-                ..
-            }) => {
-                let atr = Arc::new(atr);
-                for (outcome, mass) in branches.iter() {
-                    // The walk raises a failure to build a child itself.
-                    let Ok(child) = self.child(&atr, trigger, *outcome) else {
-                        break;
-                    };
-                    let child_slot = Arc::new(Slot::new());
-                    slots.push(Arc::clone(&child_slot));
-                    // An O(1) structural snapshot per child, taken serially
-                    // in branch order so the snapshot/flatten sequence
-                    // matches the sequential descent.
-                    let child_parent = Some((Arc::clone(&atr), grounding.snapshot()));
-                    let child_prob = path_prob.mul(mass);
-                    let task = move |scope: &rayon::Scope<'s>| {
-                        self.prefetch(
-                            scope,
-                            child,
-                            child_parent,
-                            child_prob,
-                            depth + 1,
-                            &child_slot,
-                        )
-                    };
-                    if depth < SPLIT_DEPTH {
-                        scope.spawn(task);
-                    } else {
-                        task(scope);
-                    }
-                }
-            }
-            _ => {}
-        }
-        let _ = slot.set(Prefetched {
-            expansion,
-            children: slots,
-            leaf,
-        });
-    }
-
-    /// The walk: visit the chase tree depth-first in trigger order, using
-    /// each node's prefetched expansion when there is one and calling
-    /// [`Chase::expand`] inline otherwise. It is the only place that counts
+    /// The walk: visit the chase tree depth-first in trigger order, calling
+    /// [`Chase::expand`] at each node. It is the only place that counts
     /// nodes, applies the budget cuts and adds residual mass, so every
-    /// accumulation happens in the sequential order and the result does not
-    /// depend on what the prefetch reached.
+    /// accumulation happens in trigger order.
     fn explore(
         &self,
         result: &mut ChaseResult,
         atr: AtrSet,
         parent: Option<(&AtrSet, &mut Grounding)>,
-        prefetched: Option<Prefetched>,
         path_prob: Prob,
         depth: usize,
     ) -> Result<(), CoreError> {
@@ -530,16 +403,7 @@ impl<'a> Chase<'a> {
             return Ok(());
         }
 
-        let Prefetched {
-            expansion,
-            children: slots,
-            ..
-        } = prefetched.unwrap_or_else(|| Prefetched {
-            expansion: self.expand(&atr, parent, depth),
-            children: Vec::new(),
-            leaf: None,
-        });
-        match expansion? {
+        match self.expand(&atr, parent, depth)? {
             Expansion::Cancelled => {
                 result.residual_mass = result.residual_mass.add(&path_prob);
                 result.truncated = true;
@@ -577,22 +441,12 @@ impl<'a> Chase<'a> {
                     // summing to ~1 without claiming a budget truncation.
                     result.residual_mass = result.residual_mass.add(&tail);
                 }
-                let mut slots = slots.into_iter();
                 for (outcome, mass) in branches {
-                    // After the prefetch's scope no task holds a slot.
-                    let mut prefetched = slots
-                        .next()
-                        .and_then(Arc::into_inner)
-                        .and_then(OnceLock::into_inner);
-                    let child = match prefetched.as_mut().and_then(|p| p.leaf.take()) {
-                        Some(child) => child,
-                        None => self.child(&atr, &trigger, outcome)?,
-                    };
+                    let child = self.child(&atr, &trigger, outcome)?;
                     self.explore(
                         result,
                         child,
                         Some((&atr, &mut grounding)),
-                        prefetched,
                         path_prob.mul(&mass),
                         depth + 1,
                     )?;
@@ -856,12 +710,6 @@ mod tests {
         assert_eq!(result.nodes_visited, 13);
     }
 
-    /// The executors every cancellation test runs under: the sequential
-    /// walk and the prefetching walk at two pool sizes.
-    fn executors() -> [Executor; 3] {
-        [Executor::sequential(), Executor::new(2), Executor::new(8)]
-    }
-
     #[test]
     fn pre_cancelled_chase_is_all_residual_and_interrupted() {
         let mut db = Database::new();
@@ -869,25 +717,21 @@ mod tests {
         let grounder = simple_for(&program, &db);
         let cancel = CancelToken::new();
         cancel.cancel();
-        for exec in executors() {
-            let result = enumerate_outcomes_cancellable(
-                &grounder,
-                &ChaseBudget::default(),
-                TriggerOrder::First,
-                &exec,
-                &cancel,
-            )
-            .unwrap();
-            // The root is cut before grounding anything: no outcomes, the
-            // whole unit of mass is residual, and the accounting invariant
-            // holds.
-            assert!(result.outcomes.is_empty(), "{exec:?}");
-            assert!(result.interrupted, "{exec:?}");
-            assert!(result.truncated, "{exec:?}");
-            assert_eq!(result.residual_mass, Prob::ONE, "{exec:?}");
-            assert_eq!(result.total_mass(), Prob::ONE, "{exec:?}");
-            assert_eq!(result.nodes_visited, 1, "{exec:?}");
-        }
+        let result = enumerate_outcomes_cancellable(
+            &grounder,
+            &ChaseBudget::default(),
+            TriggerOrder::First,
+            &cancel,
+        )
+        .unwrap();
+        // The root is cut before grounding anything: no outcomes, the whole
+        // unit of mass is residual, and the accounting invariant holds.
+        assert!(result.outcomes.is_empty());
+        assert!(result.interrupted);
+        assert!(result.truncated);
+        assert_eq!(result.residual_mass, Prob::ONE);
+        assert_eq!(result.total_mass(), Prob::ONE);
+        assert_eq!(result.nodes_visited, 1);
     }
 
     #[test]
@@ -901,7 +745,6 @@ mod tests {
             &grounder,
             &ChaseBudget::default(),
             TriggerOrder::First,
-            &Executor::sequential(),
             &CancelToken::never(),
         )
         .unwrap();
@@ -918,30 +761,27 @@ mod tests {
         let mut db = Database::new();
         let program = coin_chain_program(12, 0.5, &mut db);
         let grounder = simple_for(&program, &db);
-        for exec in executors() {
-            let cancel = CancelToken::new();
-            let flag = cancel.clone();
-            let canceller = std::thread::spawn(move || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                flag.cancel();
-            });
-            let result = enumerate_outcomes_cancellable(
-                &grounder,
-                &ChaseBudget::default(),
-                TriggerOrder::First,
-                &exec,
-                &cancel,
-            )
-            .unwrap();
-            canceller.join().unwrap();
-            assert_eq!(result.total_mass(), Prob::ONE, "{exec:?}");
-            // 2^12 outcomes under a 2ms deadline: the cut must land mid-tree
-            // on any realistic machine; if the walk somehow finished first,
-            // the invariants above still validated the uncancelled path.
-            if result.interrupted {
-                assert!(result.truncated, "{exec:?}");
-                assert!(result.residual_mass.is_positive(), "{exec:?}");
-            }
+        let cancel = CancelToken::new();
+        let flag = cancel.clone();
+        let canceller = std::thread::spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            flag.cancel();
+        });
+        let result = enumerate_outcomes_cancellable(
+            &grounder,
+            &ChaseBudget::default(),
+            TriggerOrder::First,
+            &cancel,
+        )
+        .unwrap();
+        canceller.join().unwrap();
+        assert_eq!(result.total_mass(), Prob::ONE);
+        // 2^12 outcomes under a 2ms deadline: the cut must land mid-tree on
+        // any realistic machine; if the walk somehow finished first, the
+        // invariants above still validated the uncancelled path.
+        if result.interrupted {
+            assert!(result.truncated);
+            assert!(result.residual_mass.is_positive());
         }
     }
 
@@ -1009,11 +849,11 @@ mod tests {
 
     #[test]
     fn parallel_enumeration_replays_outcome_budget_truncation_exactly() {
-        // max_outcomes = 1 prunes almost the whole tree sequentially; the
-        // prefetch may run past the budget but the walk must reproduce the
-        // sequential pruning — outcomes, residual *and* the visited-node
-        // count. The p = 1/3 chain has inexact (`Prob::Approx`) masses, so
-        // the residual additions must also happen in the sequential order.
+        // max_outcomes = 1 prunes almost the whole tree sequentially; every
+        // executor must reproduce that pruning — outcomes, residual *and*
+        // the visited-node count. The p = 1/3 chain has inexact
+        // (`Prob::Approx`) masses, so the residual additions must also
+        // happen in the sequential order.
         let mut exact_db = Database::new();
         let exact = simple_for(&coin_chain_program(6, 0.5, &mut exact_db), &exact_db);
         let mut approx_db = Database::new();
@@ -1061,7 +901,7 @@ mod tests {
     #[test]
     fn parallel_enumeration_accounts_branching_cuts_exactly() {
         // Countably infinite support: the branch tail must be accounted in
-        // `Prob` identically under parallel exploration.
+        // `Prob` identically under every executor.
         let grounder = simple_for(&geometric_program(), &Database::new());
         let coarse = ChaseBudget {
             max_branching: 4,

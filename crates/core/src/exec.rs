@@ -1,17 +1,13 @@
-//! Execution policy for the chase and the Monte-Carlo sampler.
+//! Execution policy for the Monte-Carlo sampler.
 //!
-//! Once a chase node's grounding snapshot is taken, sibling subtrees share no
-//! mutable state (see `ARCHITECTURE.md`), so expanding them is embarrassingly
-//! parallel. An [`Executor`] decides whether that parallelism is used: it is
-//! either sequential or it owns a work-stealing [`rayon::ThreadPool`]. The
-//! chase prefetches node expansions on the pool; stable-model solving and
-//! Monte-Carlo hand their independent tasks (one per distinct program, one
-//! per chunk of walks) to the ordered `Executor::map`. Results are
-//! **bit-identical across executors** — the chase walk takes every decision
-//! sequentially in trigger order, `map` returns results in input order, and
-//! per-walk RNG streams derive from the root seed — so the thread count is a
-//! pure throughput knob, never a semantics knob. CI enforces this with a
-//! `GDLOG_THREADS` matrix.
+//! An [`Executor`] is either sequential or it owns a work-stealing
+//! [`rayon::ThreadPool`]. The chase and the stable-model keying run on the
+//! calling thread whatever the executor; the one parallel path is
+//! Monte-Carlo, which hands its chunks of independent walks to the ordered
+//! `Executor::map`. Results are **bit-identical across executors** — `map`
+//! returns results in input order and per-walk RNG streams derive from the
+//! root seed — so the thread count is a pure throughput knob, never a
+//! semantics knob. CI enforces this with a `GDLOG_THREADS` matrix.
 
 use rayon::{ThreadPool, ThreadPoolBuilder};
 use std::fmt;
@@ -80,11 +76,6 @@ impl Executor {
         self.pool.is_some()
     }
 
-    /// The thread pool, when parallel.
-    pub(crate) fn pool(&self) -> Option<&ThreadPool> {
-        self.pool.as_ref()
-    }
-
     /// `f` applied to every item, in input order: inline on the calling
     /// thread when sequential, one pool task per item otherwise. Each task
     /// writes only its own result slot, so tasks share no mutable state and
@@ -145,7 +136,6 @@ mod tests {
         let e = Executor::sequential();
         assert_eq!(e.threads(), 1);
         assert!(!e.is_parallel());
-        assert!(e.pool().is_none());
         assert_eq!(Executor::default().threads(), 1);
     }
 
@@ -155,7 +145,6 @@ mod tests {
         let e = Executor::new(3);
         assert!(e.is_parallel());
         assert_eq!(e.threads(), 3);
-        assert_eq!(e.pool().unwrap().current_num_threads(), 3);
     }
 
     #[test]

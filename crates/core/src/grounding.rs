@@ -262,10 +262,10 @@ impl fmt::Display for AtrSet {
 
 /// A grounder of a program `Π[D]` (Definition 3.3).
 ///
-/// `Send + Sync` is a supertrait: the parallel chase shares one grounder
-/// across worker threads (grounders are immutable views of an
-/// `Arc<SigmaPi>`; all per-node state lives in the [`Grounding`] values they
-/// return, which are owned by exactly one chase subtree each).
+/// `Send + Sync` is a supertrait: Monte-Carlo shares one grounder across
+/// the worker threads of its walk chunks (grounders are immutable views of
+/// an `Arc<SigmaPi>`; all per-node state lives in the [`Grounding`] values
+/// they return, which are owned by exactly one walk or chase subtree each).
 pub trait Grounder: Send + Sync {
     /// The translated program this grounder was built for.
     fn sigma(&self) -> &SigmaPi;

@@ -99,14 +99,13 @@ pub use translate::{AtrSchema, SigmaPi, TgdRule};
 
 #[cfg(test)]
 mod send_sync_audit {
-    //! The chase prefetch hands a shared `&dyn Grounder` plus owned
-    //! `AtrSet`s and `Grounding` snapshots to pool workers and collects node
-    //! expansions (groundings, triggers, branches, leaf rule sets and
-    //! configurations, errors) from them, and `Executor::map` shares
-    //! `PossibleOutcome`s with its tasks; this is the compile-time audit
-    //! that the whole surface is (and stays) `Send + Sync`. `Grounder` itself
-    //! has `Send + Sync` as a supertrait, so every implementor is covered by
-    //! construction.
+    //! Monte-Carlo hands a shared `&dyn Grounder` to the pool tasks of
+    //! `Executor::map`, each of which walks its own `AtrSet`s and
+    //! `Grounding` snapshots into `PossibleOutcome`s, and the resident
+    //! server moves chase results, errors and pipelines between session
+    //! threads; this is the compile-time audit that the whole surface is
+    //! (and stays) `Send + Sync`. `Grounder` itself has `Send + Sync` as a
+    //! supertrait, so every implementor is covered by construction.
     use super::*;
 
     fn assert_send_sync<T: Send + Sync + ?Sized>() {}

@@ -14,9 +14,9 @@
 //! definition, so a cache hit can never change a result, at any thread
 //! count.
 //!
-//! Hit/miss counters are counted once per outcome during the sequential
-//! keying pass of [`crate::OutputSpace::from_chase_with`], so they are
-//! deterministic across executors.
+//! Hit/miss counters are counted once per outcome during the keying pass
+//! of [`crate::OutputSpace::from_chase_with`], in outcome order, so they are
+//! deterministic.
 
 use crate::grounding::AtrRule;
 use crate::outcome::ModelSetKey;

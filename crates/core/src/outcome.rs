@@ -8,7 +8,6 @@
 //! `sms(Σ ∪ G(Σ))` is computed on demand through `gdlog-engine`.
 
 use crate::error::CoreError;
-use crate::exec::Executor;
 use crate::grounding::{AtrSet, GroundRuleSet};
 use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::{
@@ -472,7 +471,7 @@ impl PossibleOutcome {
         limits: &StableModelLimits,
         cancel: &CancelToken,
     ) -> Result<ModelSetKey, CoreError> {
-        let mut keys = model_set_keys([self], limits, &Executor::sequential(), cancel)?;
+        let mut keys = model_set_keys([self], limits, cancel)?;
         Ok(keys.pop().expect("one key per outcome"))
     }
 
@@ -513,17 +512,15 @@ impl PossibleOutcome {
 
 /// The event key of every outcome, in outcome order, over one atom table.
 ///
-/// One sequential pass in outcome order interns every atom of every outcome
-/// into an [`AtomTableBuilder`], encoding each snapshot frame the outcomes
-/// share once, and ranks the table. The per-outcome searches then fan out
-/// to `executor`, reading the table immutably, so ids, ranks and keys never
-/// depend on scheduling; each key moves the searched id vectors in over one
-/// [`KeyTable`] of the table's atoms, cloned once. Errors surface in outcome
-/// order.
+/// One pass in outcome order interns every atom of every outcome into an
+/// [`AtomTableBuilder`], encoding each snapshot frame the outcomes share
+/// once, and ranks the table. The per-outcome searches then run in outcome
+/// order on the calling thread, reading the table immutably; each key moves
+/// the searched id vectors in over one [`KeyTable`] of the table's atoms,
+/// cloned once. The first error, in outcome order, ends the pass.
 pub(crate) fn model_set_keys<'a>(
     outcomes: impl IntoIterator<Item = &'a PossibleOutcome>,
     limits: &StableModelLimits,
-    executor: &Executor,
     cancel: &CancelToken,
 ) -> Result<Vec<ModelSetKey>, CoreError> {
     let mut builder = AtomTableBuilder::new();
@@ -533,12 +530,12 @@ pub(crate) fn model_set_keys<'a>(
         .collect();
     let table = builder.finish();
     let atoms = KeyTable::new(table.atoms().iter().map(|&atom| atom.clone()).collect());
-    executor
-        .map(&programs, |program| {
+    programs
+        .iter()
+        .map(|program| {
             let models = table.stable_models(program, limits, cancel)?;
             Ok(ModelSetKey::from_ids(&atoms, models))
         })
-        .into_iter()
         .collect()
 }
 

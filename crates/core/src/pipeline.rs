@@ -155,8 +155,8 @@ impl Pipeline {
             limits: StableModelLimits::default(),
             // Sequential unless GDLOG_THREADS says otherwise; results are
             // bit-identical either way, so the env knob (and the CI thread
-            // matrix built on it) can parallelize every pipeline consumer
-            // without touching call sites.
+            // matrix built on it) can fan every pipeline consumer's
+            // Monte-Carlo walks out without touching call sites.
             executor: Arc::new(Executor::from_env()),
             cancel: CancelToken::never(),
         })
@@ -180,10 +180,11 @@ impl Pipeline {
         self
     }
 
-    /// Explore the chase tree (and fan Monte-Carlo walks out) with this many
-    /// worker threads. `1` is sequential, `0` means one thread per available
-    /// CPU. Results are bit-identical for every value — the thread count
-    /// only changes wall-clock time.
+    /// Fan Monte-Carlo walks out to this many worker threads; the chase and
+    /// the stable-model search always run on the calling thread. `1` is
+    /// sequential, `0` means one thread per available CPU. Results are
+    /// bit-identical for every value — the thread count only changes
+    /// wall-clock time.
     pub fn threads(mut self, threads: usize) -> Self {
         self.executor = Arc::new(Executor::new(threads));
         self
@@ -229,24 +230,22 @@ impl Pipeline {
             self.grounder.as_ref(),
             &self.budget,
             self.order,
-            &self.executor,
             &self.cancel,
         )
     }
 
     /// Run the full pipeline: chase, stable models, output space.
     ///
-    /// The stable-model back-end fans one task per outcome out to the
-    /// pipeline's executor, each searching its outcome's rules in place.
-    /// Nothing is memoized: two leaves of one chase always differ in their
-    /// choices, so no two outcomes share a program. Results are
-    /// bit-identical at every thread count.
+    /// The stable-model back-end searches each outcome's rules in place, in
+    /// chase order on the calling thread. Nothing is memoized: two leaves
+    /// of one chase always differ in their choices, so no two outcomes
+    /// share a program. Results are bit-identical at every thread count.
     pub fn solve(&self) -> Result<OutputSpace, CoreError> {
         self.space_from_chase(self.chase()?)
     }
 
     fn space_from_chase(&self, chase: ChaseResult) -> Result<OutputSpace, CoreError> {
-        OutputSpace::from_chase_cancellable(chase, &self.limits, &self.executor, &self.cancel)
+        OutputSpace::from_chase_cancellable(chase, &self.limits, &self.cancel)
     }
 
     /// The chase-independence analysis for this pipeline's program and
@@ -298,7 +297,7 @@ impl Pipeline {
     /// configured with, and the product keeps the slices for Monte-Carlo
     /// ([`Pipeline::estimate_atoms`]) unless `max_branching` cut a support
     /// ([`ChaseComponent::support_cut`]). Stable-model solving per factor
-    /// reuses the pipeline's executor and limits.
+    /// reuses the pipeline's limits.
     pub fn solve_with(
         &self,
         strategy: SolveStrategy,
@@ -322,13 +321,8 @@ impl Pipeline {
         let mut support_cut = false;
         for component in components {
             let grounder = slice_grounder(&component.slice, &self.cancel);
-            let chase = enumerate_outcomes_cancellable(
-                &grounder,
-                &self.budget,
-                self.order,
-                &self.executor,
-                &self.cancel,
-            )?;
+            let chase =
+                enumerate_outcomes_cancellable(&grounder, &self.budget, self.order, &self.cancel)?;
             factors.push(Factor {
                 atoms: component.atoms,
                 space: self.space_from_chase(chase)?,

@@ -42,15 +42,16 @@ pub struct OutputSpace {
 
 impl OutputSpace {
     /// Build the output space from a chase enumeration by computing the
-    /// stable models of every explored outcome (sequentially; see
-    /// [`OutputSpace::from_chase_cancellable`] for the parallel entry point
-    /// used by [`crate::Pipeline::solve`]).
+    /// stable models of every explored outcome.
     pub fn from_chase(result: &ChaseResult, limits: &StableModelLimits) -> Result<Self, CoreError> {
-        Self::from_chase_with(result.clone(), limits, &Executor::sequential(), None)
+        Self::from_chase_cancellable(result.clone(), limits, &CancelToken::never())
     }
 
-    /// Build the output space from an owned chase enumeration, fanning the
-    /// per-outcome stable-model searches out to `executor`.
+    /// Build the output space from an owned chase enumeration, with an
+    /// execution policy it does not use: keying runs on the calling thread,
+    /// so the result is the same for every [`Executor`]. The parameter is
+    /// kept only because the benchmark (`perfbench`) names this signature;
+    /// the benchmark PR of ROADMAP item 2 removes it.
     ///
     /// With `None` this is [`OutputSpace::from_chase_cancellable`] under a
     /// token that never fires. With `Some(cache)` the outcomes are first
@@ -61,35 +62,32 @@ impl OutputSpace {
     /// their programs differ too. The memo arm is kept only for the
     /// benchmark's traced decomposition, which reports its counters.
     ///
-    /// Every field of the result is bit-identical across executors and with
-    /// or without a cache.
+    /// Every field of the result is the same with or without a cache.
     pub fn from_chase_with(
         result: ChaseResult,
         limits: &StableModelLimits,
-        executor: &Executor,
+        _executor: &Executor,
         cache: Option<&ModelSetCache>,
     ) -> Result<Self, CoreError> {
         match cache {
-            None => Self::from_chase_cancellable(result, limits, executor, &CancelToken::never()),
+            None => Self::from_chase_cancellable(result, limits, &CancelToken::never()),
             Some(cache) => {
-                let keys = memoized_keys(&result.outcomes, limits, executor, cache)?;
+                let keys = memoized_keys(&result.outcomes, limits, cache)?;
                 Ok(Self::from_keys(result, keys))
             }
         }
     }
 
     /// Build the output space from an owned chase enumeration, one
-    /// stable-model search per outcome fanned out to `executor`, observing a
+    /// stable-model search per outcome in chase order, observing a
     /// cooperative cancellation token in every search.
     ///
     /// The outcomes' atoms are interned into one atom table first, in one
-    /// sequential pass in chase order that encodes each grounding snapshot
-    /// frame the leaves share once. Then each outcome is its own task: its
-    /// key is searched over the shared, immutable table and moves into the
-    /// listing in chase order. Every field of the result, including
-    /// [`OutputSpace::events_by_mass`] and the first error surfaced, is
-    /// **bit-identical across executors**: the merge order and the partition
-    /// aggregation never depend on task scheduling.
+    /// pass in chase order that encodes each grounding snapshot frame the
+    /// leaves share once. Each outcome's key is then searched over the
+    /// shared table and moves into the listing in chase order, so every
+    /// field of the result, including [`OutputSpace::events_by_mass`] and
+    /// the first error surfaced, is deterministic.
     ///
     /// Two regimes:
     ///
@@ -106,7 +104,6 @@ impl OutputSpace {
     pub fn from_chase_cancellable(
         result: ChaseResult,
         limits: &StableModelLimits,
-        executor: &Executor,
         cancel: &CancelToken,
     ) -> Result<Self, CoreError> {
         let cancel = if result.interrupted {
@@ -114,7 +111,7 @@ impl OutputSpace {
         } else {
             cancel.clone()
         };
-        let keys = model_set_keys(&result.outcomes, limits, executor, &cancel)?;
+        let keys = model_set_keys(&result.outcomes, limits, &cancel)?;
         Ok(Self::from_keys(result, keys))
     }
 
@@ -371,12 +368,10 @@ fn sort_events(events: &mut [(ModelSetKey, Prob)]) {
 
 /// One key per outcome through `cache`: outcomes are keyed by their
 /// [`ProgramFingerprint`] in outcome order, each distinct uncached program is
-/// solved once (one task per program), and the hits and misses are counted
-/// in that sequential pass, so they do not depend on the executor.
+/// solved once, and the hits and misses are counted in that pass.
 fn memoized_keys(
     outcomes: &[PossibleOutcome],
     limits: &StableModelLimits,
-    executor: &Executor,
     cache: &ModelSetCache,
 ) -> Result<Vec<ModelSetKey>, CoreError> {
     enum Slot {
@@ -411,7 +406,6 @@ fn memoized_keys(
     let keys = model_set_keys(
         work.iter().map(|&i| &outcomes[i]),
         limits,
-        executor,
         &CancelToken::never(),
     )?;
     let mut solved: Vec<ModelSetKey> = Vec::with_capacity(work.len());
