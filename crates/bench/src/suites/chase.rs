@@ -17,8 +17,10 @@
 //! same outcome list (order included), probabilities, residual mass and
 //! visited node count — and the Monte-Carlo estimates must be bit-identical
 //! between reground, sequential and parallel (per-walk RNG streams derive
-//! from the root seed). The JSON carries a fingerprint of the outcome sets
-//! so CI can diff runs across a `GDLOG_THREADS` matrix.
+//! from the root seed): the same finite walks, estimate and abandoned
+//! count. The JSON carries a fingerprint of the outcome sets and one of the
+//! sequential walks (`mc_fingerprint`, each finite walk's choice set in walk
+//! order), so CI can diff runs across a `GDLOG_THREADS` matrix.
 //!
 //! Workload scales live in one table, `workloads::chase_workload_suite`, so
 //! the CI smoke scale and the full measurement scale cannot drift.
@@ -32,8 +34,10 @@ use crate::workloads::{chase_workload_suite, ChaseWorkload, Reground};
 use gdlog_core::api::Json;
 use gdlog_core::fingerprint::fnv1a_fingerprint;
 use gdlog_core::{
-    enumerate_outcomes, ChaseBudget, ChaseResult, Executor, Grounder, MonteCarlo, TriggerOrder,
+    enumerate_outcomes, ChaseBudget, ChaseResult, Executor, Grounder, MonteCarlo, PossibleOutcome,
+    TriggerOrder,
 };
+use std::sync::Mutex;
 
 struct Row {
     name: String,
@@ -42,6 +46,7 @@ struct Row {
     outcomes: usize,
     nodes: usize,
     fingerprint: String,
+    mc_fingerprint: String,
     reground_ms: f64,
     incremental_ms: f64,
     mc_reground_ms: f64,
@@ -79,6 +84,15 @@ fn assert_identical(a: &ChaseResult, b: &ChaseResult, name: &str, what: &str) {
     }
 }
 
+/// The suite's Monte-Carlo estimator: sequential, or on `executor`.
+fn sampler<'a>(grounder: &'a dyn Grounder, executor: Option<&'a Executor>) -> MonteCarlo<'a> {
+    let mc = MonteCarlo::new(grounder, 256, 7);
+    match executor {
+        Some(executor) => mc.with_executor(executor),
+        None => mc,
+    }
+}
+
 fn measure(workload: &ChaseWorkload, reps: usize, executor: &Executor) -> Row {
     let (name, grounder) = (workload.name.as_str(), workload.grounder.as_ref());
     let budget = ChaseBudget::default();
@@ -106,31 +120,52 @@ fn measure(workload: &ChaseWorkload, reps: usize, executor: &Executor) -> Row {
             .len()
     });
 
-    // Monte-Carlo: per-walk RNG streams make the estimates of all three
-    // modes bit-identical; assert that before timing them.
+    // Monte-Carlo: per-walk RNG streams make the walks of all three modes
+    // bit-identical; assert that before timing them. The event is real (an
+    // even number of choices), and a recording run lists each finite walk's
+    // choice set as the event sees it: in walk order when sequential, in
+    // scheduling order when parallel.
     let samples = 100;
-    let estimate = |g: &dyn Grounder, exec: Option<&Executor>| {
-        let mut mc = MonteCarlo::new(g, 256, 7);
-        if let Some(exec) = exec {
-            mc = mc.with_executor(exec);
-        }
-        mc.estimate(samples, |_| true).unwrap()
+    let even = |outcome: &PossibleOutcome| outcome.choice_count() % 2 == 0;
+    let walks = |g: &dyn Grounder, exec: Option<&Executor>| {
+        let seen = Mutex::new(Vec::new());
+        let stats = sampler(g, exec)
+            .estimate(samples, |outcome| {
+                seen.lock().unwrap().push(outcome.atr.to_string());
+                even(outcome)
+            })
+            .unwrap();
+        (stats, seen.into_inner().unwrap())
     };
-    let mc_base = estimate(grounder, None);
-    assert_eq!(
-        mc_base.estimate.mean,
-        estimate(&baseline, None).estimate.mean,
-        "{name}: reground changed the Monte-Carlo estimate"
+    let (mc_base, in_order) = walks(grounder, None);
+    let (reground_stats, reground_walks) = walks(&baseline, None);
+    assert!(
+        reground_walks == in_order && reground_stats.estimate.mean == mc_base.estimate.mean,
+        "{name}: reground changed the Monte-Carlo walks"
     );
-    assert_eq!(
-        mc_base.estimate.mean,
-        estimate(grounder, Some(executor)).estimate.mean,
-        "{name}: parallel sampling changed the Monte-Carlo estimate"
+    let (par_stats, mut par_walks) = walks(grounder, Some(executor));
+    let mut sorted = in_order.clone();
+    sorted.sort();
+    par_walks.sort();
+    assert!(
+        par_walks == sorted
+            && par_stats.estimate.mean == mc_base.estimate.mean
+            && par_stats.abandoned == mc_base.abandoned,
+        "{name}: parallel sampling changed the Monte-Carlo walks"
     );
+    let mc_fingerprint = fnv1a_fingerprint(in_order.iter().map(|atr| format!("{atr};")).chain([
+        format!("mean={};", mc_base.estimate.mean),
+        format!("abandoned={};", mc_base.abandoned),
+    ]));
 
-    let mc_incremental_ms = time_min_ms(reps, || estimate(grounder, None).samples);
-    let mc_reground_ms = time_min_ms(reps, || estimate(&baseline, None).samples);
-    let mc_par_ms = time_min_ms(reps, || estimate(grounder, Some(executor)).samples);
+    let timed = |g: &dyn Grounder, exec: Option<&Executor>| {
+        time_min_ms(reps, || {
+            sampler(g, exec).estimate(samples, even).unwrap().samples
+        })
+    };
+    let mc_incremental_ms = timed(grounder, None);
+    let mc_reground_ms = timed(&baseline, None);
+    let mc_par_ms = timed(grounder, Some(executor));
 
     let row = Row {
         name: name.to_owned(),
@@ -139,6 +174,7 @@ fn measure(workload: &ChaseWorkload, reps: usize, executor: &Executor) -> Row {
         outcomes: incremental.outcomes.len(),
         nodes: incremental.nodes_visited,
         fingerprint: fingerprint(&incremental),
+        mc_fingerprint,
         reground_ms,
         incremental_ms,
         mc_reground_ms,
@@ -181,6 +217,7 @@ pub fn run(config: &Config) -> Outcome {
                             ("outcomes", int(r.outcomes)),
                             ("nodes", int(r.nodes)),
                             ("fingerprint", Json::str(&r.fingerprint)),
+                            ("mc_fingerprint", Json::str(&r.mc_fingerprint)),
                             ("reground_ms", num(r.reground_ms)),
                             ("incremental_ms", num(r.incremental_ms)),
                             ("speedup", num(r.speedup())),
@@ -236,6 +273,7 @@ mod tests {
             outcomes: 0,
             nodes: 0,
             fingerprint: String::new(),
+            mc_fingerprint: String::new(),
             reground_ms,
             incremental_ms: 1.0,
             mc_reground_ms: 1.0,

@@ -16,15 +16,18 @@
 //! [`ChaseResult::residual_mass`]. By Theorem 3.9 the explored mass plus the
 //! residual equals one.
 //!
-//! There is one descent, on the calling thread. `Chase::expand` does a
-//! node's order-independent work — ground, find the triggers, decide leaf,
-//! depth cut or trigger application with its branches — and
-//! `Chase::explore` walks the tree depth-first in trigger order, the only
-//! code that counts nodes, applies the budget cuts and adds residual mass.
+//! There is one node step and one descent, on the calling thread.
+//! `Chase::expand` does a node's order-independent work — ground, find the
+//! triggers, decide leaf, depth cut or trigger — and `Chase::explore` walks
+//! the tree depth-first in trigger order, branching over each trigger's
+//! outcomes; it is the only code that counts nodes, applies the budget cuts
+//! and adds residual mass. Monte-Carlo walks ([`crate::mc`]) take the same
+//! step and draw one outcome.
 
 use crate::error::CoreError;
 use crate::exec::Executor;
 use crate::grounding::{AtrRule, AtrSet, GroundRuleSet, Grounder, Grounding};
+use crate::translate::AtrSchema;
 use gdlog_data::{Const, GroundAtom};
 use gdlog_engine::CancelToken;
 use gdlog_prob::Prob;
@@ -259,11 +262,12 @@ pub fn enumerate_outcomes_cancellable(
     Ok(result)
 }
 
-/// The order-independent work at one chase node: its grounding, its trigger
-/// and its branches. By Lemma 4.4 all of it depends only on the node; the
-/// budget decisions and the residual accounting, which depend on visit
-/// order, stay in [`Chase::explore`].
-enum Expansion {
+/// The order-independent work at one chase node: its grounding and its
+/// trigger. By Lemma 4.4 all of it depends only on the node; branching over
+/// the trigger's outcomes (or drawing one, in a Monte-Carlo walk), budgets
+/// and residual accounting, which depend on visit order, are the caller's.
+#[derive(Clone)]
+pub(crate) enum Expansion<'a> {
     /// The token fired while grounding: the rule set may be incomplete, so
     /// it must not decide whether the node is a leaf.
     Cancelled,
@@ -271,37 +275,35 @@ enum Expansion {
     Leaf(GroundRuleSet),
     /// A non-terminal node at the depth budget.
     DepthCut,
-    /// A trigger application (Definition 4.1).
-    Branch {
+    /// A trigger to apply (Definition 4.1).
+    Trigger {
         /// The node's grounding, which its children extend.
         grounding: Grounding,
-        /// The applied trigger.
+        /// The trigger.
         trigger: GroundAtom,
-        /// Its enumerated outcomes with their masses, in branch order.
-        branches: Vec<(Const, Prob)>,
-        /// Did `max_branching` cut the trigger's support?
-        support_cut: bool,
+        /// Its AtR schema.
+        schema: &'a AtrSchema,
     },
 }
 
-/// One enumeration's fixed inputs.
-struct Chase<'a> {
-    grounder: &'a dyn Grounder,
-    budget: &'a ChaseBudget,
-    order: TriggerOrder,
-    cancel: &'a CancelToken,
+/// One descent's fixed inputs: an enumeration's, or a Monte-Carlo walk's.
+pub(crate) struct Chase<'a> {
+    pub(crate) grounder: &'a dyn Grounder,
+    pub(crate) budget: &'a ChaseBudget,
+    pub(crate) order: TriggerOrder,
+    pub(crate) cancel: &'a CancelToken,
 }
 
 impl<'a> Chase<'a> {
     /// Ground the node `atr` — incrementally from its parent's grounding
     /// when there is one — and decide what it is: cancelled, a leaf, cut at
-    /// the depth budget, or a trigger application with its branches.
-    fn expand(
+    /// the depth budget, or a trigger to apply.
+    pub(crate) fn expand(
         &self,
         atr: &AtrSet,
         parent: Option<(&AtrSet, &mut Grounding)>,
         depth: usize,
-    ) -> Result<Expansion, CoreError> {
+    ) -> Result<Expansion<'a>, CoreError> {
         // Each node extends its parent's configuration by one choice, so the
         // parent's grounding seeds an incremental saturation over a
         // structurally shared snapshot (all siblings share the parent's
@@ -327,10 +329,6 @@ impl<'a> Chase<'a> {
         if depth >= self.budget.max_depth {
             return Ok(Expansion::DepthCut);
         }
-
-        // Apply one trigger (Definition 4.1): branch over every outcome with
-        // positive probability. Enumerating one outcome past the branching
-        // budget detects exactly whether the support was cut.
         let trigger = triggers[self.order.pick(&triggers, depth)].clone();
         let schema = self
             .grounder
@@ -341,21 +339,16 @@ impl<'a> Chase<'a> {
                     "trigger {trigger} does not use a generated Active predicate"
                 ))
             })?;
-        let max_branching = self.budget.max_branching;
-        let mut branches = schema.outcomes(&trigger, max_branching.saturating_add(1))?;
-        let support_cut = branches.len() > max_branching;
-        branches.truncate(max_branching);
-        Ok(Expansion::Branch {
+        Ok(Expansion::Trigger {
             grounding,
             trigger,
-            branches,
-            support_cut,
+            schema,
         })
     }
 
     /// The configuration of one branch: `atr` extended by the trigger's
     /// chosen outcome.
-    fn child(
+    pub(crate) fn child(
         &self,
         atr: &AtrSet,
         trigger: &GroundAtom,
@@ -369,9 +362,10 @@ impl<'a> Chase<'a> {
     }
 
     /// The walk: visit the chase tree depth-first in trigger order, calling
-    /// [`Chase::expand`] at each node. It is the only place that counts
-    /// nodes, applies the budget cuts and adds residual mass, so every
-    /// accumulation happens in trigger order.
+    /// [`Chase::expand`] at each node and branching over every outcome of
+    /// its trigger. It is the only place that counts nodes, applies the
+    /// budget cuts and adds residual mass, so every accumulation happens in
+    /// trigger order.
     fn explore(
         &self,
         result: &mut ChaseResult,
@@ -421,16 +415,19 @@ impl<'a> Chase<'a> {
                 result.residual_mass = result.residual_mass.add(&path_prob);
                 result.truncated = true;
             }
-            Expansion::Branch {
+            Expansion::Trigger {
                 mut grounding,
                 trigger,
-                branches,
-                support_cut,
+                schema,
             } => {
-                // Whenever `max_branching` cut the support, the unenumerated
-                // tail is accounted exactly in `Prob` — no matter how small
-                // its float value — so `total_mass()` stays 1 and
-                // `truncated` reflects the cut.
+                // Branch over every outcome with positive probability (one
+                // past the budget detects a support cut). A cut tail is
+                // accounted exactly in `Prob` — however small its float value
+                // — so `total_mass()` stays 1 and `truncated` reflects it.
+                let max_branching = self.budget.max_branching;
+                let mut branches = schema.outcomes(&trigger, max_branching.saturating_add(1))?;
+                let support_cut = branches.len() > max_branching;
+                branches.truncate(max_branching);
                 let branch_mass = Prob::sum(branches.iter().map(|(_, p)| *p));
                 let tail = path_prob.mul(&Prob::ONE.sub(&branch_mass));
                 if support_cut {

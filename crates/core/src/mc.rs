@@ -7,6 +7,10 @@
 //! sampling distribution over finite paths is exactly the chase-based
 //! probability space of Section 4).
 //!
+//! Every walk starts from the root's expansion, the same for all paths
+//! (Lemma 4.4), grounded once per estimate and frozen, and descends through
+//! the chase's own node step (`Chase::expand`), drawing one outcome each.
+//!
 //! Sampled walks are independent by construction, so [`MonteCarlo`] draws
 //! walk `i` from its own RNG stream derived from the root seed
 //! ([`walk_rng`]) rather than from one sequentially advancing generator.
@@ -14,15 +18,16 @@
 //! walks can be dispatched to an [`Executor`]'s thread pool in any order and
 //! still reproduce the sequential estimates bit for bit.
 
+use crate::chase::{Chase, ChaseBudget, Expansion, TriggerOrder};
 use crate::error::CoreError;
 use crate::exec::Executor;
-use crate::grounding::{AtrRule, AtrSet, Grounder};
+use crate::grounding::{AtrSet, Grounder};
 use crate::outcome::PossibleOutcome;
 use gdlog_engine::CancelToken;
 use gdlog_prob::sampler::{sample_distribution, Estimate};
 use gdlog_prob::Prob;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::ops::Range;
 
 /// The RNG for walk `index` of a run rooted at `seed`: the seed is combined
@@ -72,59 +77,6 @@ impl SampledPath {
     }
 }
 
-/// Sample a single chase path with at most `max_triggers` trigger
-/// applications.
-pub fn sample_outcome<R: Rng + ?Sized>(
-    grounder: &dyn Grounder,
-    max_triggers: usize,
-    rng: &mut R,
-) -> Result<SampledPath, CoreError> {
-    let mut atr = AtrSet::new();
-    let mut probability = Prob::ONE;
-    // Each trigger application extends the configuration by one choice, so
-    // the previous grounding seeds an incremental saturation over an O(1)
-    // structural snapshot (no per-step deep clone of the rule set).
-    let mut previous: Option<(AtrSet, crate::grounding::Grounding)> = None;
-    for depth in 0..=max_triggers {
-        let grounding = match &mut previous {
-            Some((parent_atr, parent_grounding)) => {
-                grounder.ground_from(&atr, parent_atr, parent_grounding)
-            }
-            None => grounder.ground_node(&atr),
-        };
-        let triggers = grounder.triggers(&atr, grounding.rules());
-        if triggers.is_empty() {
-            return Ok(SampledPath::Finite(Box::new(PossibleOutcome::new(
-                atr,
-                grounding.into_rules(),
-                probability,
-            ))));
-        }
-        if depth == max_triggers {
-            break;
-        }
-        // Apply the first trigger (the order does not matter, Lemma 4.4).
-        let trigger = triggers[0].clone();
-        let schema = grounder
-            .sigma()
-            .schema_for_active(&trigger.predicate)
-            .ok_or_else(|| {
-                CoreError::Validation(format!("trigger {trigger} has no Active schema"))
-            })?;
-        let (params, _) = schema.split_active(&trigger);
-        let value = sample_distribution(schema.distribution, params, rng)?;
-        let mass = schema.outcome_probability(&trigger, &value)?;
-        probability = probability.mul(&mass);
-        // Keep the pre-extension configuration alongside its grounding.
-        previous = Some((atr.clone(), grounding));
-        atr.insert(AtrRule::new(grounder.sigma(), trigger, value)?)?;
-    }
-    Ok(SampledPath::Abandoned {
-        depth: max_triggers,
-        partial: atr,
-    })
-}
-
 /// Summary statistics of a Monte-Carlo run.
 #[derive(Clone, Debug)]
 pub struct SampleStats {
@@ -145,7 +97,7 @@ pub struct SampleStats {
 /// out to a thread pool ([`MonteCarlo::with_executor`]).
 pub struct MonteCarlo<'a> {
     grounder: &'a dyn Grounder,
-    max_triggers: usize,
+    budget: ChaseBudget,
     seed: u64,
     next_walk: u64,
     executor: Option<&'a Executor>,
@@ -157,7 +109,10 @@ impl<'a> MonteCarlo<'a> {
     pub fn new(grounder: &'a dyn Grounder, max_triggers: usize, seed: u64) -> Self {
         MonteCarlo {
             grounder,
-            max_triggers,
+            budget: ChaseBudget {
+                max_depth: max_triggers,
+                ..ChaseBudget::default()
+            },
             seed,
             next_walk: 0,
             executor: None,
@@ -173,7 +128,8 @@ impl<'a> MonteCarlo<'a> {
         self
     }
 
-    /// Observe `cancel` at every walk boundary. A cancelled estimate returns
+    /// Observe `cancel` after every grounding, where a cancelled grounder may
+    /// have left a partial rule set. A cancelled estimate returns
     /// [`CoreError::Interrupted`] — a partial tally would not be an unbiased
     /// estimate of anything the caller asked for, so Monte-Carlo is
     /// exact-sample-count-or-nothing.
@@ -184,9 +140,8 @@ impl<'a> MonteCarlo<'a> {
 
     /// Draw one path (the next walk of this estimator's stream).
     pub fn sample(&mut self) -> Result<SampledPath, CoreError> {
-        let mut rng = walk_rng(self.seed, self.next_walk);
         self.next_walk += 1;
-        sample_outcome(self.grounder, self.max_triggers, &mut rng)
+        self.walk(&self.root()?, self.next_walk - 1)
     }
 
     /// Estimate the probability of an event specified as a predicate over
@@ -215,6 +170,7 @@ impl<'a> MonteCarlo<'a> {
     {
         let first_walk = self.next_walk;
         self.next_walk += samples as u64;
+        let root = self.root()?;
         // Contiguous chunks of the walk range: one when sequential, several
         // per worker when parallel so the pool balances uneven walk lengths
         // by stealing. Chunk tallies are integers, so the merge is
@@ -235,8 +191,23 @@ impl<'a> MonteCarlo<'a> {
                 first_walk + start as u64..first_walk + (start + chunk).min(samples) as u64
             })
             .collect();
+        // Per chunk and event, the finite paths on which it holds.
+        let tallies = executor.map(&ranges, |walks| {
+            let (mut hits, mut abandoned) = (vec![0usize; events.len()], 0usize);
+            for walk in walks.clone() {
+                match self.walk(&root, walk)? {
+                    SampledPath::Finite(outcome) => {
+                        for (hits, event) in hits.iter_mut().zip(events) {
+                            *hits += usize::from(event(&outcome));
+                        }
+                    }
+                    SampledPath::Abandoned { .. } => abandoned += 1,
+                }
+            }
+            Ok::<_, CoreError>((hits, abandoned))
+        });
         let (mut hits, mut abandoned) = (vec![0usize; events.len()], 0usize);
-        for tally in executor.map(&ranges, |walks| self.run_walks(walks.clone(), events)) {
+        for tally in tallies {
             let (h, a) = tally?;
             hits.iter_mut().zip(h).for_each(|(total, h)| *total += h);
             abandoned += a;
@@ -251,44 +222,78 @@ impl<'a> MonteCarlo<'a> {
             .collect())
     }
 
-    /// Run a contiguous range of walks, counting per event the finite paths
-    /// on which it holds, and the abandoned paths; stop at the first failing
-    /// walk.
-    fn run_walks<F>(
-        &self,
-        walks: Range<u64>,
-        events: &[F],
-    ) -> Result<(Vec<usize>, usize), CoreError>
-    where
-        F: Fn(&PossibleOutcome) -> bool,
-    {
-        let (mut hits, mut abandoned) = (vec![0usize; events.len()], 0usize);
-        for walk in walks {
-            if self.cancel.is_cancelled() {
-                return Err(CoreError::Interrupted("monte-carlo estimation".into()));
-            }
-            let mut rng = walk_rng(self.seed, walk);
-            match sample_outcome(self.grounder, self.max_triggers, &mut rng)? {
-                SampledPath::Finite(outcome) => {
-                    for (hits, event) in hits.iter_mut().zip(events) {
-                        *hits += usize::from(event(&outcome));
-                    }
-                }
-                SampledPath::Abandoned { .. } => abandoned += 1,
-            }
+    /// The node step's inputs for this estimator's walks.
+    fn chase(&self) -> Chase<'_> {
+        Chase {
+            grounder: self.grounder,
+            budget: &self.budget,
+            order: TriggerOrder::First,
+            cancel: &self.cancel,
         }
-        Ok((hits, abandoned))
+    }
+
+    /// The root's expansion, every walk's start, with `G(∅)` frozen so that a
+    /// walk's copy is O(1). A token that fired while the root was saturating
+    /// may have left it partial: no walk starts from it then.
+    fn root(&self) -> Result<Expansion<'_>, CoreError> {
+        let mut root = self.chase().expand(&AtrSet::new(), None, 0)?;
+        match &mut root {
+            Expansion::Cancelled => {
+                return Err(CoreError::Interrupted("monte-carlo estimation".into()))
+            }
+            Expansion::Leaf(rules) => *rules = rules.snapshot(),
+            Expansion::Trigger { grounding, .. } => *grounding = grounding.snapshot(),
+            Expansion::DepthCut => {}
+        }
+        Ok(root)
+    }
+
+    /// Walk `index`: descend from `root` through the chase's node step,
+    /// drawing each trigger's outcome from the walk's own stream.
+    fn walk(&self, root: &Expansion<'_>, index: u64) -> Result<SampledPath, CoreError> {
+        let chase = self.chase();
+        let mut rng = walk_rng(self.seed, index);
+        let (mut atr, mut probability) = (AtrSet::new(), Prob::ONE);
+        let mut expansion = root.clone();
+        while let Expansion::Trigger {
+            mut grounding,
+            trigger,
+            schema,
+        } = expansion
+        {
+            let (params, _) = schema.split_active(&trigger);
+            let value = sample_distribution(schema.distribution, params, &mut rng)?;
+            probability = probability.mul(&schema.outcome_probability(&trigger, &value)?);
+            // A node's depth is its choice count: one per trigger.
+            let child = chase.child(&atr, &trigger, value)?;
+            expansion = chase.expand(&child, Some((&atr, &mut grounding)), child.len())?;
+            atr = child;
+        }
+        match expansion {
+            Expansion::Leaf(rules) => {
+                let outcome = PossibleOutcome::new(atr, rules, probability);
+                Ok(SampledPath::Finite(Box::new(outcome)))
+            }
+            Expansion::DepthCut => Ok(SampledPath::Abandoned {
+                depth: atr.len(),
+                partial: atr,
+            }),
+            Expansion::Cancelled => Err(CoreError::Interrupted("monte-carlo estimation".into())),
+            Expansion::Trigger { .. } => unreachable!("the descent applies every trigger"),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grounding::Grounding;
     use crate::program::{coin_program, network_resilience_program};
     use crate::simple_grounder::SimpleGrounder;
     use crate::translate::SigmaPi;
     use gdlog_data::{Const, Database};
     use gdlog_engine::StableModelLimits;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn network_grounder(n: i64) -> SimpleGrounder {
@@ -404,24 +409,22 @@ mod tests {
     #[test]
     fn walk_streams_are_independent_of_draw_order() {
         // Walk i's path is a pure function of (seed, i): drawing walks
-        // 0..n one by one gives the same paths as any other schedule.
+        // 0..n one by one gives the same paths as drawing them backwards.
         let grounder = network_grounder(3);
-        let paths: Vec<String> = (0..8u64)
-            .map(|walk| {
-                let mut rng = walk_rng(42, walk);
-                match sample_outcome(&grounder, 100, &mut rng).unwrap() {
-                    SampledPath::Finite(o) => format!("{}@{}", o.atr, o.probability),
-                    SampledPath::Abandoned { .. } => "abandoned".to_owned(),
-                }
-            })
+        let label = |path: SampledPath| match path {
+            SampledPath::Finite(o) => format!("{}@{}", o.atr, o.probability),
+            SampledPath::Abandoned { .. } => "abandoned".to_owned(),
+        };
+        let mc = MonteCarlo::new(&grounder, 100, 42);
+        let root = mc.root().unwrap();
+        let mut paths: Vec<String> = (0..8u64)
+            .rev()
+            .map(|walk| label(mc.walk(&root, walk).unwrap()))
             .collect();
+        paths.reverse();
         let mut mc = MonteCarlo::new(&grounder, 100, 42);
         for expected in &paths {
-            let got = match mc.sample().unwrap() {
-                SampledPath::Finite(o) => format!("{}@{}", o.atr, o.probability),
-                SampledPath::Abandoned { .. } => "abandoned".to_owned(),
-            };
-            assert_eq!(&got, expected);
+            assert_eq!(&label(mc.sample().unwrap()), expected);
         }
         // Distinct walks explore distinct paths with overwhelming
         // probability on this workload; a constant stream would betray a
@@ -477,5 +480,118 @@ mod tests {
         let stats = mc.estimate(10, |_| true).unwrap();
         assert_eq!(stats.abandoned, 10);
         assert_eq!(stats.estimate.mean, 0.0);
+    }
+
+    /// A grounder that counts its root groundings (`ground_node` calls) and
+    /// its incremental ones (`ground_from` calls), and fires `cancel` inside
+    /// `ground_from` call number `fire_at` (never when 0). The inner grounder
+    /// observes `cancel`, so the grounding it returns then is partial.
+    struct Probe {
+        inner: SimpleGrounder,
+        cancel: CancelToken,
+        fire_at: usize,
+        roots: AtomicUsize,
+        steps: AtomicUsize,
+    }
+
+    impl Probe {
+        fn new(n: i64, fire_at: usize) -> Self {
+            let cancel = CancelToken::new();
+            let mut inner = network_grounder(n);
+            inner.set_cancel(cancel.clone());
+            Probe {
+                inner,
+                cancel,
+                fire_at,
+                roots: AtomicUsize::new(0),
+                steps: AtomicUsize::new(0),
+            }
+        }
+    }
+
+    impl Grounder for Probe {
+        fn sigma(&self) -> &SigmaPi {
+            self.inner.sigma()
+        }
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn ground(&self, atr: &AtrSet) -> crate::grounding::GroundRuleSet {
+            self.inner.ground(atr)
+        }
+        fn ground_node(&self, atr: &AtrSet) -> Grounding {
+            self.roots.fetch_add(1, Ordering::SeqCst);
+            self.inner.ground_node(atr)
+        }
+        fn ground_from(
+            &self,
+            atr: &AtrSet,
+            parent_atr: &AtrSet,
+            parent: &mut Grounding,
+        ) -> Grounding {
+            if self.steps.fetch_add(1, Ordering::SeqCst) + 1 == self.fire_at {
+                self.cancel.cancel();
+            }
+            self.inner.ground_from(atr, parent_atr, parent)
+        }
+    }
+
+    #[test]
+    fn the_root_is_grounded_once_per_estimate() {
+        for threads in [1, 2, 8] {
+            let executor = crate::exec::Executor::new(threads);
+            for samples in [1, 7, 64] {
+                let probe = Probe::new(3, 0);
+                let mut mc = MonteCarlo::new(&probe, 100, 5).with_executor(&executor);
+                mc.estimate(samples, |_| true).unwrap();
+                assert_eq!(
+                    probe.roots.load(Ordering::SeqCst),
+                    1,
+                    "x{threads}, {samples}"
+                );
+                mc.estimate(samples, |_| true).unwrap();
+                assert_eq!(
+                    probe.roots.load(Ordering::SeqCst),
+                    2,
+                    "x{threads}, {samples}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_token_fired_inside_the_last_walk_interrupts_the_estimate() {
+        // The incremental groundings of the first five walks, then of all
+        // six: the sixth walk's are the calls in between.
+        let count = |samples| {
+            let probe = Probe::new(4, 0);
+            let mut mc = MonteCarlo::new(&probe, 100, 3).with_cancel(probe.cancel.clone());
+            mc.estimate(samples, |_| true).unwrap();
+            probe.steps.load(Ordering::SeqCst)
+        };
+        let (before, all) = (count(5), count(6));
+        assert!(all > before);
+        for fire_at in before + 1..=all {
+            let probe = Probe::new(4, fire_at);
+            let mut mc = MonteCarlo::new(&probe, 100, 3).with_cancel(probe.cancel.clone());
+            let result = mc.estimate(6, |_| true);
+            assert!(
+                matches!(result, Err(CoreError::Interrupted(_))),
+                "fired in call {fire_at}: {result:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_cancelled_root_starts_no_walk() {
+        let probe = Probe::new(3, 0);
+        probe.cancel.cancel();
+        let mut mc = MonteCarlo::new(&probe, 100, 3).with_cancel(probe.cancel.clone());
+        let result = mc.estimate(10, |_| true);
+        assert!(
+            matches!(result, Err(CoreError::Interrupted(_))),
+            "{result:?}"
+        );
+        assert_eq!(probe.steps.load(Ordering::SeqCst), 0);
     }
 }

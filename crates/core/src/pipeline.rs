@@ -105,7 +105,7 @@ pub struct Pipeline {
     executor: Arc<Executor>,
     /// Cooperative cancellation token observed at every chase node, every
     /// grounding saturation round, every stable-model branch decision and
-    /// every Monte-Carlo walk boundary. Defaults to a token that never fires.
+    /// every Monte-Carlo walk step. Defaults to a token that never fires.
     cancel: CancelToken,
 }
 
@@ -352,7 +352,7 @@ impl Pipeline {
 
     /// Monte-Carlo estimates of `P(atom ∈ heads(G(Σ)))` over finite walks,
     /// one per atom, for a `space` this pipeline solved, observing `cancel`
-    /// at every walk boundary. Zero `samples` is a request error.
+    /// at every walk step. Zero `samples` is a request error.
     ///
     /// When the product keeps its factors' slices, atoms are grouped by the
     /// factor that holds them (`FactoredOutputSpace::factor_of`) and each
