@@ -10,11 +10,14 @@
 //!   ([`gdlog_engine::naive_stable_models`]), then build and sort the event
 //!   partition;
 //! * `scc_ms` — [`OutputSpace::from_chase`]: component-split propagating
-//!   search, no cache.
+//!   search, no cache. On the perfect-grounder row (dimes and quarters)
+//!   the grounder decided every outcome's model, so `from_chase` keys the
+//!   outcomes from their heads and searches nothing.
 //!
 //! Before anything is timed the two paths must agree **exactly**: per-outcome
 //! event keys and the mass-sorted event listing are compared between naive
-//! and SCC. The JSON carries the space's [`OutputSpace::fingerprint`] so CI
+//! and SCC, which cross-checks the heads keys against the naive enumerator
+//! too. The JSON carries the space's [`OutputSpace::fingerprint`] so CI
 //! can diff runs across its thread matrix.
 //!
 //! Workload scales live in one table, `workloads::stable_workload_suite`, so

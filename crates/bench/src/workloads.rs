@@ -412,7 +412,8 @@ pub fn chain_game(n: usize, p: f64) -> (Program, Database) {
 
 /// One ready-to-chase workload for the stable-model back-end benchmarks: a
 /// named grounder whose outcome space does real stable-model work (even
-/// loops, constraints, coupled components).
+/// loops, constraints, coupled components), or, on the perfect grounder,
+/// is keyed from the outcomes' heads.
 pub struct StableWorkload {
     /// Workload name (scale-qualified, e.g. `coin_game_n7`).
     pub name: String,
@@ -428,6 +429,7 @@ pub fn stable_workload_suite(full: bool) -> Vec<StableWorkload> {
     let coins = if full { 7 } else { 4 };
     let chain = if full { 6 } else { 4 };
     let ring = if full { 5 } else { 4 };
+    let (dimes, quarters) = if full { (9, 2) } else { (5, 1) };
 
     let mut suite = Vec::new();
 
@@ -451,6 +453,15 @@ pub fn stable_workload_suite(full: bool) -> Vec<StableWorkload> {
     suite.push(StableWorkload {
         name: format!("network_ring_n{ring}"),
         grounder: Box::new(SimpleGrounder::new(sigma)),
+    });
+
+    // The perfect grounder decides its outcomes' models: the naive
+    // enumerator cross-checks the keys read off their heads.
+    let (program, db) = dime_quarter_workload(dimes, quarters);
+    let sigma = Arc::new(SigmaPi::translate(&program, &db).expect("translates"));
+    suite.push(StableWorkload {
+        name: format!("dime_quarter_d{dimes}_q{quarters}"),
+        grounder: Box::new(PerfectGrounder::new(sigma).expect("dime/quarter is stratified")),
     });
 
     suite
@@ -737,9 +748,12 @@ mod tests {
     fn stable_suite_scales_are_consistent_across_smoke_and_full() {
         for full in [false, true] {
             let suite = stable_workload_suite(full);
-            assert_eq!(suite.len(), 3);
+            assert_eq!(suite.len(), 4);
             for w in &suite {
-                assert_eq!(w.grounder.name(), "simple", "{}", w.name);
+                let perfect = w.name.starts_with("dime_quarter");
+                let expected = if perfect { "perfect" } else { "simple" };
+                assert_eq!(w.grounder.name(), expected, "{}", w.name);
+                assert_eq!(w.grounder.decides_models(), perfect, "{}", w.name);
             }
         }
         let smoke: Vec<String> = stable_workload_suite(false)

@@ -131,9 +131,20 @@ pub struct ChaseResult {
     /// were cut depends on when the token fired, so an interrupted result is
     /// not reproducible and must never be treated as golden.
     pub interrupted: bool,
+    /// Did the grounder decide every outcome's stable model
+    /// ([`Grounder::decides_models`])? Only the enumeration sets it.
+    models_decided: bool,
 }
 
 impl ChaseResult {
+    /// Did the grounder that produced the outcomes decide each one's stable
+    /// model ([`Grounder::decides_models`])? Then
+    /// [`crate::OutputSpace::from_chase_cancellable`] keys every outcome
+    /// from its heads instead of searching it.
+    pub fn models_decided(&self) -> bool {
+        self.models_decided
+    }
+
     /// Total probability mass of the explored finite outcomes.
     pub fn explored_mass(&self) -> Prob {
         Prob::sum(self.outcomes.iter().map(|o| o.probability))
@@ -251,6 +262,7 @@ pub fn enumerate_outcomes_cancellable(
         truncated: false,
         nodes_visited: 0,
         interrupted: false,
+        models_decided: grounder.decides_models(),
     };
     let chase = Chase {
         grounder,

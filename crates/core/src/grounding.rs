@@ -286,6 +286,16 @@ pub trait Grounder: Send + Sync {
     /// choice set `Σ`.
     fn ground(&self, atr: &AtrSet) -> GroundRuleSet;
 
+    /// Does `G(Σ)` decide the stable model of every terminal `Σ`? Then
+    /// `sms(Σ ∪ G(Σ))` is the one model `heads(G(Σ))` plus the result of
+    /// each choice of `Σ` whose `Active` atom is a head, and the output
+    /// space keys the grounder's outcomes from their heads with no
+    /// stable-model search. The default, `false`, keeps the search; a
+    /// wrapper that does not forward this keeps it too.
+    fn decides_models(&self) -> bool {
+        false
+    }
+
     /// Compute `G(Σ)` as a chase node: the rules plus whatever resumption
     /// state the grounder needs to descend incrementally. The default wraps
     /// [`Grounder::ground`] with no state.

@@ -82,7 +82,7 @@ pub use factor::{ChaseComponent, ComponentGrounder, Factor, FactorAnalysis, Fact
 pub use fingerprint::fnv1a_fingerprint;
 pub use gdlog_engine::{CancelToken, DeadlineGuard};
 pub use grounding::{AtrRule, AtrSet, GroundRuleSet, Grounder, Grounding};
-pub use mc::{walk_rng, MonteCarlo, SampleStats, SampledPath};
+pub use mc::{walk_rng, MonteCarlo, SampleStats};
 pub use model_cache::{ModelCacheStats, ModelSetCache, ProgramFingerprint};
 pub use naive::{NaivePerfectGrounder, NaiveSimpleGrounder};
 pub use outcome::{ModelSetKey, PossibleOutcome};

@@ -44,39 +44,6 @@ pub fn walk_rng(seed: u64, index: u64) -> StdRng {
     StdRng::seed_from_u64(z ^ (z >> 31))
 }
 
-/// The result of sampling one chase path.
-#[derive(Clone, Debug)]
-pub enum SampledPath {
-    /// The path reached a terminal configuration: a finite possible outcome
-    /// (boxed: an outcome carries its whole grounding, an abandoned path
-    /// only its choice set).
-    Finite(Box<PossibleOutcome>),
-    /// The path was abandoned after the trigger budget was exhausted — it
-    /// belongs (statistically) to the error event or to a deeper finite
-    /// outcome.
-    Abandoned {
-        /// The configuration reached when the budget ran out.
-        partial: AtrSet,
-        /// Number of triggers applied.
-        depth: usize,
-    },
-}
-
-impl SampledPath {
-    /// Is this a finite outcome?
-    pub fn is_finite(&self) -> bool {
-        matches!(self, SampledPath::Finite(_))
-    }
-
-    /// The finite outcome, if any.
-    pub fn outcome(&self) -> Option<&PossibleOutcome> {
-        match self {
-            SampledPath::Finite(o) => Some(o),
-            SampledPath::Abandoned { .. } => None,
-        }
-    }
-}
-
 /// Summary statistics of a Monte-Carlo run.
 #[derive(Clone, Debug)]
 pub struct SampleStats {
@@ -138,12 +105,6 @@ impl<'a> MonteCarlo<'a> {
         self
     }
 
-    /// Draw one path (the next walk of this estimator's stream).
-    pub fn sample(&mut self) -> Result<SampledPath, CoreError> {
-        self.next_walk += 1;
-        self.walk(&self.root()?, self.next_walk - 1)
-    }
-
     /// Estimate the probability of an event specified as a predicate over
     /// finite outcomes. Abandoned paths count as "event false" — estimates of
     /// events over finite outcomes are therefore lower bounds when abandoned
@@ -196,12 +157,12 @@ impl<'a> MonteCarlo<'a> {
             let (mut hits, mut abandoned) = (vec![0usize; events.len()], 0usize);
             for walk in walks.clone() {
                 match self.walk(&root, walk)? {
-                    SampledPath::Finite(outcome) => {
+                    Some(outcome) => {
                         for (hits, event) in hits.iter_mut().zip(events) {
                             *hits += usize::from(event(&outcome));
                         }
                     }
-                    SampledPath::Abandoned { .. } => abandoned += 1,
+                    None => abandoned += 1,
                 }
             }
             Ok::<_, CoreError>((hits, abandoned))
@@ -249,8 +210,11 @@ impl<'a> MonteCarlo<'a> {
     }
 
     /// Walk `index`: descend from `root` through the chase's node step,
-    /// drawing each trigger's outcome from the walk's own stream.
-    fn walk(&self, root: &Expansion<'_>, index: u64) -> Result<SampledPath, CoreError> {
+    /// drawing each trigger's outcome from the walk's own stream. The
+    /// finite possible outcome it reaches, or `None` when the trigger budget
+    /// abandoned it (it belongs, statistically, to the error event or to a
+    /// deeper finite outcome).
+    fn walk(&self, root: &Expansion<'_>, index: u64) -> Result<Option<PossibleOutcome>, CoreError> {
         let chase = self.chase();
         let mut rng = walk_rng(self.seed, index);
         let (mut atr, mut probability) = (AtrSet::new(), Prob::ONE);
@@ -270,14 +234,8 @@ impl<'a> MonteCarlo<'a> {
             atr = child;
         }
         match expansion {
-            Expansion::Leaf(rules) => {
-                let outcome = PossibleOutcome::new(atr, rules, probability);
-                Ok(SampledPath::Finite(Box::new(outcome)))
-            }
-            Expansion::DepthCut => Ok(SampledPath::Abandoned {
-                depth: atr.len(),
-                partial: atr,
-            }),
+            Expansion::Leaf(rules) => Ok(Some(PossibleOutcome::new(atr, rules, probability))),
+            Expansion::DepthCut => Ok(None),
             Expansion::Cancelled => Err(CoreError::Interrupted("monte-carlo estimation".into())),
             Expansion::Trigger { .. } => unreachable!("the descent applies every trigger"),
         }
@@ -315,11 +273,10 @@ mod tests {
     #[test]
     fn sampled_paths_terminate_and_have_consistent_probability() {
         let grounder = network_grounder(3);
-        let mut mc = MonteCarlo::new(&grounder, 100, 7);
-        for _ in 0..20 {
-            let path = mc.sample().unwrap();
-            assert!(path.is_finite());
-            let outcome = path.outcome().unwrap();
+        let mc = MonteCarlo::new(&grounder, 100, 7);
+        let root = mc.root().unwrap();
+        for walk in 0..20 {
+            let outcome = mc.walk(&root, walk).unwrap().expect("the walk terminates");
             // The path probability equals the product of its choices.
             assert_eq!(
                 outcome.probability,
@@ -351,12 +308,12 @@ mod tests {
     fn coin_sampling_hits_both_outcomes() {
         let sigma = SigmaPi::translate(&coin_program(), &Database::new()).unwrap();
         let grounder = SimpleGrounder::new(Arc::new(sigma));
-        let mut mc = MonteCarlo::new(&grounder, 10, 3);
+        let mc = MonteCarlo::new(&grounder, 10, 3);
+        let root = mc.root().unwrap();
         let mut tails = 0;
         let mut heads = 0;
-        for _ in 0..200 {
-            let path = mc.sample().unwrap();
-            let outcome = path.outcome().unwrap();
+        for walk in 0..200 {
+            let outcome = mc.walk(&root, walk).unwrap().expect("the walk terminates");
             let coin1 = gdlog_data::GroundAtom::make("Coin", vec![Const::Int(1)]);
             if outcome.rules.heads().contains(&coin1) {
                 tails += 1;
@@ -392,9 +349,11 @@ mod tests {
             .unwrap();
         let sigma = SigmaPi::translate(&program, &db).unwrap();
         let grounder = SimpleGrounder::new(Arc::new(sigma));
-        let mut mc = MonteCarlo::new(&grounder, 64, 9);
-        let path = mc.sample().unwrap();
-        let outcome = path.outcome().expect("path terminates");
+        let mc = MonteCarlo::new(&grounder, 64, 9);
+        let outcome = mc
+            .walk(&mc.root().unwrap(), 0)
+            .unwrap()
+            .expect("path terminates");
         assert_eq!(outcome.choice_count(), n as usize);
         assert_eq!(outcome.probability, Prob::ratio(1, 1 << n));
         // The accumulated grounding saw every coin: n Coin facts, n Active
@@ -409,11 +368,12 @@ mod tests {
     #[test]
     fn walk_streams_are_independent_of_draw_order() {
         // Walk i's path is a pure function of (seed, i): drawing walks
-        // 0..n one by one gives the same paths as drawing them backwards.
+        // 0..n backwards gives the same paths as drawing them forwards from
+        // another estimator's root.
         let grounder = network_grounder(3);
-        let label = |path: SampledPath| match path {
-            SampledPath::Finite(o) => format!("{}@{}", o.atr, o.probability),
-            SampledPath::Abandoned { .. } => "abandoned".to_owned(),
+        let label = |path: Option<PossibleOutcome>| match path {
+            Some(o) => format!("{}@{}", o.atr, o.probability),
+            None => "abandoned".to_owned(),
         };
         let mc = MonteCarlo::new(&grounder, 100, 42);
         let root = mc.root().unwrap();
@@ -422,9 +382,10 @@ mod tests {
             .map(|walk| label(mc.walk(&root, walk).unwrap()))
             .collect();
         paths.reverse();
-        let mut mc = MonteCarlo::new(&grounder, 100, 42);
-        for expected in &paths {
-            assert_eq!(&label(mc.sample().unwrap()), expected);
+        let mc = MonteCarlo::new(&grounder, 100, 42);
+        let root = mc.root().unwrap();
+        for (walk, expected) in (0..).zip(&paths) {
+            assert_eq!(&label(mc.walk(&root, walk).unwrap()), expected);
         }
         // Distinct walks explore distinct paths with overwhelming
         // probability on this workload; a constant stream would betray a
@@ -468,15 +429,7 @@ mod tests {
         // With a zero trigger budget every probabilistic path is abandoned.
         let grounder = network_grounder(3);
         let mut mc = MonteCarlo::new(&grounder, 0, 1);
-        let path = mc.sample().unwrap();
-        assert!(!path.is_finite());
-        match path {
-            SampledPath::Abandoned { depth, partial } => {
-                assert_eq!(depth, 0);
-                assert!(partial.is_empty());
-            }
-            SampledPath::Finite(_) => unreachable!(),
-        }
+        assert!(mc.walk(&mc.root().unwrap(), 0).unwrap().is_none());
         let stats = mc.estimate(10, |_| true).unwrap();
         assert_eq!(stats.abandoned, 10);
         assert_eq!(stats.estimate.mean, 0.0);

@@ -11,7 +11,8 @@ use crate::error::CoreError;
 use crate::grounding::{AtrSet, GroundRuleSet};
 use gdlog_data::{Database, GroundAtom};
 use gdlog_engine::{
-    AtomTableBuilder, CancelToken, GroundProgram, RuleParts, StableModelLimits, TableProgram,
+    AtomTableBuilder, CancelToken, GroundProgram, RuleParts, StableError, StableModelLimits,
+    TableProgram,
 };
 use gdlog_prob::Prob;
 use std::borrow::Cow;
@@ -471,7 +472,7 @@ impl PossibleOutcome {
         limits: &StableModelLimits,
         cancel: &CancelToken,
     ) -> Result<ModelSetKey, CoreError> {
-        let mut keys = model_set_keys([self], limits, cancel)?;
+        let mut keys = model_set_keys([self], false, limits, cancel)?;
         Ok(keys.pop().expect("one key per outcome"))
     }
 
@@ -485,6 +486,22 @@ impl PossibleOutcome {
             .iter()
             .map(|c| -> RuleParts<'_> { (&c.result, std::slice::from_ref(&c.active), &[]) });
         builder.program(&self.rules, chosen)
+    }
+
+    /// Encode the model the grounder decided for `Σ ∪ G(Σ)` into
+    /// `builder`: the heads of `G(Σ)` (each shared snapshot frame once per
+    /// builder) and the results of `Σ`, all as facts. Every result holds:
+    /// the chase chose each choice's `Active` atom as a trigger of an
+    /// ancestor node, a head of that node's grounding, which `G(Σ)`
+    /// extends. That is asserted, not filtered: a membership test walks
+    /// every snapshot layer of the head set, which cost more than the rest
+    /// of the pass on dimes and quarters.
+    fn encode_heads<'a>(&'a self, builder: &mut AtomTableBuilder<'a>) -> TableProgram {
+        debug_assert!(self
+            .atr
+            .iter()
+            .all(|c| self.rules.heads().contains(&c.active)));
+        builder.heads(&self.rules, self.atr.iter().map(|c| &c.result))
     }
 
     /// The canonical, collision-free identity of the outcome's ground
@@ -518,22 +535,44 @@ impl PossibleOutcome {
 /// order on the calling thread, reading the table immutably; each key moves
 /// the searched id vectors in over one [`KeyTable`] of the table's atoms,
 /// cloned once. The first error, in outcome order, ends the pass.
+///
+/// With `heads` the outcomes are a chase's over a grounder that decided
+/// their models ([`crate::Grounder::decides_models`]): the pass interns
+/// only each outcome's heads and the results of its choices, and each key
+/// is that one sorted, deduplicated id vector, with no body literal
+/// encoded and no search. It polls `cancel` once per outcome, and returns
+/// the one model whatever the limits, as the search does for a total
+/// well-founded model.
 pub(crate) fn model_set_keys<'a>(
     outcomes: impl IntoIterator<Item = &'a PossibleOutcome>,
+    heads: bool,
     limits: &StableModelLimits,
     cancel: &CancelToken,
 ) -> Result<Vec<ModelSetKey>, CoreError> {
     let mut builder = AtomTableBuilder::new();
     let programs: Vec<TableProgram> = outcomes
         .into_iter()
-        .map(|o| o.encode(&mut builder))
+        .map(|o| {
+            if heads {
+                o.encode_heads(&mut builder)
+            } else {
+                o.encode(&mut builder)
+            }
+        })
         .collect();
     let table = builder.finish();
     let atoms = KeyTable::new(table.atoms().iter().map(|&atom| atom.clone()).collect());
     programs
         .iter()
         .map(|program| {
-            let models = table.stable_models(program, limits, cancel)?;
+            let models = if heads {
+                if cancel.is_cancelled() {
+                    return Err(StableError::Interrupted.into());
+                }
+                vec![table.heads(program)]
+            } else {
+                table.stable_models(program, limits, cancel)?
+            };
             Ok(ModelSetKey::from_ids(&atoms, models))
         })
         .collect()

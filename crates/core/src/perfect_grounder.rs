@@ -186,6 +186,16 @@ impl Grounder for PerfectGrounder {
         self.ground_node(atr).into_rules()
     }
 
+    /// `Perfect` instantiates a rule only when none of its negative atoms
+    /// is derivable from the complete lower strata (Definition 5.1), so at
+    /// a terminal `Σ` every negative literal of `G(Σ)` is false for good
+    /// and `G(Σ)` is in effect positive: every head is derived, and the
+    /// least model `heads(G(Σ))` plus the results of `Σ` is the one stable
+    /// model.
+    fn decides_models(&self) -> bool {
+        true
+    }
+
     fn ground_node(&self, atr: &AtrSet) -> Grounding {
         self.ground_strata(atr, GroundRuleSet::new(), 0, &|s, a, i, n| {
             self.saturate_stratum(s, a, i, n)

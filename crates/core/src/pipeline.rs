@@ -239,7 +239,13 @@ impl Pipeline {
     /// The stable-model back-end searches each outcome's rules in place, in
     /// chase order on the calling thread. Nothing is memoized: two leaves
     /// of one chase always differ in their choices, so no two outcomes
-    /// share a program. Results are bit-identical at every thread count.
+    /// share a program. With the perfect grounder nothing is searched
+    /// either: it grounds a rule only when no negative body atom is
+    /// derivable from the complete lower strata (Definition 5.1), so each
+    /// outcome's one stable model is its heads plus its choices' results,
+    /// and the outcome is keyed from them
+    /// ([`OutputSpace::from_chase_cancellable`]). Results are bit-identical
+    /// at every thread count.
     pub fn solve(&self) -> Result<OutputSpace, CoreError> {
         self.space_from_chase(self.chase()?)
     }

@@ -54,7 +54,9 @@ impl OutputSpace {
     /// the benchmark PR of ROADMAP item 2 removes it.
     ///
     /// With `None` this is [`OutputSpace::from_chase_cancellable`] under a
-    /// token that never fires. With `Some(cache)` the outcomes are first
+    /// token that never fires, so a perfect-grounder chase is keyed from
+    /// its outcomes' heads. With `Some(cache)` every outcome is searched,
+    /// whatever the grounder: the outcomes are first
     /// keyed by their [`ProgramFingerprint`] — outcomes inducing the same
     /// ground program, and entries of a warm cache, are solved once — and
     /// the cache counts one hit or miss per outcome. No product path passes
@@ -89,6 +91,17 @@ impl OutputSpace {
     /// field of the result, including [`OutputSpace::events_by_mass`] and
     /// the first error surfaced, is deterministic.
     ///
+    /// When the chase's grounder decided its outcomes' models
+    /// ([`ChaseResult::models_decided`], the perfect grounder), nothing is
+    /// searched. Definition 5.1 grounds a rule only when no negative body
+    /// atom is derivable from the complete lower strata, so each outcome's
+    /// `G(Σ)` is in effect positive, and its one stable model is
+    /// `heads(G(Σ))` plus the result of each choice whose `Active` atom is
+    /// a head, which on a chase leaf is every choice. The pass interns just
+    /// those atoms, and each key is that one model. It polls the token once
+    /// per outcome, and no limit cuts the one model, as none cuts the
+    /// search's total well-founded model.
+    ///
     /// Two regimes:
     ///
     /// * **Chase completed or hit its budget** (`result.interrupted` false):
@@ -111,7 +124,7 @@ impl OutputSpace {
         } else {
             cancel.clone()
         };
-        let keys = model_set_keys(&result.outcomes, limits, &cancel)?;
+        let keys = model_set_keys(&result.outcomes, result.models_decided(), limits, &cancel)?;
         Ok(Self::from_keys(result, keys))
     }
 
@@ -128,6 +141,7 @@ impl OutputSpace {
             truncated,
             interrupted,
             nodes_visited,
+            ..
         } = result;
         let table = share_table(&mut keys);
         let mut order: Vec<usize> = (0..keys.len()).collect();
@@ -405,6 +419,7 @@ fn memoized_keys(
 
     let keys = model_set_keys(
         work.iter().map(|&i| &outcomes[i]),
+        false,
         limits,
         &CancelToken::never(),
     )?;
@@ -425,11 +440,16 @@ fn memoized_keys(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::{enumerate_outcomes, ChaseBudget, TriggerOrder};
-    use crate::program::{coin_program, network_resilience_program};
+    use crate::chase::{
+        enumerate_outcomes, enumerate_outcomes_cancellable, ChaseBudget, TriggerOrder,
+    };
+    use crate::grounding::{AtrSet, GroundRuleSet, Grounder, Grounding};
+    use crate::perfect_grounder::PerfectGrounder;
+    use crate::program::{coin_program, dime_quarter_program, network_resilience_program};
     use crate::simple_grounder::SimpleGrounder;
     use crate::translate::SigmaPi;
     use gdlog_data::{Const, Database};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     fn network_db() -> Database {
@@ -562,5 +582,105 @@ mod tests {
         // The heaviest event is "no stable model" with mass 0.81.
         assert!(events[0].0.is_empty());
         assert_eq!(events[0].1, Prob::ratio(81, 100));
+    }
+
+    /// The perfect grounder, firing `cancel` inside its incremental
+    /// grounding number `fire_at`.
+    struct FireAt {
+        inner: PerfectGrounder,
+        cancel: CancelToken,
+        fire_at: usize,
+        calls: AtomicUsize,
+    }
+
+    impl Grounder for FireAt {
+        fn sigma(&self) -> &SigmaPi {
+            self.inner.sigma()
+        }
+        fn name(&self) -> &'static str {
+            "fire-at"
+        }
+        fn ground(&self, atr: &AtrSet) -> GroundRuleSet {
+            self.inner.ground(atr)
+        }
+        fn decides_models(&self) -> bool {
+            self.inner.decides_models()
+        }
+        fn ground_node(&self, atr: &AtrSet) -> Grounding {
+            self.inner.ground_node(atr)
+        }
+        fn ground_from(
+            &self,
+            atr: &AtrSet,
+            parent_atr: &AtrSet,
+            parent: &mut Grounding,
+        ) -> Grounding {
+            if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.fire_at {
+                self.cancel.cancel();
+            }
+            self.inner.ground_from(atr, parent_atr, parent)
+        }
+    }
+
+    #[test]
+    fn heads_keys_observe_the_token_and_limits_as_the_search_does() {
+        let mut db = Database::new();
+        for coin in 1..=4i64 {
+            db.insert_fact(
+                if coin < 4 { "Dime" } else { "Quarter" },
+                [Const::Int(coin)],
+            );
+        }
+        let sigma = Arc::new(SigmaPi::translate(&dime_quarter_program(), &db).unwrap());
+        let grounder = PerfectGrounder::new(Arc::clone(&sigma)).unwrap();
+        let (budget, order) = (ChaseBudget::default(), TriggerOrder::First);
+        let chase = enumerate_outcomes(&grounder, &budget, order).unwrap();
+        assert!(chase.models_decided());
+        let limits = StableModelLimits::default();
+        let never = CancelToken::never();
+        let space = OutputSpace::from_chase(&chase, &limits).unwrap();
+        assert_eq!(space.outcome_count(), 9);
+        for (outcome, key) in space.outcomes() {
+            assert_eq!(key, &outcome.model_set_key(&limits).unwrap());
+        }
+
+        // A token that fired before keying interrupts it: exact or nothing.
+        let fired = CancelToken::new();
+        fired.cancel();
+        assert!(matches!(
+            OutputSpace::from_chase_cancellable(chase.clone(), &limits, &fired),
+            Err(CoreError::Interrupted(_))
+        ));
+
+        // No limit cuts the one model, as none cuts the search's total
+        // well-founded model.
+        let tight = StableModelLimits {
+            max_branch_atoms: 0,
+            max_models: 0,
+        };
+        let keyed = OutputSpace::from_chase_cancellable(chase.clone(), &tight, &never).unwrap();
+        assert_eq!(keyed.fingerprint(), space.fingerprint());
+        for (outcome, key) in keyed.outcomes() {
+            assert_eq!(key, &outcome.model_set_key(&tight).unwrap());
+        }
+
+        // A chase the token cut keys its explored outcomes to completion
+        // under the fired token.
+        let cancel = CancelToken::new();
+        let firing = FireAt {
+            inner: PerfectGrounder::new(sigma).unwrap(),
+            cancel: cancel.clone(),
+            fire_at: 6,
+            calls: AtomicUsize::new(0),
+        };
+        let cut = enumerate_outcomes_cancellable(&firing, &budget, order, &cancel).unwrap();
+        assert!(cut.interrupted && cut.models_decided());
+        assert!(!cut.outcomes.is_empty() && cut.outcomes.len() < chase.outcomes.len());
+        let partial = OutputSpace::from_chase_cancellable(cut, &limits, &cancel).unwrap();
+        assert!(partial.is_interrupted());
+        for (outcome, key) in partial.outcomes() {
+            let full = space.outcomes().iter().find(|(o, _)| o.atr == outcome.atr);
+            assert_eq!(Some(key), full.map(|(_, key)| key));
+        }
     }
 }

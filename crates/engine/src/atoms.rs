@@ -9,6 +9,10 @@
 //! are ascending atoms: models come back as sorted id vectors and compare
 //! like the sorted atom lists they stand for.
 //!
+//! A program whose one stable model its grounder has already decided is
+//! encoded by its rule heads alone ([`AtomTableBuilder::heads`]), and its
+//! model read off the table with no search ([`AtomTable::heads`]).
+//!
 //! The finished [`AtomTable`] is immutable, so the per-program searches
 //! ([`AtomTable::stable_models`]) read it from any number of threads. Ids
 //! and ranks come from one sequential pass in the order the programs were
@@ -81,6 +85,11 @@ fn dedup_from(ids: &mut Vec<u32>, start: usize) {
     ids.truncate(kept);
 }
 
+/// `atom` as a bodiless rule.
+fn fact(atom: &GroundAtom) -> RuleParts<'_> {
+    (atom, &[], &[])
+}
+
 /// A multiply-rotate hasher (the `FxHash` mix) for the builder's maps. An
 /// atom hashes as a handful of machine words (symbol ids, integers), which
 /// the default SipHash spends most of the interning pass on. The maps live
@@ -134,9 +143,10 @@ pub struct AtomTableBuilder<'a> {
     atoms: Vec<&'a GroundAtom>,
     ids: WordMap<&'a GroundAtom, u32>,
     segments: Vec<IdRules>,
-    /// Snapshot frame (by address) → its segment. Every frame outlives the
-    /// builder's borrow, so no address is reused while the builder lives.
-    frames: WordMap<usize, u32>,
+    /// Snapshot frame (by address) and whether only its heads were encoded
+    /// → its segment. Every frame outlives the builder's borrow, so no
+    /// address is reused while the builder lives.
+    frames: WordMap<(usize, bool), u32>,
 }
 
 impl<'a> AtomTableBuilder<'a> {
@@ -152,20 +162,47 @@ impl<'a> AtomTableBuilder<'a> {
     where
         I: IntoIterator<Item = RuleParts<'a>>,
     {
+        self.pieces(program, false, extra)
+    }
+
+    /// Encode the heads of `program` followed by the `extra` atoms, each as
+    /// a fact: the positive program `heads(program) ∪ extra`, whose one
+    /// model [`AtomTable::heads`] reads off. No body atom is interned. Each
+    /// frozen snapshot frame is encoded on its first sight only, apart from
+    /// the frame's encoding by [`Self::program`].
+    pub fn heads<I>(&mut self, program: &'a GroundProgram, extra: I) -> TableProgram
+    where
+        I: IntoIterator<Item = &'a GroundAtom>,
+    {
+        self.pieces(program, true, extra.into_iter().map(fact))
+    }
+
+    /// [`Self::program`], or with `heads_only` [`Self::heads`].
+    fn pieces<I>(&mut self, program: &'a GroundProgram, heads_only: bool, extra: I) -> TableProgram
+    where
+        I: IntoIterator<Item = RuleParts<'a>>,
+    {
+        let parts = move |rule: &'a GroundRule| {
+            if heads_only {
+                fact(&rule.head)
+            } else {
+                rule.parts()
+            }
+        };
         let (frames, tail) = program.pieces();
         let mut segments = Vec::with_capacity(frames.len() + 1);
         for (frame, rules) in frames {
-            let segment = match self.frames.get(&frame) {
+            let segment = match self.frames.get(&(frame, heads_only)) {
                 Some(&segment) => segment,
                 None => {
-                    let segment = self.encode(rules.iter().map(GroundRule::parts));
-                    self.frames.insert(frame, segment);
+                    let segment = self.encode(rules.iter().map(parts));
+                    self.frames.insert((frame, heads_only), segment);
                     segment
                 }
             };
             segments.push(segment);
         }
-        segments.push(self.encode(tail.iter().map(GroundRule::parts).chain(extra)));
+        segments.push(self.encode(tail.iter().map(parts).chain(extra)));
         TableProgram { segments }
     }
 
@@ -271,6 +308,18 @@ impl<'a> AtomTable<'a> {
             .segments
             .iter()
             .map(|&segment| &self.segments[segment as usize])
+    }
+
+    /// The heads of `program`'s rules as one sorted, deduplicated id vector:
+    /// the one model of a program [`AtomTableBuilder::heads`] encoded.
+    pub fn heads(&self, program: &TableProgram) -> Vec<u32> {
+        let len = self.rules(program).map(IdRules::len).sum();
+        let mut heads = Vec::with_capacity(len);
+        for rules in self.rules(program) {
+            heads.extend_from_slice(&rules.heads);
+        }
+        dedup_from(&mut heads, 0);
+        heads
     }
 
     /// The stable models of `program`, each a sorted vector of atom ids, in

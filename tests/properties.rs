@@ -944,6 +944,155 @@ fn in_place_key_equals_full_program_key_on_the_scenario_corpus() {
     );
 }
 
+/// Check every key a perfect-grounder chase keys from its heads: each
+/// recorded key equals the searched key of its outcome
+/// (`PossibleOutcome::model_set_key`) and, where the naive oracle stays
+/// within its limits, the oracle's key; and the space equals the one the
+/// searching memo arm builds, event for event and fingerprint for
+/// fingerprint. Returns how many keys the naive oracle confirmed.
+fn check_heads_keys(chase: &gdlog::core::ChaseResult, label: &str) -> usize {
+    assert!(chase.models_decided(), "{label}: not keyed from heads");
+    let limits = StableModelLimits::default();
+    let naive_limits = StableModelLimits {
+        max_branch_atoms: 12,
+        ..limits
+    };
+    let space = OutputSpace::from_chase(chase, &limits).unwrap();
+    let mut confirmed = 0;
+    for (outcome, key) in space.outcomes() {
+        assert_eq!(
+            key,
+            &outcome.model_set_key(&limits).unwrap(),
+            "{label}: {outcome}"
+        );
+        if let Ok(naive) = naive_stable_models(&outcome.full_program(), &naive_limits) {
+            assert_eq!(
+                key,
+                &ModelSetKey::from_models(&naive),
+                "{label}: naive oracle"
+            );
+            confirmed += 1;
+        }
+    }
+    let searched = OutputSpace::from_chase_with(
+        chase.clone(),
+        &limits,
+        &Executor::sequential(),
+        Some(&ModelSetCache::new()),
+    )
+    .unwrap();
+    assert_eq!(space.events_by_mass(), searched.events_by_mass(), "{label}");
+    assert_eq!(space.fingerprint(), searched.fingerprint(), "{label}");
+    confirmed
+}
+
+/// A perfect-grounder chase of `program` on `db`.
+fn perfect_chase(program: &gdlog::core::Program, db: &Database) -> gdlog::core::ChaseResult {
+    let sigma = Arc::new(SigmaPi::translate(program, db).unwrap());
+    let grounder = PerfectGrounder::new(sigma).unwrap();
+    let budget = ChaseBudget {
+        max_outcomes: 4096,
+        max_depth: 16,
+        max_branching: 4,
+        min_path_probability: 0.0,
+    };
+    enumerate_outcomes(&grounder, &budget, TriggerOrder::First).unwrap()
+}
+
+/// `name` suffixed with `arity`, so that the random atoms of one name but
+/// different arities name different predicates.
+fn with_arity(name: &str, arity: usize) -> String {
+    format!("{name}{arity}")
+}
+
+/// `rule` over predicates named with their arities, its body atoms of `R`
+/// read from `H` and of `S` from `K`, so that random rules read, and
+/// negate, each other's heads.
+fn reading_heads(mut rule: gdlog::core::Rule) -> gdlog::core::Rule {
+    for atom in rule.pos.iter_mut().chain(&mut rule.neg) {
+        let name = match atom.predicate.name() {
+            "R" => "H",
+            "S" => "K",
+            other => other,
+        };
+        let name = with_arity(name, atom.args.len());
+        *atom = gdlog_data::Atom::make(&name, std::mem::take(&mut atom.args));
+    }
+    let name = with_arity(rule.head.predicate.name(), rule.head.args.len());
+    rule.head = gdlog::core::Head::make(&name, std::mem::take(&mut rule.head.args));
+    rule
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Perfect-grounder outcomes keyed from their heads equal their
+    /// searched keys on dimes and quarters of random sizes, where a tail
+    /// among the dimes keeps every quarter from being tossed.
+    #[test]
+    fn heads_keys_equal_searched_keys_on_dime_quarter(
+        dimes in 1usize..=6,
+        quarters in 0usize..=3,
+    ) {
+        let (program, db) = gdlog_bench::workloads::dime_quarter_workload(dimes, quarters);
+        let chase = perfect_chase(&program, &db);
+        prop_assert!(chase.outcomes.len() >= 1 << dimes);
+        let confirmed = check_heads_keys(&chase, "dime_quarter");
+        prop_assert_eq!(confirmed, chase.outcomes.len());
+    }
+
+    /// The same on coin chains, whose `SomeHeads` atom negates a coin's
+    /// tails.
+    #[test]
+    fn heads_keys_equal_searched_keys_on_coin_chain(n in 1usize..=7, p in 1u32..=9) {
+        let (program, db) = gdlog_bench::workloads::coin_chain(n, f64::from(p) / 10.0);
+        let chase = perfect_chase(&program, &db);
+        prop_assert_eq!(chase.outcomes.len(), 1 << n);
+        let confirmed = check_heads_keys(&chase, "coin_chain");
+        prop_assert_eq!(confirmed, chase.outcomes.len());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The same on random surface programs with stratified negation: the
+    /// random rules read each other's heads, under negation too, and the
+    /// database holds each rule's positive body atoms with every variable
+    /// bound to one constant `c`, so most bodies match; the random facts
+    /// join in on the body predicates and on `H`. Programs that do not
+    /// stratify are skipped.
+    #[test]
+    fn heads_keys_equal_searched_keys_on_random_stratified_programs(
+        rules in prop::collection::vec(surface_rule(), 1..6),
+        facts in surface_db(),
+        c in surface_const(),
+    ) {
+        let program = gdlog::core::Program::new(rules.into_iter().map(reading_heads).collect());
+        if !program.has_stratified_negation() {
+            return Ok(());
+        }
+        let mut db = Database::new();
+        for atom in program.rules().iter().flat_map(|rule| &rule.pos) {
+            let args = atom.args.iter().map(|t| match t {
+                gdlog_data::Term::Const(k) => *k,
+                gdlog_data::Term::Var(_) => c,
+            });
+            db.insert(GroundAtom::make(atom.predicate.name(), args.collect()));
+        }
+        for atom in facts.iter() {
+            let name = match atom.predicate.name() {
+                "F" => "P",
+                "G" => "Q",
+                _ => "H",
+            };
+            db.insert(GroundAtom::make(&with_arity(name, atom.args.len()), atom.args.clone()));
+        }
+        let chase = perfect_chase(&program, &db);
+        check_heads_keys(&chase, &format!("{program}"));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Surface-syntax round-trip: pretty-printing a random program and database
 // and re-parsing the text reproduces the originals exactly. This is the
