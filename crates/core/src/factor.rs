@@ -60,11 +60,11 @@ use crate::outcome::{KeyTable, ModelSetKey};
 use crate::semantics::OutputSpace;
 use crate::simple_grounder::saturate_impl;
 use crate::translate::{AtrSchema, SigmaPi};
-use gdlog_data::GroundAtom;
+use gdlog_data::{GroundAtom, WordMap};
 use gdlog_engine::{connected_components, CancelToken};
 use gdlog_prob::{Prob, Rational};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::{Arc, OnceLock};
 
 /// Safety valve for the universe fixpoint: programs whose over-approximated
@@ -205,7 +205,7 @@ fn universe_of_group(
 /// `active — result` edges per AtR expansion.
 fn partition(sigma: &SigmaPi, universe: &GroundRuleSet, pairs: &AtrPairs) -> Vec<Part> {
     let atoms: Vec<GroundAtom> = universe.heads().canonical_atoms();
-    let index: HashMap<&GroundAtom, usize> =
+    let index: WordMap<&GroundAtom, usize> =
         atoms.iter().enumerate().map(|(i, a)| (a, i)).collect();
     let index = &index;
     // Negative atoms outside the universe can never be derived: the literal
@@ -240,7 +240,7 @@ fn partition(sigma: &SigmaPi, universe: &GroundRuleSet, pairs: &AtrPairs) -> Vec
 /// starts from its own part's atoms only, and every rule instance it fires
 /// has its whole footprint in that part.
 fn slice(sigma: &SigmaPi, parts: Vec<Part>, support_cut: bool) -> Vec<ChaseComponent> {
-    let owner: HashMap<&GroundAtom, usize> = parts
+    let owner: WordMap<&GroundAtom, usize> = parts
         .iter()
         .enumerate()
         .flat_map(|(i, (atoms, _))| atoms.iter().map(move |a| (a, i)))
@@ -477,7 +477,7 @@ pub struct FactoredOutputSpace {
     /// its [`OutputSpace::events_by_mass`] listing order.
     nonempty_events: OnceLock<Vec<Vec<(usize, Prob)>>>,
     /// Which factor holds each universe atom, built on first use.
-    factor_index: OnceLock<HashMap<GroundAtom, usize>>,
+    factor_index: OnceLock<WordMap<GroundAtom, usize>>,
     /// The joint atom table of a multi-factor product, built on first use:
     /// the merge of the factors' tables, with each factor's id remap into
     /// it. Joint keys are built over it.
@@ -613,7 +613,7 @@ impl FactoredOutputSpace {
             return Some(0);
         }
         let index = self.factor_index.get_or_init(|| {
-            let mut index = HashMap::new();
+            let mut index = WordMap::default();
             for (i, f) in self.factors.iter().enumerate() {
                 for atom in &f.atoms {
                     index.entry(atom.clone()).or_insert(i);

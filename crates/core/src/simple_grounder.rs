@@ -240,10 +240,9 @@ where
         // with the Result atoms they activate.
         let mut next_delta = Database::new();
         for rule in new_rules {
-            if !derived.heads().contains(&rule.head) {
-                next_delta.insert(rule.head.clone());
+            if let Some(head) = derived.push_new_head(rule) {
+                next_delta.insert(head.clone());
             }
-            derived.push(rule);
         }
         if !activate(derived.heads(), &next_delta, &mut results) {
             break;

@@ -22,9 +22,9 @@ use crate::error::CoreError;
 use crate::join::JoinPlan;
 use crate::program::Program;
 use crate::rule::{HeadTerm, Rule};
-use gdlog_data::{Atom, Const, Database, GroundAtom, Predicate, Term, Var};
+use gdlog_data::{Atom, Const, Database, GroundAtom, Predicate, Term, Var, WordMap};
 use gdlog_prob::{DeltaRegistry, DistError, Distribution, Prob};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -158,7 +158,7 @@ pub struct SigmaPi {
 struct Choices {
     /// The AtR TGD schemas, one per distinct `(δ, |p̄|, |q̄|)` combination.
     atr_schemas: Vec<AtrSchema>,
-    active_index: HashMap<Predicate, usize>,
+    active_index: WordMap<Predicate, usize>,
     original_schema: BTreeSet<Predicate>,
 }
 
@@ -172,7 +172,7 @@ impl SigmaPi {
         program.validate()?;
         let mut choices = Choices {
             atr_schemas: Vec::new(),
-            active_index: HashMap::new(),
+            active_index: WordMap::default(),
             original_schema: program.schema().iter().copied().collect(),
         };
         for p in database.predicates() {

@@ -22,13 +22,21 @@
 //! All lookups (`contains`, `select`, iteration) see the union of every
 //! layer; an atom is stored in exactly one layer. Long chains are flattened
 //! transparently so lookup cost stays bounded.
+//!
+//! # Hashing
+//!
+//! Every map here is a [`WordMap`] (see [`crate::hash`]). [`Database::contains`]
+//! and [`Database::insert`] hash an atom's arguments once and probe each
+//! layer's relation with that one hash; only the predicate lookup is
+//! repeated per layer.
 
 use crate::atom::{Atom, GroundAtom};
+use crate::hash::{word_hash, WordMap};
 use crate::predicate::Predicate;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Const;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -47,7 +55,7 @@ pub struct Database {
     /// Number of frozen layers below this one.
     depth: usize,
     /// The mutable tail layer: atoms inserted since the last snapshot.
-    relations: HashMap<Predicate, Relation>,
+    relations: WordMap<Predicate, Relation>,
     /// Total number of atoms across all layers.
     len: usize,
 }
@@ -74,8 +82,9 @@ impl Database {
     /// Insert a ground atom. Returns `true` if the atom was not already
     /// present (in any snapshot layer).
     pub fn insert(&mut self, atom: GroundAtom) -> bool {
+        let hash = word_hash(&atom.args);
         if let Some(base) = &self.base {
-            if base.contains(&atom) {
+            if base.contains_hashed(hash, &atom) {
                 return false;
             }
         }
@@ -83,7 +92,7 @@ impl Database {
             .relations
             .entry(atom.predicate)
             .or_insert_with(|| Relation::new(atom.predicate.arity()));
-        if relation.insert(atom) {
+        if relation.insert_hashed(hash, atom) {
             self.len += 1;
             true
         } else {
@@ -115,7 +124,7 @@ impl Database {
         Database {
             base: self.base.clone(),
             depth: self.depth,
-            relations: HashMap::new(),
+            relations: WordMap::default(),
             len: self.len,
         }
     }
@@ -161,11 +170,16 @@ impl Database {
 
     /// Does the database contain `atom` (in any snapshot layer)?
     pub fn contains(&self, atom: &GroundAtom) -> bool {
+        self.contains_hashed(word_hash(&atom.args), atom)
+    }
+
+    /// [`Self::contains`] given `hash`, `word_hash(&atom.args)`.
+    fn contains_hashed(&self, hash: u64, atom: &GroundAtom) -> bool {
         self.layers().any(|layer| {
             layer
                 .relations
                 .get(&atom.predicate)
-                .is_some_and(|r| r.contains(atom))
+                .is_some_and(|r| r.contains_hashed(hash, atom))
         })
     }
 
@@ -574,6 +588,62 @@ mod tests {
         );
         assert_eq!(deeper.predicates().count(), flat.predicates().count());
         assert_eq!(deeper.schema(), flat.schema());
+    }
+
+    #[test]
+    fn indexed_layers_agree_with_a_flat_database() {
+        // Three frozen layers and a tail, each holding more than SCAN_ROWS
+        // `Connected` atoms, so every layer answers through its hash maps
+        // with the one hash `Database` computes per lookup.
+        let rows = crate::relation::SCAN_ROWS as i64 + 4;
+        let connected_pred = Predicate::new("Connected", 2);
+        let mut db = Database::new();
+        for layer in 0..4i64 {
+            for j in 0..rows {
+                assert!(db.insert(connected(layer, j)));
+                // Duplicates across every layer boundary below are refused.
+                for older in 0..layer {
+                    assert!(!db.insert(connected(older, j)));
+                }
+            }
+            let tail = &db.relations[&connected_pred];
+            assert!(tail.len() > crate::relation::SCAN_ROWS);
+            if layer < 3 {
+                db.snapshot();
+            }
+        }
+        assert_eq!(db.snapshot_depth(), 3);
+        let flat = Database::from_atoms(db.iter().cloned());
+        assert_eq!(db.len(), flat.len());
+        assert_eq!(db.len(), 4 * rows as usize);
+
+        for i in -1..=4i64 {
+            for j in -1..=rows {
+                let atom = connected(i, j);
+                assert_eq!(db.contains(&atom), flat.contains(&atom), "{atom}");
+            }
+            let determined = [(0, Const::Int(i))];
+            let mut layered: Vec<_> = db.select(&connected_pred, &determined).collect();
+            let mut flat_hits: Vec<_> = flat.select(&connected_pred, &determined).collect();
+            layered.sort();
+            flat_hits.sort();
+            assert_eq!(layered, flat_hits);
+            let determined = [(1, Const::Int(i))];
+            assert_eq!(
+                db.select(&connected_pred, &determined).count(),
+                flat.select(&connected_pred, &determined).count()
+            );
+        }
+
+        // Re-inserting every atom is refused on both sides; a new one is
+        // taken by both.
+        let mut flat = flat;
+        for atom in flat.canonical_atoms() {
+            assert!(!db.insert(atom.clone()) && !flat.insert(atom));
+        }
+        assert!(db.insert(connected(9, 9)) && flat.insert(connected(9, 9)));
+        assert_eq!(db.len(), flat.len());
+        assert_eq!(db, flat);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   homomorphism-style matching used by the grounders of the paper,
 //! * [`Database`] / instances — finite and growable sets of ground atoms with
 //!   per-predicate indexes,
-//! * [`Schema`] — finite sets of predicates.
+//! * [`Schema`] — finite sets of predicates,
+//! * [`WordMap`] — the `HashMap` of the grounding path, on one seeded
+//!   multiply-rotate word hasher.
 //!
 //! Everything is deliberately engine-agnostic: `gdlog-engine` layers the
 //! stable-model machinery on top and `gdlog-core` layers the generative
@@ -28,6 +30,7 @@
 pub mod atom;
 pub mod database;
 pub mod error;
+pub mod hash;
 pub mod predicate;
 pub mod relation;
 pub mod schema;
@@ -39,6 +42,7 @@ pub mod value;
 pub use atom::{Atom, GroundAtom, GroundLiteral, Literal, Polarity};
 pub use database::{Database, Instance};
 pub use error::DataError;
+pub use hash::{word_hash, WordMap};
 pub use predicate::Predicate;
 pub use relation::{Candidates, Relation};
 pub use schema::Schema;

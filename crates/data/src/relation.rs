@@ -14,6 +14,9 @@
 //! Below that, membership and lookups scan the table: a chase node's layer
 //! of the head set holds a handful of atoms per predicate, and there the
 //! maps would cost more memory than the atoms and more time than the scan.
+//! Both are [`WordMap`]s, and an argument tuple hashes with [`word_hash`]:
+//! a [`crate::Database`] hashes an atom once and probes every snapshot
+//! layer's relation with that hash (`contains_hashed`, `insert_hashed`).
 //!
 //! [`Relation::select`] is the index-aware lookup used by the grounders: it
 //! takes the argument positions a join has already determined, each with its
@@ -22,13 +25,12 @@
 //! complete per position.
 
 use crate::atom::GroundAtom;
+use crate::hash::{word_hash, WordMap};
 use crate::value::Const;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 
 /// Relations with at most this many atoms are scanned, not indexed (at most
 /// 64: [`Candidates::Masked`] holds a row set as a `u64`).
-const SCAN_ROWS: usize = 8;
+pub(crate) const SCAN_ROWS: usize = 8;
 const _: () = assert!(SCAN_ROWS < 64);
 
 /// The atoms of a single predicate, stored once and indexed by argument
@@ -39,16 +41,10 @@ pub struct Relation {
     atoms: Vec<GroundAtom>,
     /// Argument-tuple hash → rows with that hash (collision chain). Empty
     /// while the relation is scanned.
-    buckets: HashMap<u64, Vec<u32>>,
+    buckets: WordMap<u64, Vec<u32>>,
     /// `index[i]`: constant at position `i` → rows holding it there. Empty
     /// while the relation is scanned.
-    index: Vec<HashMap<Const, Vec<u32>>>,
-}
-
-fn hash_args(args: &[Const]) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    args.hash(&mut hasher);
-    hasher.finish()
+    index: Vec<WordMap<Const, Vec<u32>>>,
 }
 
 impl Relation {
@@ -67,6 +63,11 @@ impl Relation {
 
     /// Insert an atom; returns `true` if it was not already present.
     pub fn insert(&mut self, atom: GroundAtom) -> bool {
+        self.insert_hashed(word_hash(&atom.args), atom)
+    }
+
+    /// [`Self::insert`] given `hash`, `word_hash(&atom.args)`.
+    pub(crate) fn insert_hashed(&mut self, hash: u64, atom: GroundAtom) -> bool {
         debug_assert_eq!(atom.args.len(), self.arity);
         if !self.is_indexed() {
             if self.atoms.contains(&atom) {
@@ -74,21 +75,20 @@ impl Relation {
             }
             self.atoms.push(atom);
             if self.atoms.len() > SCAN_ROWS {
-                self.index = vec![HashMap::new(); self.arity];
+                self.index = vec![WordMap::default(); self.arity];
                 for row in 0..self.atoms.len() {
-                    self.index_row(row, hash_args(&self.atoms[row].args));
+                    self.index_row(row, word_hash(&self.atoms[row].args));
                 }
             }
             return true;
         }
-        let h = hash_args(&atom.args);
         // Compare whole atoms: a standalone Relation may legitimately be fed
         // several same-arity predicates (the Database wrapper never does).
-        if self.bucket_contains(h, &atom) {
+        if self.bucket_contains(hash, &atom) {
             return false;
         }
         self.atoms.push(atom);
-        self.index_row(self.atoms.len() - 1, h);
+        self.index_row(self.atoms.len() - 1, hash);
         true
     }
 
@@ -112,8 +112,14 @@ impl Relation {
     /// Membership test (a scan of a small relation, otherwise a hash lookup
     /// plus a collision-chain scan).
     pub fn contains(&self, atom: &GroundAtom) -> bool {
+        self.contains_hashed(word_hash(&atom.args), atom)
+    }
+
+    /// [`Self::contains`] given `hash`, `word_hash(&atom.args)` (unread
+    /// while the relation is scanned).
+    pub(crate) fn contains_hashed(&self, hash: u64, atom: &GroundAtom) -> bool {
         if self.is_indexed() {
-            self.bucket_contains(hash_args(&atom.args), atom)
+            self.bucket_contains(hash, atom)
         } else {
             self.atoms.contains(atom)
         }

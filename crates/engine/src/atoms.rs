@@ -21,9 +21,7 @@
 use crate::cancel::CancelToken;
 use crate::ground::{GroundProgram, GroundRule};
 use crate::stable::{self, RuleParts, StableError, StableModelLimits};
-use gdlog_data::GroundAtom;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use gdlog_data::{GroundAtom, WordMap};
 
 /// Ground rules over atom ids in flat arrays. Rule `r`'s literals are
 /// `lits[start..end]` with its positive ones first, up to `pos_end`, where
@@ -89,45 +87,6 @@ fn dedup_from(ids: &mut Vec<u32>, start: usize) {
 fn fact(atom: &GroundAtom) -> RuleParts<'_> {
     (atom, &[], &[])
 }
-
-/// A multiply-rotate hasher (the `FxHash` mix) for the builder's maps. An
-/// atom hashes as a handful of machine words (symbol ids, integers), which
-/// the default SipHash spends most of the interning pass on. The maps live
-/// for one solve and hold atoms of the solved program only.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    fn write_u8(&mut self, word: u8) {
-        self.write_u64(word.into());
-    }
-
-    fn write_u32(&mut self, word: u32) {
-        self.write_u64(word.into());
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
 
 /// One program of an [`AtomTable`]: the table segments holding its rules,
 /// in rule order.

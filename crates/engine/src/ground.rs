@@ -6,7 +6,7 @@
 //! with an empty body (`→ α`, as in the paper's `Σ[D] = {True → α | α ∈ D}`).
 
 use crate::stable::RuleParts;
-use gdlog_data::{Database, GroundAtom, Predicate};
+use gdlog_data::{word_hash, Database, GroundAtom, Predicate, WordMap};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -140,7 +140,7 @@ pub struct GroundProgram {
     rules: Vec<GroundRule>,
     /// Rule hash → rows of `rules` with that hash (collision chain; covers
     /// the mutable tail only — frozen frames carry their own buckets).
-    buckets: std::collections::HashMap<u64, Vec<u32>>,
+    buckets: WordMap<u64, Vec<u32>>,
     heads: Database,
 }
 
@@ -149,7 +149,7 @@ pub struct GroundProgram {
 struct Frame {
     prev: Option<Arc<Frame>>,
     rules: Vec<GroundRule>,
-    buckets: std::collections::HashMap<u64, Vec<u32>>,
+    buckets: WordMap<u64, Vec<u32>>,
 }
 
 impl Frame {
@@ -166,10 +166,7 @@ impl Frame {
 const MAX_FRAME_DEPTH: usize = 16;
 
 fn hash_rule(rule: &GroundRule) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    rule.hash(&mut hasher);
-    hasher.finish()
+    word_hash(rule)
 }
 
 impl GroundProgram {
@@ -203,7 +200,7 @@ impl GroundProgram {
             base_len: self.base_len,
             depth: self.depth,
             rules: Vec::new(),
-            buckets: std::collections::HashMap::new(),
+            buckets: WordMap::default(),
             heads: self.heads.snapshot(),
         }
     }
@@ -270,18 +267,35 @@ impl GroundProgram {
     /// Add a rule (set semantics: duplicates are ignored, across all
     /// snapshot frames). Returns whether the rule was new.
     pub fn push(&mut self, rule: GroundRule) -> bool {
+        self.add(rule).is_some()
+    }
+
+    /// [`Self::push`], reporting the head instead: the rule's head when the
+    /// rule was new and its head was not yet in [`Self::heads`], otherwise
+    /// `None`. The grounders' saturation collects its next delta from this,
+    /// with no second head-set lookup.
+    pub fn push_new_head(&mut self, rule: GroundRule) -> Option<&GroundAtom> {
+        match self.add(rule) {
+            Some(true) => self.rules.last().map(|rule| &rule.head),
+            _ => None,
+        }
+    }
+
+    /// Append `rule` unless it is a duplicate (`None`); otherwise report
+    /// whether its head was new to the head set.
+    fn add(&mut self, rule: GroundRule) -> Option<bool> {
         let hash = hash_rule(&rule);
         if self.frames().any(|f| f.contains(hash, &rule)) {
-            return false;
+            return None;
         }
         let rows = self.buckets.entry(hash).or_default();
         if rows.iter().any(|&r| self.rules[r as usize] == rule) {
-            return false;
+            return None;
         }
         rows.push(self.rules.len() as u32);
-        self.heads.insert(rule.head.clone());
+        let new_head = self.heads.insert(rule.head.clone());
         self.rules.push(rule);
-        true
+        Some(new_head)
     }
 
     /// Add many rules.
@@ -556,6 +570,35 @@ mod tests {
         let flat = GroundProgram::from_rules(snap.iter().cloned());
         assert_eq!(snap, flat);
         assert_eq!(snap.canonical_rules(), flat.canonical_rules());
+    }
+
+    #[test]
+    fn push_new_head_reports_only_new_heads_across_snapshots() {
+        let a1 = GroundRule::fact(atom("A", &[1]));
+        let b_from_a = GroundRule::new(atom("B", &[1]), vec![atom("A", &[1])], vec![]);
+        let b_from_c = GroundRule::new(atom("B", &[1]), vec![atom("C", &[1])], vec![]);
+        let mut p = GroundProgram::new();
+        assert_eq!(p.push_new_head(a1.clone()), Some(&atom("A", &[1])));
+        assert_eq!(p.push_new_head(b_from_a.clone()), Some(&atom("B", &[1])));
+        // A duplicate rule, and a new rule with an existing head: no new head.
+        assert_eq!(p.push_new_head(a1.clone()), None);
+        assert_eq!(p.push_new_head(b_from_c.clone()), None);
+        assert_eq!(p.len(), 3);
+
+        // The same across a snapshot: the frozen prefix's rules and heads
+        // count as present on both sides.
+        let mut snap = p.snapshot();
+        for side in [&mut p, &mut snap] {
+            assert_eq!(side.push_new_head(a1.clone()), None);
+            assert_eq!(side.push_new_head(b_from_c.clone()), None);
+            let b_from_d = GroundRule::new(atom("B", &[1]), vec![atom("D", &[1])], vec![]);
+            assert_eq!(side.push_new_head(b_from_d), None);
+            let c1 = GroundRule::fact(atom("C", &[1]));
+            assert_eq!(side.push_new_head(c1.clone()), Some(&atom("C", &[1])));
+            assert_eq!(side.push_new_head(c1), None);
+            assert_eq!(side.len(), 5);
+            assert_eq!(side.heads().len(), 3);
+        }
     }
 
     #[test]
