@@ -99,7 +99,7 @@ pub use translate::{AtrSchema, SigmaPi, TgdRule};
 
 #[cfg(test)]
 mod send_sync_audit {
-    //! Monte-Carlo hands a shared `&dyn Grounder` to the pool tasks of
+    //! Monte-Carlo hands a shared `&dyn Grounder` to the scoped threads of
     //! `Executor::map`, each of which walks its own `AtrSet`s and
     //! `Grounding` snapshots into `PossibleOutcome`s, and the resident
     //! server moves chase results, errors and pipelines between session

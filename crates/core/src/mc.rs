@@ -15,7 +15,7 @@
 //! walk `i` from its own RNG stream derived from the root seed
 //! ([`walk_rng`]) rather than from one sequentially advancing generator.
 //! This makes every estimate a pure function of `(seed, walk index)` — the
-//! walks can be dispatched to an [`Executor`]'s thread pool in any order and
+//! walks can be dispatched to an [`Executor`]'s threads in any order and
 //! still reproduce the sequential estimates bit for bit.
 
 use crate::chase::{Chase, ChaseBudget, Expansion, TriggerOrder};
@@ -61,7 +61,7 @@ pub struct SampleStats {
 /// i)`, so the sampled paths depend only on the seed and the walk index —
 /// never on the executor. [`MonteCarlo::estimate`] therefore produces
 /// bit-identical statistics whether it runs sequentially or fans the walks
-/// out to a thread pool ([`MonteCarlo::with_executor`]).
+/// out to worker threads ([`MonteCarlo::with_executor`]).
 pub struct MonteCarlo<'a> {
     grounder: &'a dyn Grounder,
     budget: ChaseBudget,
@@ -87,7 +87,7 @@ impl<'a> MonteCarlo<'a> {
         }
     }
 
-    /// Fan [`MonteCarlo::estimate`]'s walks out to `executor`'s pool. The
+    /// Fan [`MonteCarlo::estimate`]'s walks out to `executor`'s threads. The
     /// estimates are bit-identical to the sequential ones for every thread
     /// count; only wall-clock time changes.
     pub fn with_executor(mut self, executor: &'a Executor) -> Self {
@@ -133,11 +133,11 @@ impl<'a> MonteCarlo<'a> {
         self.next_walk += samples as u64;
         let root = self.root()?;
         // Contiguous chunks of the walk range: one when sequential, several
-        // per worker when parallel so the pool balances uneven walk lengths
-        // by stealing. Chunk tallies are integers, so the merge is
-        // order-insensitive — except for errors, which surface in walk
-        // order: each chunk stops at its first failing walk, and chunks are
-        // merged lowest-first.
+        // per thread when parallel, so a thread that drew short walks claims
+        // another chunk while others finish long ones. Chunk tallies are
+        // integers, so the merge is order-insensitive — except for errors,
+        // which surface in walk order: each chunk stops at its first failing
+        // walk, and chunks are merged lowest-first.
         let sequential = Executor::sequential();
         let executor = self.executor.unwrap_or(&sequential);
         let chunks = if executor.is_parallel() {
@@ -406,7 +406,8 @@ mod tests {
         let event = |outcome: &PossibleOutcome| !outcome.stable_models(&limits).unwrap().is_empty();
         let mut sequential = MonteCarlo::new(&grounder, 100, 11);
         let base = sequential.estimate(500, event).unwrap();
-        for threads in [2, 3, 8] {
+        // `0` is one thread per available CPU.
+        for threads in [0, 2, 3, 8] {
             let executor = crate::exec::Executor::new(threads);
             let mut parallel = MonteCarlo::new(&grounder, 100, 11).with_executor(&executor);
             let stats = parallel.estimate(500, event).unwrap();

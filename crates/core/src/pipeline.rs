@@ -101,7 +101,7 @@ pub struct Pipeline {
     order: TriggerOrder,
     limits: StableModelLimits,
     /// Shared so a resident [`crate::api::Solver`] can run many pipelines
-    /// (one per solve configuration) on one pool.
+    /// (one per solve configuration) with one thread count.
     executor: Arc<Executor>,
     /// Cooperative cancellation token observed at every chase node, every
     /// grounding saturation round, every stable-model branch decision and
@@ -190,8 +190,8 @@ impl Pipeline {
         self
     }
 
-    /// Run on a shared executor (the server multiplexes every session's
-    /// pipelines onto one pool this way).
+    /// Run on a shared executor (the server gives every session's
+    /// pipelines one thread count this way).
     pub fn with_executor(mut self, executor: Arc<Executor>) -> Self {
         self.executor = executor;
         self

@@ -546,12 +546,16 @@ mod tests {
         let chase =
             enumerate_outcomes(&grounder, &ChaseBudget::default(), TriggerOrder::First).unwrap();
         let seq = OutputSpace::from_chase(&chase, &StableModelLimits::default()).unwrap();
+        // The keying ignores the executor, so one parallel executor stands
+        // for every thread count; the cache is read cold once, then warm
+        // twice.
         let cache = crate::ModelSetCache::new();
-        for threads in [1, 2, 8] {
+        let exec = crate::Executor::new(8);
+        for _pass in 0..3 {
             let par = OutputSpace::from_chase_with(
                 chase.clone(),
                 &StableModelLimits::default(),
-                &crate::Executor::new(threads),
+                &exec,
                 Some(&cache),
             )
             .unwrap();
@@ -563,7 +567,7 @@ mod tests {
             }
         }
         // Deterministic accounting: every outcome was looked up once per
-        // sweep, and after the cold first sweep everything was served warm.
+        // pass, and after the cold first pass everything was served warm.
         let stats = cache.stats();
         assert_eq!(stats.hits + stats.misses, 3 * chase.outcomes.len());
         assert!(stats.hits >= 2 * chase.outcomes.len());

@@ -36,6 +36,7 @@ use crate::predicate::Predicate;
 use crate::relation::Relation;
 use crate::schema::Schema;
 use crate::value::Const;
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -82,6 +83,15 @@ impl Database {
     /// Insert a ground atom. Returns `true` if the atom was not already
     /// present (in any snapshot layer).
     pub fn insert(&mut self, atom: GroundAtom) -> bool {
+        self.insert_cow(Cow::Owned(atom))
+    }
+
+    /// [`Self::insert`] of a borrowed atom, cloned only when it is new.
+    pub fn insert_ref(&mut self, atom: &GroundAtom) -> bool {
+        self.insert_cow(Cow::Borrowed(atom))
+    }
+
+    fn insert_cow(&mut self, atom: Cow<'_, GroundAtom>) -> bool {
         let hash = word_hash(&atom.args);
         if let Some(base) = &self.base {
             if base.contains_hashed(hash, &atom) {
@@ -635,13 +645,14 @@ mod tests {
             );
         }
 
-        // Re-inserting every atom is refused on both sides; a new one is
-        // taken by both.
+        // Re-inserting every atom, owned or by reference, is refused on both
+        // sides; a new one is taken by both (by reference on the layered
+        // side).
         let mut flat = flat;
         for atom in flat.canonical_atoms() {
-            assert!(!db.insert(atom.clone()) && !flat.insert(atom));
+            assert!(!db.insert_ref(&atom) && !db.insert(atom.clone()) && !flat.insert(atom));
         }
-        assert!(db.insert(connected(9, 9)) && flat.insert(connected(9, 9)));
+        assert!(db.insert_ref(&connected(9, 9)) && flat.insert(connected(9, 9)));
         assert_eq!(db.len(), flat.len());
         assert_eq!(db, flat);
     }

@@ -27,6 +27,7 @@
 use crate::atom::GroundAtom;
 use crate::hash::{word_hash, WordMap};
 use crate::value::Const;
+use std::borrow::Cow;
 
 /// Relations with at most this many atoms are scanned, not indexed (at most
 /// 64: [`Candidates::Masked`] holds a row set as a `u64`).
@@ -63,17 +64,18 @@ impl Relation {
 
     /// Insert an atom; returns `true` if it was not already present.
     pub fn insert(&mut self, atom: GroundAtom) -> bool {
-        self.insert_hashed(word_hash(&atom.args), atom)
+        self.insert_hashed(word_hash(&atom.args), Cow::Owned(atom))
     }
 
-    /// [`Self::insert`] given `hash`, `word_hash(&atom.args)`.
-    pub(crate) fn insert_hashed(&mut self, hash: u64, atom: GroundAtom) -> bool {
+    /// [`Self::insert`] given `hash`, `word_hash(&atom.args)`. A borrowed
+    /// atom is cloned only when it is new.
+    pub(crate) fn insert_hashed(&mut self, hash: u64, atom: Cow<'_, GroundAtom>) -> bool {
         debug_assert_eq!(atom.args.len(), self.arity);
         if !self.is_indexed() {
             if self.atoms.contains(&atom) {
                 return false;
             }
-            self.atoms.push(atom);
+            self.atoms.push(atom.into_owned());
             if self.atoms.len() > SCAN_ROWS {
                 self.index = vec![WordMap::default(); self.arity];
                 for row in 0..self.atoms.len() {
@@ -87,7 +89,7 @@ impl Relation {
         if self.bucket_contains(hash, &atom) {
             return false;
         }
-        self.atoms.push(atom);
+        self.atoms.push(atom.into_owned());
         self.index_row(self.atoms.len() - 1, hash);
         true
     }

@@ -293,7 +293,7 @@ impl GroundProgram {
             return None;
         }
         rows.push(self.rules.len() as u32);
-        let new_head = self.heads.insert(rule.head.clone());
+        let new_head = self.heads.insert_ref(&rule.head);
         self.rules.push(rule);
         Some(new_head)
     }

@@ -96,7 +96,7 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<&str>) -> Result<
 
 /// Parse the value of a `--threads` flag: a count up to [`MAX_THREADS`]
 /// (`0` means one thread per available CPU). Larger counts are refused: a
-/// pool that large can abort the process.
+/// Monte-Carlo estimate that spawns that many threads can abort the process.
 pub fn parse_threads(flag: &str, value: Option<&str>) -> Result<usize, String> {
     let threads = parse_value(flag, value)?;
     if threads > MAX_THREADS {

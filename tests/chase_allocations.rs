@@ -12,11 +12,13 @@
 //! only. The counts are deterministic; each bound is the count measured
 //! with compiled join plans and shared choices plus 10 % headroom, and
 //! each sits below 60 % of the count before them (the substitution-based
-//! matcher and deep-copied choice sets):
+//! matcher and deep-copied choice sets). The network ring's head set meets
+//! repeated heads, and since a rule's head is cloned into it only when new,
+//! its count and bound are those of that change:
 //!
 //! | workload             | before  | measured | bound  |
 //! |----------------------|---------|----------|--------|
-//! | `network_ring_n5`    | 41,437  | 15,481   | 17,000 |
+//! | `network_ring_n5`    | 41,437  | 15,248   | 16,800 |
 //! | `dime_quarter_d9_q2` | 113,379 | 46,890   | 51,500 |
 //! | `chain_game_n6`      | 12,916  | 5,817    | 6,400  |
 
@@ -99,7 +101,7 @@ fn assert_at_most(name: &str, count: u64, bound: u64) {
 fn network_ring_n5_chase_allocations_stay_bounded() {
     let db = network_database(5, Topology::Ring);
     let grounder = SimpleGrounder::new(sigma(&network_resilience_program(0.1), &db));
-    assert_at_most("network_ring_n5", chase_allocations(&grounder), 17_000);
+    assert_at_most("network_ring_n5", chase_allocations(&grounder), 16_800);
 }
 
 #[test]

@@ -469,14 +469,12 @@ const THREAD_SWEEP: [usize; 3] = [1, 3, 8];
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Satellite check for the parallel chase: on random coin-chain and
-    /// network-ring programs, exploring the chase tree through a
-    /// work-stealing pool yields **bit-identical** results to the
-    /// sequential walk — same outcome list in the same order, same exact
-    /// `Prob` masses, same residual, same truncation flag and same visited
-    /// node count — for every thread count, under the default budget and
-    /// under truncating ones (where the speculative walk must defer to the
-    /// sequential replay).
+    /// On random coin-chain and network-ring programs, the chase entry point
+    /// that takes an executor yields **bit-identical** results to the plain
+    /// one — same outcome list in the same order, same exact `Prob` masses,
+    /// same residual, same truncation flag and same visited node count —
+    /// under the default budget and under truncating ones. The chase runs
+    /// on the calling thread whatever the executor.
     #[test]
     fn parallel_chase_equals_sequential_on_random_programs(
         coins in 1usize..=5,
@@ -504,29 +502,25 @@ proptest! {
             for budget in &budgets {
                 let sequential =
                     enumerate_outcomes(grounder, budget, TriggerOrder::First).unwrap();
-                for threads in THREAD_SWEEP {
-                    let executor = Executor::new(threads);
-                    let parallel =
-                        enumerate_outcomes_with(grounder, budget, TriggerOrder::First, &executor)
-                            .unwrap();
-                    // The shared strict definition of "bit-identical":
-                    // outcome order, choice sets, exact probabilities,
-                    // residual mass, truncation and node count.
-                    let diff = sequential.diff(&parallel);
-                    prop_assert!(
-                        diff.is_none(),
-                        "parallel result differs at {} threads: {:?}",
-                        threads,
-                        diff
-                    );
-                }
+                // The chase ignores the executor, so one parallel executor
+                // stands for every thread count.
+                let executor = Executor::new(8);
+                let parallel =
+                    enumerate_outcomes_with(grounder, budget, TriggerOrder::First, &executor)
+                        .unwrap();
+                // The shared strict definition of "bit-identical":
+                // outcome order, choice sets, exact probabilities,
+                // residual mass, truncation and node count.
+                let diff = sequential.diff(&parallel);
+                prop_assert!(diff.is_none(), "parallel result differs: {:?}", diff);
             }
         }
     }
 
     /// The Monte-Carlo companion: per-walk RNG streams derive from the root
-    /// seed, so fanning the walks of `estimate` out to the pool reproduces
-    /// the sequential hit/abandon tallies exactly, for every thread count.
+    /// seed, so fanning the walks of `estimate` out to worker threads
+    /// reproduces the sequential hit/abandon tallies exactly, for every
+    /// thread count.
     #[test]
     fn parallel_sampling_equals_sequential_on_random_programs(
         coins in 1usize..=5,
@@ -1733,10 +1727,10 @@ fn oversized_multi_model_tie_classes_are_refused() {
     assert!(top.windows(2).all(|w| w[0].0 < w[1].0), "key order");
 }
 
-/// Satellite check for the parallel stable-model back-end: on every workload
-/// of the stable benchmark suite, `OutputSpace::from_chase` must produce
-/// bit-identical events and masses at 1, 2 and 8 threads, with and without a
-/// (shared, progressively warming) memo cache.
+/// On every workload of the stable benchmark suite,
+/// `OutputSpace::from_chase_with` must produce the events and masses of
+/// `OutputSpace::from_chase`, with and without a (shared, progressively
+/// warming) memo cache, whatever executor it is handed.
 #[test]
 fn from_chase_events_bit_identical_across_thread_counts() {
     let limits = StableModelLimits::default();
@@ -1748,26 +1742,27 @@ fn from_chase_events_bit_identical_across_thread_counts() {
         )
         .unwrap();
         let baseline = OutputSpace::from_chase(&chase, &limits).unwrap();
+        // The keying ignores the executor, so one parallel executor stands
+        // for every thread count: uncached, then through a cold and a warm
+        // cache.
         let cache = ModelSetCache::new();
-        for threads in [1usize, 2, 8] {
-            for cached in [false, true] {
-                let space = OutputSpace::from_chase_with(
-                    chase.clone(),
-                    &limits,
-                    &Executor::new(threads),
-                    cached.then_some(&cache),
-                )
-                .unwrap();
-                assert_eq!(
-                    space.events_by_mass(),
-                    baseline.events_by_mass(),
-                    "{} events diverged at {threads} threads (cached: {cached})",
-                    workload.name
-                );
-                assert_eq!(space.residual_mass(), baseline.residual_mass());
-                for (got, want) in space.outcomes().iter().zip(baseline.outcomes()) {
-                    assert_eq!(got.1, want.1, "{} per-outcome keys", workload.name);
-                }
+        let executor = Executor::new(8);
+        for (pass, cache) in [
+            ("uncached", None),
+            ("cold", Some(&cache)),
+            ("warm", Some(&cache)),
+        ] {
+            let space =
+                OutputSpace::from_chase_with(chase.clone(), &limits, &executor, cache).unwrap();
+            assert_eq!(
+                space.events_by_mass(),
+                baseline.events_by_mass(),
+                "{} events diverged ({pass})",
+                workload.name
+            );
+            assert_eq!(space.residual_mass(), baseline.residual_mass());
+            for (got, want) in space.outcomes().iter().zip(baseline.outcomes()) {
+                assert_eq!(got.1, want.1, "{} per-outcome keys", workload.name);
             }
         }
     }
